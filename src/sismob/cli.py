@@ -18,11 +18,9 @@ import numpy as np
 
 from . import __version__
 from .dynamics import integrate, write_trajectory_csv
-from .equilibria import (DFE_STABLE, DFE_UNSTABLE, MU_TIE_TOL, classify,
-                         equilibrium_matrices)
+from .equilibria import classify, equilibrium_matrices, threshold
 from .errors import ScenarioError
 from .scenario import Scenario, initial_state, load_scenario, parse_scenario
-from .spectral import spectral_abscissa, spectral_radius
 from .stochastic import seed_infections, simulate, stationary_counts, write_stochastic_csv
 
 
@@ -164,16 +162,6 @@ def _grid_point_doc(doc: dict, field: str, value: float) -> dict:
     return point
 
 
-def _sweep_point(spec):
-    """mu, R0 and the classification without the endemic fixed point
-    (sweeps only tabulate the threshold quantities)."""
-    mats = equilibrium_matrices(spec)
-    mu = float(spectral_abscissa(mats.G).mu)
-    r0 = None if mats.A is None else float(spectral_radius(mats.A @ mats.F).rho)
-    classification = DFE_UNSTABLE if mu > MU_TIE_TOL else DFE_STABLE
-    return mu, r0, classification
-
-
 def _cmd_sweep(args) -> int:
     with open(args.scenario, "r", encoding="utf-8") as fh:
         try:
@@ -193,10 +181,10 @@ def _cmd_sweep(args) -> int:
     for idx, value in enumerate(values):
         try:
             point = parse_scenario(_grid_point_doc(raw_doc, field, float(value)))
-            mu, r0, classification = _sweep_point(point.spec)
+            mu, r0, classification = threshold(equilibrium_matrices(point.spec))
             rows.append([idx, value, mu, "" if r0 is None else r0,
                          classification, ""])
-        except Exception as exc:  # per-point failure: record and continue
+        except (ValueError, RuntimeError) as exc:  # per-point failure: record and continue
             rows.append([idx, value, "", "", "", f"{type(exc).__name__}: {exc}"])
 
     sweep_path = out / f"{scenario.name}_sweep.csv"

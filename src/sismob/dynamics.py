@@ -145,10 +145,7 @@ def assemble(spec: ModelSpec, x: np.ndarray, p: np.ndarray | None = None) -> Ass
     X = x.reshape(m, n)
     shares = X / X.sum(axis=0)  # f^a_i, columns sum to one
 
-    F = np.zeros((nm, nm))
-    for a in range(m):
-        for b in range(m):
-            F[a * n:(a + 1) * n, b * n:(b + 1) * n] = np.diag(shares[b])
+    F = np.tile(np.eye(n), (m, m)) * shares.ravel()  # block (a, b) = diag(f^b)
 
     L = np.zeros((nm, nm))
     for a, layer in enumerate(spec.net.layers):

@@ -7,6 +7,8 @@ globally asymptotically stable iff mu <= 0, and a unique positive
 endemic equilibrium exists iff mu > 0.  When at least one node has a
 positive recovery rate the threshold can equivalently be stated through
 the reproduction number R0 = rho(A F*) with A = (L* + D)^{-1} B.
+``threshold`` computes (mu, R0, classification) and is the one routine
+behind both ``classify`` and the CLI sweep.
 
 The endemic point is found by iterating the monotone self-map
 
@@ -14,6 +16,7 @@ The endemic point is found by iterating the monotone self-map
 
 downward from p = 1: H is entrywise monotone with H(1) <= 1, so the
 iterates decrease monotonically onto the fixed point.
+``apply_infection_map`` is the one implementation of H.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .dynamics import ModelSpec, assemble
 from .errors import ConvergenceError
-from .network import network_stationary, validate_layer
+from .network import left_null_vector, network_stationary
 from .spectral import spectral_abscissa, spectral_radius
 
 MU_TIE_TOL = 1e-10
@@ -115,10 +118,9 @@ class EquilibriumReport:
 
 
 def equilibrium_matrices(spec: ModelSpec) -> EquilibriumMatrices:
-    """Validate all layers, then assemble F*, L*, M, the DFE
-    linearization, and (when defined) A = (L* + D)^{-1} B."""
-    for layer in spec.net.layers:
-        validate_layer(layer).raise_if_invalid()
+    """Validate all layers (through their stationary laws), then
+    assemble F*, L*, M, the DFE linearization, and (when defined)
+    A = (L* + D)^{-1} B."""
     stat = network_stationary(spec.net)
     mats = assemble(spec, stat.v)
     B = spec.B()
@@ -131,18 +133,34 @@ def equilibrium_matrices(spec: ModelSpec) -> EquilibriumMatrices:
                                F=mats.F, L=mats.L, M=mats.M, B=B, D=D, G=G, A=A)
 
 
-def _left_null_vector(A: np.ndarray) -> np.ndarray:
-    """Positive left null vector of an irreducible Laplacian-like matrix,
-    via the same replaced-row dense solve used for stationary laws."""
-    n = A.shape[0]
-    T = A.T.copy()
-    T[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    w = np.linalg.solve(T, b)
+def threshold(mats: EquilibriumMatrices):
+    """Threshold quantities (mu, R0, classification) of a model instance.
+
+    mu is the spectral abscissa of the DFE linearization, R0 the
+    spectral radius of A F* (None when no recovery rate is positive),
+    and the disease-free state counts as stable when mu <= MU_TIE_TOL.
+    """
+    mu = float(spectral_abscissa(mats.G).mu)
+    R0 = None if mats.A is None else float(spectral_radius(mats.A @ mats.F).rho)
+    classification = DFE_UNSTABLE if mu > MU_TIE_TOL else DFE_STABLE
+    return mu, R0, classification
+
+
+def _lambda2(mats: EquilibriumMatrices):
+    """Weighted-Laplacian quantities (w, lambda2) of the lambda2 bound.
+
+    w is the positive left null vector of B M + L* scaled to max w = 1,
+    and lambda2 the second smallest eigenvalue of
+    (W (B M + L*) + (B M + L*)^T W) / 2.
+    """
+    lap = mats.B @ mats.M + mats.L
+    w = left_null_vector(lap)
     if np.any(w <= 0):
         raise ConvergenceError("left null vector is not positive; matrix not irreducible?")
-    return w
+    w = w / w.max()
+    W = np.diag(w)
+    lambda2 = float(np.linalg.eigvalsh(0.5 * (W @ lap + lap.T @ W))[1])
+    return w, lambda2
 
 
 def endemic_fixed_point(spec: ModelSpec, mats: EquilibriumMatrices | None = None,
@@ -166,14 +184,9 @@ def endemic_fixed_point(spec: ModelSpec, mats: EquilibriumMatrices | None = None
         mu = float(spectral_abscissa(mats.G).mu)
     if mu <= MU_TIE_TOL:
         raise ValueError(f"no endemic equilibrium: threshold mu = {mu:.3e} is not positive")
-    A, M = mats.A, mats.M
-    nm = A.shape[0]
-    eye = np.eye(nm)
-
-    p = np.ones(nm)
+    p = np.ones(mats.A.shape[0])
     for _ in range(max_iter):
-        T = eye + A @ (np.diag(p) + (1.0 - p)[:, None] * M)
-        p_next = np.linalg.solve(T, A @ p)
+        p_next = apply_infection_map(mats, p)
         step = float(np.max(np.abs(p_next - p)))
         p = p_next
         if step <= tol:
@@ -231,13 +244,7 @@ def stability_conditions(spec: ModelSpec, mats: EquilibriumMatrices | None = Non
         return ConditionReport(nec_per_node, nec_exists, suf_all, None,
                                None, s, None, None, None, None)
 
-    lap = mats.B @ mats.M + mats.L
-    w = _left_null_vector(lap)
-    w = w / w.max()
-    W = np.diag(w)
-    sym = 0.5 * (W @ lap + lap.T @ W)
-    eigs = np.linalg.eigvalsh(sym)
-    lambda2 = float(eigs[1])
+    w, lambda2 = _lambda2(mats)
     s_lower = -lambda2 / (4.0 * m * n + 1.0)
 
     deficits = np.tile(delta - beta, m) - s  # per stacked index, >= 0
@@ -264,22 +271,15 @@ def classify(spec: ModelSpec) -> EquilibriumReport:
     the disease-free state is stable exactly at the threshold).
     """
     mats = equilibrium_matrices(spec)
-    mu = float(spectral_abscissa(mats.G).mu)
-
-    R0 = None
-    if mats.A is not None:
-        R0 = float(spectral_radius(mats.A @ mats.F).rho)
+    mu, R0, classification = threshold(mats)
 
     marginal = abs(mu) <= MU_TIE_TOL
-    if mu > MU_TIE_TOL:
-        classification = DFE_UNSTABLE
+    p_star = None
+    if classification == DFE_UNSTABLE:
         if mats.A is None:
             p_star = np.ones(spec.nm)  # no recovery anywhere: everyone ends up infected
         else:
             p_star = endemic_fixed_point(spec, mats, mu=mu)
-    else:
-        classification = DFE_STABLE
-        p_star = None
 
     conditions = stability_conditions(spec, mats)
     return EquilibriumReport(v=mats.v, mu=mu, R0=R0, classification=classification,
@@ -313,16 +313,8 @@ def margin_recovery_rates(net, beta, s_factor: float, deficit_nodes,
     if nm < 2:
         raise ValueError("the lambda2 construction needs nm >= 2")
 
-    for layer in net.layers:
-        validate_layer(layer).raise_if_invalid()
-    stat = network_stationary(net)
     probe = ModelSpec(net=net, beta=beta, delta=np.zeros(n))
-    asm = assemble(probe, stat.v)
-    lap = probe.B() @ asm.M + asm.L
-    w = _left_null_vector(lap)
-    w = w / w.max()
-    W = np.diag(w)
-    lambda2 = float(np.linalg.eigvalsh(0.5 * (W @ lap + lap.T @ W))[1])
+    w, lambda2 = _lambda2(equilibrium_matrices(probe))
 
     s_lower = -lambda2 / (4.0 * m * n + 1.0)
     s = s_factor * s_lower

@@ -68,8 +68,9 @@ def _reaches_all(adj: list[list[int]]) -> bool:
 
 def edges_of_matrix(A: np.ndarray, tol: float = 0.0) -> list[tuple[int, int]]:
     """Directed edges where the off-diagonal magnitude exceeds ``tol``."""
-    n = A.shape[0]
-    return [(i, j) for i in range(n) for j in range(n) if i != j and abs(A[i, j]) > tol]
+    mask = np.abs(A) > tol
+    np.fill_diagonal(mask, False)
+    return list(zip(*(idx.tolist() for idx in np.nonzero(mask))))
 
 
 def strongly_connected_components(A: np.ndarray) -> list[list[int]]:
@@ -79,7 +80,9 @@ def strongly_connected_components(A: np.ndarray) -> list[list[int]]:
     rather than Tarjan's algorithm.
     """
     n = A.shape[0]
-    adj = [[j for j in range(n) if j != i and A[i, j] != 0.0] for i in range(n)]
+    mask = A != 0.0
+    np.fill_diagonal(mask, False)
+    adj = [np.flatnonzero(row).tolist() for row in mask]
     reach = np.eye(n, dtype=bool)
     for i in range(n):
         stack = [i]
@@ -88,13 +91,12 @@ def strongly_connected_components(A: np.ndarray) -> list[list[int]]:
                 if not reach[i, j]:
                     reach[i, j] = True
                     stack.append(j)
-    assigned = [False] * n
+    assigned = np.zeros(n, dtype=bool)
     comps = []
     for i in range(n):
         if assigned[i]:
             continue
-        comp = [j for j in range(n) if reach[i, j] and reach[j, i]]
-        for j in comp:
-            assigned[j] = True
-        comps.append(comp)
+        comp = np.flatnonzero(reach[i] & reach[:, i])
+        assigned[comp] = True
+        comps.append(comp.tolist())
     return comps

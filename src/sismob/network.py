@@ -146,19 +146,18 @@ def validate_layer(layer: MobilityLayer) -> LayerValidationReport:
     if row_sum_error > ROW_SUM_TOL * scale:
         messages.append(f"generator rows must sum to zero (max |row sum| = {row_sum_error:.3e})")
 
-    sign_ok = True
-    edge_set = set(layer.edges)
-    for i in range(layer.n):
-        for j in range(layer.n):
-            if i == j:
-                continue
-            q = Q[i, j]
-            if q < 0:
-                sign_ok = False
-                messages.append(f"negative off-diagonal rate q[{i},{j}] = {q}")
-            elif (q > 0) != ((i, j) in edge_set):
-                sign_ok = False
-                messages.append(f"rate q[{i},{j}] = {q} disagrees with edge set")
+    off = ~np.eye(layer.n, dtype=bool)
+    declared = np.zeros((layer.n, layer.n), dtype=bool)
+    if layer.edges:
+        declared[tuple(np.array(layer.edges).T)] = True
+    negative = off & (Q < 0)
+    bad = negative | (off & ((Q > 0) != declared))
+    sign_ok = not bad.any()
+    for i, j in zip(*np.nonzero(bad)):
+        if negative[i, j]:
+            messages.append(f"negative off-diagonal rate q[{i},{j}] = {Q[i, j]}")
+        else:
+            messages.append(f"rate q[{i},{j}] = {Q[i, j]} disagrees with edge set")
 
     strongly_connected = graphs.is_strongly_connected(layer.n, layer.edges)
     if not strongly_connected:
@@ -168,21 +167,29 @@ def validate_layer(layer: MobilityLayer) -> LayerValidationReport:
     return LayerValidationReport(ok, row_sum_error, sign_ok, strongly_connected, messages)
 
 
-def stationary_distribution(layer: MobilityLayer) -> np.ndarray:
-    """Stationary probability vector v of a validated layer.
+def left_null_vector(A: np.ndarray) -> np.ndarray:
+    """Solution of w^T A = 0 with 1^T w = 1, for a zero-row-sum A whose
+    left null space is one-dimensional (an irreducible generator or
+    Laplacian).
 
-    Solves Q^T v = 0 with the normalization 1^T v = 1 as one dense
-    square system: the last row of Q^T is redundant for an irreducible
-    generator (the columns of Q sum to zero), so it is replaced by the
-    normalization row.  Deterministic, no complex arithmetic.
+    The rows of A^T then add up to zero, so the last one is redundant;
+    it is replaced by the normalization row and one dense square system
+    is solved.  Deterministic, no complex arithmetic; the caller
+    certifies the result.
     """
-    validate_layer(layer).raise_if_invalid()
-    n = layer.n
-    A = layer.Q.T.copy()
-    A[-1, :] = 1.0
-    b = np.zeros(n)
+    T = A.T.copy()
+    T[-1, :] = 1.0
+    b = np.zeros(A.shape[0])
     b[-1] = 1.0
-    v = np.linalg.solve(A, b)
+    return np.linalg.solve(T, b)
+
+
+def stationary_distribution(layer: MobilityLayer) -> np.ndarray:
+    """Stationary probability vector v of a validated layer: the left
+    null vector of Q, certified by the residual ||Q^T v||_inf and by
+    v >> 0."""
+    validate_layer(layer).raise_if_invalid()
+    v = left_null_vector(layer.Q)
 
     scale = max(1.0, float(np.max(np.abs(layer.Q))))
     residual = float(np.max(np.abs(layer.Q.T @ v)))
@@ -214,7 +221,7 @@ def layer_from_edge_rates(n: int, triples) -> MobilityLayer:
             raise ValueError(f"self-loop rate on node {i} is not allowed")
         if rate <= 0:
             raise ValueError(f"edge ({i},{j}) needs a positive rate, got {rate}")
-        if (i, j) in edges:
+        if Q[i, j] != 0.0:
             raise ValueError(f"duplicate rate for edge ({i},{j})")
         Q[i, j] = float(rate)
         edges.append((i, j))

@@ -224,7 +224,9 @@ def parse_scenario(doc: dict) -> Scenario:
         if key not in sto:
             raise ScenarioError(f"stochastic.{key}: unknown field")
     sto.update(sto_doc)
-    enabled = bool(sto["enabled"])
+    enabled = sto["enabled"]
+    if not isinstance(enabled, bool):
+        raise ScenarioError(f"stochastic.enabled: expected true or false, got {enabled!r}")
     h = float(sto["h"])
     if h <= 0:
         raise ScenarioError(f"stochastic.h: must be positive, got {h}")

@@ -64,6 +64,18 @@ class TestAssemble:
         assert np.max(np.abs(mats.L.sum(axis=1))) <= 1e-13
         assert np.max(np.abs(mats.M.sum(axis=1))) <= 1e-13
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_shares_average_p_over_classes_at_each_node(self, seed):
+        # F is an m x m grid of diagonal share blocks, so F p = tile(pbar, m)
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng)
+        x = rng.uniform(0.5, 5.0, size=spec.nm)
+        p = rng.uniform(0.0, 1.0, size=spec.nm)
+        mats = sm.assemble(spec, x, p)
+        assert np.max(np.abs(mats.F.sum(axis=1) - 1.0)) <= 1e-13
+        assert np.allclose(mats.F @ p, np.tile(mats.pbar, spec.m), rtol=0.0, atol=1e-14)
+
 
 class TestRhs:
     def test_disease_free_state_is_invariant(self, two_node_spec):

@@ -208,3 +208,13 @@ class TestMarginRecoveryRates:
         report = sm.classify(sm.ModelSpec(net=net, beta=beta, delta=delta))
         assert report.conditions.suf_lambda2 is True
         assert report.mu <= 0
+
+    def test_lambda2_agrees_with_stability_conditions(self):
+        n = 8
+        l1 = sm.preset_layer("ring", n, 0.3)
+        l2 = sm.preset_layer("star", n, 0.2, rates="mh_uniform")
+        net = sm.MultiLayerNetwork(layers=(l1, l2), N=np.array([500.0, 300.0]))
+        beta = np.linspace(0.2, 0.4, n)
+        delta, info = sm.margin_recovery_rates(net, beta, 0.7, [2, 5])
+        report = sm.stability_conditions(sm.ModelSpec(net=net, beta=beta, delta=delta))
+        assert info["lambda2"] == pytest.approx(report.lambda2, rel=0.0, abs=1e-12)

@@ -50,6 +50,21 @@ class TestValidateLayer:
         report = sm.validate_layer(layer)
         assert not report.ok and not report.sign_ok
 
+    def test_one_message_per_offending_entry_in_row_major_order(self):
+        # undeclared positive rate q[0,2] and negative declared rate q[2,1]
+        layer = sm.MobilityLayer(n=3, edges=((0, 1), (1, 0), (1, 2), (2, 1)),
+                                 Q=np.array([[-0.3, 0.2, 0.1],
+                                             [0.2, -0.4, 0.2],
+                                             [0.0, -0.05, 0.05]]))
+        report = sm.validate_layer(layer)
+        assert not report.ok and not report.sign_ok and report.strongly_connected
+        assert report.messages == [
+            "rate q[0,2] = 0.1 disagrees with edge set",
+            "negative off-diagonal rate q[2,1] = -0.05",
+        ]
+        with pytest.raises(sm.MalformedGeneratorError):
+            report.raise_if_invalid()
+
     def test_row_sums_within_1e12_as_stored(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -94,6 +109,13 @@ class TestStationaryDistribution:
                                  Q=np.array([[-0.2, 0.2], [0.0, 0.0]]))
         with pytest.raises(sm.NotStronglyConnectedError):
             sm.stationary_distribution(layer)
+
+
+class TestLayerFromEdgeRates:
+    def test_duplicate_edge_names_the_edge(self):
+        with pytest.raises(ValueError, match=r"duplicate rate for edge \(1,2\)"):
+            sm.layer_from_edge_rates(3, [(0, 1, 0.1), (1, 2, 0.2), (2, 0, 0.3),
+                                         (1, 2, 0.4)])
 
 
 class TestMetropolisHastings:

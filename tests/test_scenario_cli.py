@@ -63,6 +63,15 @@ class TestScenarioParsing:
         scenario = sm.parse_scenario(doc)
         assert np.allclose(scenario.x0, [750.0, 250.0])
 
+    def test_stochastic_enabled_must_be_a_json_boolean(self, tmp_path, capsys):
+        doc = scalar_doc(stochastic={"enabled": "false"})
+        with pytest.raises(sm.ScenarioError, match=r"stochastic\.enabled"):
+            sm.parse_scenario(doc)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert "stochastic.enabled" in capsys.readouterr().err
+
     def test_delta_rule_resolves_to_explicit_vector(self):
         scenario = sm.load_scenario(SCENARIOS / "fig3_lambda2.json")
         assert scenario.resolved["delta_rule"]["rule"] == "lambda2_sufficient"
@@ -218,3 +227,15 @@ class TestCli:
         assert len(rows) == 3
         assert "ScenarioError" in rows[0]
         assert rows[-1].split(",")[4] == "DFE_unstable_EE_exists"
+
+    def test_sweep_propagates_programming_errors(self, tmp_path, monkeypatch):
+        # only the package's own (ValueError/RuntimeError) failures are sweep data
+        def broken(mats):
+            raise TypeError("bug")
+
+        monkeypatch.setattr("sismob.cli.threshold", broken)
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps(scalar_doc()))
+        with pytest.raises(TypeError, match="bug"):
+            main(["sweep", "--scenario", str(scenario_path), "--out", str(tmp_path / "out"),
+                  "--grid", "delta=0.1:0.5:3"])
