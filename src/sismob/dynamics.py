@@ -25,6 +25,7 @@ from .network import MultiLayerNetwork, _frozen_array
 
 CLAMP_TOL = 1e-9
 DEFAULT_DT = 0.01
+STEP_COUNT_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,24 +205,36 @@ def rhs(spec: ModelSpec, state: SystemState):
     return _Workspace(spec).rhs(np.asarray(state.p), np.asarray(state.x))
 
 
+def step_count(t_end: float, step: float) -> int:
+    """Number of fixed steps of width ``step`` that end exactly at
+    ``t_end``.
+
+    Raises ValueError unless t_end is a nonnegative whole number of
+    steps, to within STEP_COUNT_RTOL relative to t_end.
+    """
+    steps = int(round(t_end / step)) if np.isfinite(t_end) and t_end >= 0 else -1
+    if steps < 0 or abs(steps * step - t_end) > STEP_COUNT_RTOL * t_end:
+        raise ValueError(f"t_end = {t_end} is not a nonnegative whole number of steps of {step}")
+    return steps
+
+
 def integrate(spec: ModelSpec, initial: SystemState, t_end: float,
               dt: float = DEFAULT_DT, record_every: int = 1) -> Trajectory:
     """Fixed-step classical RK4 over the coupled model.
 
-    Samples are recorded every ``record_every`` steps (always including
-    the initial and final states).  Infected fractions are clamped back
-    into [0, 1] only when the overshoot is at most ``CLAMP_TOL``; a
-    larger excursion raises :class:`IntegrationError` since the
-    continuous flow is invariant and only discretization error should
-    ever leave the box.
+    The run takes ``step_count(t_end, dt)`` steps, so it ends exactly
+    at t_end.  Samples are recorded every ``record_every`` steps
+    (always including the initial and final states).  Infected
+    fractions are clamped back into [0, 1] only when the overshoot is
+    at most ``CLAMP_TOL``; a larger excursion raises
+    :class:`IntegrationError` since the continuous flow is invariant
+    and only discretization error should ever leave the box.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    steps = int(round(t_end / dt))
-    if steps <= 0:
-        steps = 0
+    steps = step_count(t_end, dt)
 
     ws = _Workspace(spec)
     p = np.array(initial.p, dtype=float)
@@ -270,11 +283,12 @@ def integrate_until_settled(spec: ModelSpec, initial: SystemState,
     """
     state = initial
     ws = _Workspace(spec)
+    chunk_steps = max(1, int(round(chunk / dt)))
     while state.t < t_max:
-        horizon = min(chunk, t_max - state.t)
-        if horizon < dt:
+        steps = min(chunk_steps, int(round((t_max - state.t) / dt)))
+        if steps < 1:
             break
-        traj = integrate(spec, state, horizon, dt=dt, record_every=max(1, int(round(horizon / dt))))
+        traj = integrate(spec, state, steps * dt, dt=dt, record_every=steps)
         state = traj.state(-1)
         dp, dx = ws.rhs(np.asarray(state.p), np.asarray(state.x))
         if max(np.max(np.abs(dp)), np.max(np.abs(dx))) <= settle_tol:

@@ -139,9 +139,16 @@ def threshold(mats: EquilibriumMatrices):
     mu is the spectral abscissa of the DFE linearization, R0 the
     spectral radius of A F* (None when no recovery rate is positive),
     and the disease-free state counts as stable when mu <= MU_TIE_TOL.
+    F* = U V with U the m stacked n x n identities and V = F*[:n], so
+    A F* = (A U) V has the nonzero spectrum of the n x n matrix V (A U).
     """
     mu = float(spectral_abscissa(mats.G).mu)
-    R0 = None if mats.A is None else float(spectral_radius(mats.A @ mats.F).rho)
+    R0 = None
+    if mats.A is not None:
+        nm, m = mats.A.shape[0], len(mats.v_per_layer)
+        n = nm // m
+        AU = mats.A.reshape(nm, m, n).sum(axis=1)
+        R0 = float(spectral_radius(mats.F[:n] @ AU).rho)
     classification = DFE_UNSTABLE if mu > MU_TIE_TOL else DFE_STABLE
     return mu, R0, classification
 

@@ -11,6 +11,7 @@ distribution per layer.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,14 +169,18 @@ def validate_layer(layer: MobilityLayer) -> LayerValidationReport:
 
 
 def left_null_vector(A: np.ndarray) -> np.ndarray:
-    """Solution of w^T A = 0 with 1^T w = 1, for a zero-row-sum A whose
-    left null space is one-dimensional (an irreducible generator or
-    Laplacian).
+    """Solution of w^T A = 0 with 1^T w = 1.
 
-    The rows of A^T then add up to zero, so the last one is redundant;
-    it is replaced by the normalization row and one dense square system
-    is solved.  Deterministic, no complex arithmetic; the caller
-    certifies the result.
+    Precondition: the left null space of A is one-dimensional and the
+    rows of A^T other than the last are linearly independent.  Zero row
+    sums alone do not ensure that; it holds for an irreducible generator
+    or Laplacian, and for (S - lambda I)^T with lambda the Perron root of
+    an irreducible Metzler S.
+
+    The last row of A^T is then redundant; it is replaced by the
+    normalization row and one dense square system is solved (singular
+    when the precondition fails).  Deterministic, no complex
+    arithmetic; the caller certifies the result.
     """
     T = A.T.copy()
     T[-1, :] = 1.0
@@ -216,14 +221,18 @@ def layer_from_edge_rates(n: int, triples) -> MobilityLayer:
     Q = np.zeros((n, n))
     edges = []
     for i, j, rate in triples:
-        i, j = int(i), int(j)
+        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in (i, j)):
+            raise ValueError(f"edge ({i!r},{j!r}) needs integer node indices")
+        i, j, rate = int(i), int(j), float(rate)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i},{j}) names a node outside 0..{n - 1}")
         if i == j:
             raise ValueError(f"self-loop rate on node {i} is not allowed")
-        if rate <= 0:
-            raise ValueError(f"edge ({i},{j}) needs a positive rate, got {rate}")
+        if not 0 < rate < np.inf:
+            raise ValueError(f"edge ({i},{j}) needs a positive finite rate, got {rate}")
         if Q[i, j] != 0.0:
             raise ValueError(f"duplicate rate for edge ({i},{j})")
-        Q[i, j] = float(rate)
+        Q[i, j] = rate
         edges.append((i, j))
     np.fill_diagonal(Q, -Q.sum(axis=1))
     return MobilityLayer(n=n, edges=tuple(edges), Q=Q)

@@ -34,12 +34,14 @@ Layer specs come in three forms::
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import graphs
-from .dynamics import ModelSpec, SystemState
+from .dynamics import ModelSpec, SystemState, step_count
 from .equilibria import margin_recovery_rates
 from .errors import ScenarioError
 from .network import (MobilityLayer, MultiLayerNetwork, layer_from_edge_rates,
@@ -96,16 +98,23 @@ def _as_positive_int(value, field: str) -> int:
     return value
 
 
+def _as_number(value, field: str) -> float:
+    """The one coercion of a scenario number: a finite JSON number
+    (booleans, strings and null are rejected)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ScenarioError(f"{field}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _as_vector(value, length: int, field: str) -> np.ndarray:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return np.full(length, float(value))
-    try:
-        vec = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{field}: expected a number or list of numbers") from None
-    if vec.shape != (length,):
-        raise ScenarioError(f"{field}: expected {length} values, got shape {vec.shape}")
-    return vec
+    """A number broadcast to ``length`` entries, or a list of exactly
+    ``length`` numbers."""
+    if not isinstance(value, list):
+        return np.full(length, _as_number(value, field))
+    if len(value) != length:
+        raise ScenarioError(f"{field}: expected {length} values, got {len(value)}")
+    return np.array([_as_number(v, field) for v in value])
 
 
 def _build_layer(entry, n: int, idx: int) -> MobilityLayer:
@@ -120,12 +129,14 @@ def _build_layer(entry, n: int, idx: int) -> MobilityLayer:
             name = entry["preset"]
             if name not in graphs.PRESET_NAMES:
                 raise ScenarioError(f"{field}.preset: unknown preset {name!r}")
-            rate_scale = float(entry.get("rate_scale", 1.0))
+            rate_scale = _as_number(entry.get("rate_scale", 1.0), f"{field}.rate_scale")
             rates = entry.get("rates", "equal_exit")
             return preset_layer(name, n, rate_scale, rates=rates)
         if "edges" in entry:
             return layer_from_edge_rates(n, entry["edges"])
         mh = entry["mh"]
+        if not isinstance(mh, dict):
+            raise ScenarioError(f"{field}.mh: expected an object")
         name = mh.get("graph")
         if name not in graphs.PRESET_NAMES:
             raise ScenarioError(f"{field}.mh.graph: unknown preset {name!r}")
@@ -136,11 +147,12 @@ def _build_layer(entry, n: int, idx: int) -> MobilityLayer:
             target = np.full(n, 1.0 / n)
         else:
             target = _as_vector(target, n, f"{field}.mh.target")
+        rate_scale = _as_number(mh.get("rate_scale", 1.0), f"{field}.mh.rate_scale")
         return metropolis_hastings_rates(n, graphs.preset_edges(name, n), target,
-                                         float(mh.get("rate_scale", 1.0)))
+                                         rate_scale)
     except ScenarioError:
         raise
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ScenarioError(f"{field}: {exc}") from exc
 
 
@@ -180,11 +192,11 @@ def parse_scenario(doc: dict) -> Scenario:
     if isinstance(delta_doc, dict):
         if delta_doc.get("rule") != "lambda2_sufficient":
             raise ScenarioError("delta.rule: the only supported rule is 'lambda2_sufficient'")
-        s_factor = float(delta_doc.get("s_factor", 0.8))
+        s_factor = _as_number(delta_doc.get("s_factor", 0.8), "delta.s_factor")
         deficit_nodes = delta_doc.get("deficit_nodes", [0, n - 1])
         try:
             delta, delta_info = margin_recovery_rates(net, beta, s_factor, deficit_nodes)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ScenarioError(f"delta: {exc}") from exc
     else:
         delta = _as_vector(delta_doc, n, "delta")
@@ -207,10 +219,8 @@ def parse_scenario(doc: dict) -> Scenario:
         if np.any(x0 <= 0):
             raise ScenarioError("x0: populations must be positive")
 
-    t_end = float(doc.get("t_end", _DEFAULTS["t_end"]))
-    if t_end < 0:
-        raise ScenarioError(f"t_end: must be nonnegative, got {t_end}")
-    dt = float(doc.get("dt", _DEFAULTS["dt"]))
+    t_end = _as_number(doc.get("t_end", _DEFAULTS["t_end"]), "t_end")
+    dt = _as_number(doc.get("dt", _DEFAULTS["dt"]), "dt")
     if dt <= 0:
         raise ScenarioError(f"dt: must be positive, got {dt}")
     sample_every = doc.get("sample_every", _DEFAULTS["sample_every"])
@@ -227,13 +237,23 @@ def parse_scenario(doc: dict) -> Scenario:
     enabled = sto["enabled"]
     if not isinstance(enabled, bool):
         raise ScenarioError(f"stochastic.enabled: expected true or false, got {enabled!r}")
-    h = float(sto["h"])
+    h = _as_number(sto["h"], "stochastic.h")
     if h <= 0:
         raise ScenarioError(f"stochastic.h: must be positive, got {h}")
     seeds = sto["seeds"]
     if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
-        raise ScenarioError("stochastic.seeds: expected a nonempty list of integers")
+            or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
+                       for s in seeds)):
+        raise ScenarioError("stochastic.seeds: expected a nonempty list of integers >= 0")
+    if enabled and np.any(N != np.round(N)):
+        raise ScenarioError("N: class populations must be whole numbers "
+                            "when stochastic runs are enabled")
+    try:
+        step_count(t_end, dt)
+        if enabled:
+            step_count(t_end, h)
+    except ValueError as exc:
+        raise ScenarioError(f"t_end: {exc}") from None
 
     output_dir = str(doc.get("output_dir", _DEFAULTS["output_dir"]))
 

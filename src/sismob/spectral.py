@@ -1,15 +1,12 @@
 """Spectral machinery for Metzler and nonnegative matrices.
 
 Every spectrum needed by the model analysis is the Perron root of a
-(shifted) nonnegative matrix, so the workhorse is a plain power
-iteration rather than a general nonsymmetric eigensolver.  Shifting a
-Metzler matrix by ``1 + max |diagonal|`` makes it nonnegative with a
-strictly positive diagonal, which renders every irreducible class
-primitive and the Perron root strictly dominant.  If the plain
-iteration still stalls (imprimitive or near-defective input), a
-two-step averaged iteration is used as fallback: averaging consecutive
-iterates damps rotated eigenvalues by |1 + e^{i theta}| / 2 < 1 while
-leaving the Perron direction fixed.
+Metzler or nonnegative matrix: the real eigenvalue with the largest
+real part (for a nonnegative matrix that is the spectral radius).  It
+is taken from one dense ``np.linalg.eigvals`` call, and its eigenvector
+from one replaced-row solve of (S - lambda I) y = 0 with
+``network.left_null_vector``.  The eigen-residual ||S y - lambda y||_inf
+is the certificate.
 """
 
 from __future__ import annotations
@@ -19,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs
-from .errors import ConvergenceError
+from .network import left_null_vector
 
 EIG_TOL = 1e-10
-MAX_ITER = 100_000
 METZLER_TOL = 1e-12
 
 
@@ -31,9 +27,12 @@ class SpectralResult:
     """Outcome of a Perron-root computation.
 
     ``mu`` is the spectral abscissa, ``rho`` the spectral radius
-    (whichever was requested), ``perron_vector`` the positive
-    eigenvector normalized to unit max entry (only for irreducible
-    input), and ``residual`` the final ||G y - lambda y||_inf.
+    (whichever was requested), ``perron_vector`` the eigenvector
+    normalized to unit max entry, reported only when it is strictly
+    positive with a residual within EIG_TOL (always for irreducible
+    input), and ``residual`` the ||G y - lambda y||_inf of the solved
+    eigenvector (NaN when that solve is singular).  The eigen-solve is
+    direct, so ``iterations`` is 0.
     """
 
     mu: float | None = None
@@ -44,59 +43,26 @@ class SpectralResult:
     converged: bool = False
 
 
-def _power_iteration(S: np.ndarray, tol: float, max_iter: int):
-    """Dominant eigenpair of a nonnegative matrix.
+def _perron(S: np.ndarray):
+    """Perron root of a Metzler matrix S, its eigenvector and residual.
 
-    Returns (lam, y, residual, iterations, converged) with ||y||_2 = 1.
-    Convergence requires both a stable Rayleigh estimate and a small
-    eigen-residual relative to ||S||_inf at tolerance ``tol``; the
-    iteration then keeps polishing toward a 1e-3 finer target (or the
-    iteration cap) so the reported eigenvalue is comfortably inside the
-    acceptance tolerance.
+    Returns (lam, y, residual): lam is the eigenvalue with the largest
+    real part, y the solved eigenvector scaled to unit max entry, and
+    residual ||S y - lam y||_inf.  y is None unless it is strictly
+    positive with residual <= EIG_TOL * max(1, max |s_ij|), which holds
+    for irreducible S.  For reducible S the replaced-row solve can be
+    singular (then y is None and the residual NaN) or ill-conditioned.
     """
-    n = S.shape[0]
-    norm_S = max(1.0, float(np.max(np.abs(S).sum(axis=1)))) if S.size else 1.0
-    fine = tol * 1e-3
-    y = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    iterations = 0
-    averaged = False
-    best = None  # (lam, y, residual) at the coarse tolerance
-
-    plain_budget = max_iter // 2
-
-    while iterations < max_iter:
-        z = S @ y
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            # y is annihilated; spectral radius along this start is zero.
-            return 0.0, y, 0.0, iterations, True
-        lam_new = float(y @ z)  # Rayleigh quotient, ||y||_2 = 1
-        if averaged:
-            y_next = y + z / nz
-        else:
-            y_next = z
-        y_next = y_next / np.linalg.norm(y_next)
-        iterations += 1
-
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            residual = float(np.max(np.abs(z - lam_new * y)))
-            if residual <= tol * norm_S:
-                best = (lam_new, y, residual)
-                if (abs(lam_new - lam) <= fine * max(1.0, abs(lam_new))
-                        and residual <= fine * norm_S):
-                    return lam_new, y, residual, iterations, True
-        lam = lam_new
-        y = y_next
-
-        if not averaged and iterations >= plain_budget:
-            averaged = True
-
-    if best is not None:
-        return best[0], best[1], best[2], iterations, True
-    z = S @ y
-    residual = float(np.max(np.abs(z - lam * y)))
-    return lam, y, residual, iterations, False
+    eig = np.linalg.eigvals(S)
+    lam = float(eig[np.argmax(eig.real)].real)
+    try:
+        y = left_null_vector((S - lam * np.eye(S.shape[0])).T)
+    except np.linalg.LinAlgError:
+        return lam, None, np.nan
+    y = y / np.max(np.abs(y))
+    residual = float(np.max(np.abs(S @ y - lam * y)))
+    certified = y.min() > 0 and residual <= EIG_TOL * max(1.0, float(np.max(np.abs(S))))
+    return lam, (y if certified else None), residual
 
 
 def _require_metzler(G: np.ndarray):
@@ -106,65 +72,27 @@ def _require_metzler(G: np.ndarray):
         raise ValueError(f"matrix is not Metzler: off-diagonal entry {worst}")
 
 
-def _is_irreducible(G: np.ndarray) -> bool:
-    n = G.shape[0]
-    if n == 1:
-        return True
-    return graphs.is_strongly_connected(n, graphs.edges_of_matrix(G))
-
-
-def spectral_abscissa(G: np.ndarray, tol: float = EIG_TOL,
-                      max_iter: int = MAX_ITER) -> SpectralResult:
+def spectral_abscissa(G: np.ndarray) -> SpectralResult:
     """Largest real part of the spectrum of a Metzler matrix.
 
-    The matrix is shifted by c = 1 + max |g_kk| to a nonnegative matrix
-    with positive diagonal, whose Perron root is found by power
-    iteration; the abscissa is that root minus c.  The Perron vector is
-    reported (max-normalized) when G is irreducible.
+    For a Metzler matrix the abscissa is itself an eigenvalue (the
+    Perron root), with a nonnegative eigenvector that is reported
+    (max-normalized) when it is strictly positive.
     """
     G = np.asarray(G, dtype=float)
     _require_metzler(G)
-    n = G.shape[0]
-    c = 1.0 + float(np.max(np.abs(np.diag(G)))) if n else 1.0
-    S = np.maximum(G + c * np.eye(n), 0.0)
-
-    lam, y, _, iterations, converged = _power_iteration(S, tol, max_iter)
-    mu = lam - c
-    residual = float(np.max(np.abs(G @ y - mu * y)))
-    if not converged:
-        raise ConvergenceError(
-            f"power iteration did not converge in {iterations} iterations "
-            f"(residual {residual:.3e})")
-
-    perron = None
-    if _is_irreducible(G):
-        perron = y / y.max()
-        residual = float(np.max(np.abs(G @ perron - mu * perron)))
-    return SpectralResult(mu=mu, perron_vector=perron, residual=residual,
-                          iterations=iterations, converged=True)
+    mu, y, residual = _perron(G)
+    return SpectralResult(mu=mu, perron_vector=y, residual=residual, converged=True)
 
 
-def spectral_radius(G: np.ndarray, tol: float = EIG_TOL,
-                    max_iter: int = MAX_ITER) -> SpectralResult:
-    """Perron root of a nonnegative matrix by power iteration."""
+def spectral_radius(G: np.ndarray) -> SpectralResult:
+    """Perron root of a nonnegative matrix: its largest real eigenvalue."""
     G = np.asarray(G, dtype=float)
     if G.size and float(G.min()) < -METZLER_TOL * max(1.0, float(np.max(np.abs(G)))):
         raise ValueError(f"matrix is not nonnegative: entry {float(G.min())}")
     G = np.maximum(G, 0.0)
-
-    lam, y, _, iterations, converged = _power_iteration(G, tol, max_iter)
-    residual = float(np.max(np.abs(G @ y - lam * y)))
-    if not converged:
-        raise ConvergenceError(
-            f"power iteration did not converge in {iterations} iterations "
-            f"(residual {residual:.3e})")
-
-    perron = None
-    if _is_irreducible(G):
-        perron = y / y.max()
-        residual = float(np.max(np.abs(G @ perron - lam * perron)))
-    return SpectralResult(rho=lam, perron_vector=perron, residual=residual,
-                          iterations=iterations, converged=True)
+    rho, y, residual = _perron(G)
+    return SpectralResult(rho=rho, perron_vector=y, residual=residual, converged=True)
 
 
 @dataclass
@@ -175,8 +103,8 @@ class MMatrixReport:
     the spectral abscissa of -A).  ``inverse_positive``: A^{-1} >= 0
     entrywise (None when A is singular to tolerance).
     ``semi_positive``: some x >> 0 has Ax >> 0, with x built from the
-    Perron vector(s) of the shifted matrix cI - A (per strongly
-    connected component; exact for irreducible and block-diagonal A).
+    Perron vector(s) of -A (per strongly connected component; exact for
+    irreducible and block-diagonal A).
     ``agree`` reports whether all evaluated criteria give one verdict.
     """
 
@@ -220,21 +148,18 @@ def mmatrix_checks(A: np.ndarray, tol: float = EIG_TOL) -> MMatrixReport:
 
 
 def _semi_positivity(A: np.ndarray, tol: float = 1e-12) -> bool:
-    """Test for x >> 0 with Ax >> 0 using shifted Perron vectors.
+    """Test for x >> 0 with Ax >> 0 using Perron vectors of -A.
 
     The candidate is assembled per strongly connected component of A's
     sparsity pattern, so block-diagonal Z-matrices are handled exactly.
     """
-    n = A.shape[0]
-    c = 1.0 + float(np.max(np.abs(np.diag(A)))) if n else 1.0
-    S = np.maximum(c * np.eye(n) - A, 0.0)
-    x = np.zeros(n)
+    x = np.zeros(A.shape[0])
     for comp in graphs.strongly_connected_components(A):
         idx = np.array(comp)
-        lam, y, _, _, converged = _power_iteration(S[np.ix_(idx, idx)], EIG_TOL, MAX_ITER)
-        if not converged:
+        _, y, _ = _perron(-A[np.ix_(idx, idx)])
+        if y is None:
             return False
-        x[idx] = y / y.max()
+        x[idx] = y
     if x.min() <= tol:
         return False
     w = A @ x

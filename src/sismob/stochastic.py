@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelSpec
+from .dynamics import ModelSpec, step_count
 from .errors import StepSizeError
 
 DEFAULT_H = 0.01
@@ -140,11 +140,12 @@ def _step(spec: ModelSpec, counts: AgentCounts, h: float,
 
 def simulate(spec: ModelSpec, initial: AgentCounts, t_end: float,
              h: float = DEFAULT_H, seed: int = 0) -> StochasticRun:
-    """Run ceil(t_end / h) steps from the initial counts."""
+    """Run ``step_count(t_end, h)`` steps from the initial counts, so
+    the run ends exactly at t_end."""
     if h <= 0:
         raise StepSizeError(f"simulate needs h > 0, got {h}")
     _check_step_size(spec, h)
-    steps = int(np.ceil(t_end / h))
+    steps = step_count(t_end, h)
     rng = np.random.default_rng(seed)
     moves = _move_matrices(spec, h)
 

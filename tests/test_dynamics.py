@@ -149,6 +149,13 @@ class TestIntegrate:
         with pytest.raises(sm.IntegrationError):
             sm.integrate(two_node_spec, initial, 400.0, dt=25.0)
 
+    def test_ends_exactly_at_t_end_or_refuses(self, two_node_spec):
+        initial = SystemState(t=0.0, p=np.full(2, 0.5), x=np.array([50.0, 50.0]))
+        traj = sm.integrate(two_node_spec, initial, 0.03, dt=0.01)
+        assert len(traj.t) == 4 and traj.t[-1] == pytest.approx(0.03, abs=1e-15)
+        with pytest.raises(ValueError, match=r"t_end = 0\.015 .* steps of 0\.01"):
+            sm.integrate(two_node_spec, initial, 0.015, dt=0.01)
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**9))
     def test_box_invariance_and_conservation(self, seed):

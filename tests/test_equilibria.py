@@ -46,6 +46,17 @@ class TestClassify:
                 continue
             assert (report.mu > 0) == (report.R0 > 1.0), (report.mu, report.R0)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_r0_matches_full_dense_spectrum(self, m):
+        # R0 is computed on an n x n patch-level matrix; the oracle is
+        # the spectral radius of the full nm x nm A F*
+        rng = np.random.default_rng(100 + m)
+        for _ in range(8):
+            spec = random_spec(rng, n_max=7, m=m)
+            mats = sm.equilibrium_matrices(spec)
+            oracle = float(np.max(np.abs(np.linalg.eigvals(mats.A @ mats.F))))
+            assert sm.classify(spec).R0 == pytest.approx(oracle, rel=1e-10, abs=1e-12)
+
     def test_report_serializes(self, two_node_spec):
         doc = sm.classify(two_node_spec).to_dict()
         assert set(doc) == {"v", "mu", "R0", "classification", "marginal",

@@ -117,6 +117,20 @@ class TestLayerFromEdgeRates:
             sm.layer_from_edge_rates(3, [(0, 1, 0.1), (1, 2, 0.2), (2, 0, 0.3),
                                          (1, 2, 0.4)])
 
+    def test_node_index_past_n_names_the_edge(self):
+        with pytest.raises(ValueError, match=r"edge \(2,5\) names a node outside 0\.\.2"):
+            sm.layer_from_edge_rates(3, [(2, 5, 0.2)])
+
+    def test_negative_node_index_names_the_edge(self):
+        # a negative index must not wrap around to node n - 1
+        with pytest.raises(ValueError, match=r"edge \(-1,1\) names a node outside 0\.\.2"):
+            sm.layer_from_edge_rates(3, [(-1, 1, 0.2), (1, 0, 0.2)])
+
+    @pytest.mark.parametrize("i", [1.7, True])
+    def test_non_integer_node_index_names_the_edge(self, i):
+        with pytest.raises(ValueError, match=rf"edge \({i!r},0\) needs integer node indices"):
+            sm.layer_from_edge_rates(2, [(i, 0, 0.2), (0, 1, 0.2)])
+
 
 class TestMetropolisHastings:
     def test_line_three_nodes_uniform_target(self):

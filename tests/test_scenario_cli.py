@@ -72,6 +72,37 @@ class TestScenarioParsing:
         assert main(["validate", "--scenario", str(path)]) == 2
         assert "stochastic.enabled" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("beta", {"beta": float("nan")}),
+        ("beta", {"beta": float("inf")}),
+        ("beta", {"beta": [True]}),
+        ("delta", {"delta": ["0.1"]}),
+        ("N", {"N": [float("inf")]}),
+        ("p0", {"p0": None}),
+        ("t_end", {"t_end": float("nan")}),
+        ("t_end", {"t_end": "abc"}),
+        ("t_end", {"t_end": 0.015}),
+        ("t_end", {"t_end": 0.5, "stochastic": {"enabled": True, "h": 0.3}}),
+        ("dt", {"dt": float("inf")}),
+        ("stochastic.h", {"stochastic": {"h": float("nan")}}),
+        ("N", {"N": [1.5], "stochastic": {"enabled": True}}),
+        ("stochastic.seeds", {"stochastic": {"seeds": [-1]}}),
+        ("layers[0].rate_scale", {"n": 3, "layers": [{"preset": "ring", "rate_scale": "x"}]}),
+        ("layers[0].mh.rate_scale",
+         {"n": 3, "layers": [{"mh": {"graph": "ring", "rate_scale": float("nan")}}]}),
+        ("delta.s_factor", {"n": 3, "layers": [{"preset": "ring", "rate_scale": 0.2}],
+                            "delta": {"rule": "lambda2_sufficient", "s_factor": float("inf")}}),
+    ])
+    def test_bad_numbers_name_the_field(self, field, overrides, tmp_path, capsys):
+        doc = scalar_doc(**overrides)
+        with pytest.raises(sm.ScenarioError) as info:
+            sm.parse_scenario(doc)
+        assert str(info.value).startswith(field + ":"), str(info.value)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert f"scenario error: {field}:" in capsys.readouterr().err
+
     def test_delta_rule_resolves_to_explicit_vector(self):
         scenario = sm.load_scenario(SCENARIOS / "fig3_lambda2.json")
         assert scenario.resolved["delta_rule"]["rule"] == "lambda2_sufficient"
@@ -103,6 +134,14 @@ class TestCli:
         bad.write_text(json.dumps(scalar_doc(beta=[0.1, 0.2])))
         assert main(["validate", "--scenario", str(bad)]) == 2
         assert "beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edge", [[2, 5, 0.2], [-1, 1, 0.2]])
+    def test_out_of_range_edge_exit_code(self, edge, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scalar_doc(n=3, layers=[{"edges": [edge]}])))
+        assert main(["validate", "--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"layers[0]: edge ({edge[0]},{edge[1]}) names a node outside" in err
 
     def test_run_writes_bundle(self, tmp_path):
         doc = scalar_doc(t_end=2.0,

@@ -79,6 +79,50 @@ class TestSpectralAbscissa:
         assert res.residual <= 1e-9 * max(1.0, np.abs(G).max())
 
 
+    def test_block_diagonal_gives_largest_block_abscissa(self):
+        rng = np.random.default_rng(21)
+        blocks = [random_metzler(rng, k) for k in (3, 4, 2)]
+        G = np.zeros((9, 9))
+        start = 0
+        for block in blocks:
+            k = block.shape[0]
+            G[start:start + k, start:start + k] = block
+            start += k
+        oracle = max(float(np.max(np.linalg.eigvals(b).real)) for b in blocks)
+        assert sm.spectral_abscissa(G).mu == pytest.approx(oracle, abs=1e-10)
+
+    def test_triangular_gives_largest_diagonal_block_abscissa(self):
+        rng = np.random.default_rng(22)
+        G = random_metzler(rng, 6)
+        G[3:, :3] = 0.0  # reducible: no path from the last three nodes back
+        oracle = max(float(np.max(np.linalg.eigvals(G[:3, :3]).real)),
+                     float(np.max(np.linalg.eigvals(G[3:, 3:]).real)))
+        assert sm.spectral_abscissa(G).mu == pytest.approx(oracle, abs=1e-10)
+
+    def test_zero_matrix_does_not_raise(self):
+        res = sm.spectral_abscissa(np.zeros((4, 4)))
+        assert res.mu == 0.0
+        assert sm.spectral_radius(np.zeros((4, 4))).rho == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**9), density=st.floats(0.0, 1.0))
+    def test_reported_perron_vector_is_certified(self, seed, density):
+        # sparse patterns make many inputs reducible; whenever a Perron
+        # vector is reported it must be positive with a small residual
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        G = random_metzler(rng, n) * (rng.random((n, n)) < density)
+        abscissa = sm.spectral_abscissa(G)
+        radius = sm.spectral_radius(np.abs(G))
+        for M, lam, res in ((G, abscissa.mu, abscissa), (np.abs(G), radius.rho, radius)):
+            assert res.iterations == 0
+            y = res.perron_vector
+            if y is not None:
+                assert np.min(y) > 0 and np.max(y) == 1.0
+                assert np.max(np.abs(M @ y - lam * y)) == res.residual
+                assert res.residual <= 1e-9 * max(1.0, np.abs(M).max())
+
+
 class TestSpectralRadius:
     def test_identity(self):
         assert sm.spectral_radius(np.eye(4)).rho == pytest.approx(1.0, abs=1e-12)

@@ -66,6 +66,13 @@ class TestSimulate:
         run = simulate(spec, init, 5.0, h=0.01, seed=9)
         assert np.all(run.s == run.s[0]) and np.all(run.i == run.i[0])
 
+    def test_ends_exactly_at_t_end_or_refuses(self, two_node_spec):
+        init = AgentCounts(s=np.array([[40], [50]]), i=np.array([[5], [5]]))
+        run = simulate(two_node_spec, init, 0.03, h=0.01, seed=0)
+        assert len(run.t) == 4 and run.t[-1] == pytest.approx(0.03, abs=1e-15)
+        with pytest.raises(ValueError, match=r"t_end = 0\.015 .* steps of 0\.01"):
+            simulate(two_node_spec, init, 0.015, h=0.01, seed=0)
+
     def test_same_seed_bit_identical(self, two_node_spec):
         init = AgentCounts(s=np.array([[45], [45]]), i=np.array([[5], [5]]))
         a = simulate(two_node_spec, init, 5.0, h=0.01, seed=42)
