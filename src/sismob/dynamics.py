@@ -11,7 +11,13 @@ per-class generators:
 
 F(x) holds the population shares f^a_i = x^a_i / sum_b x^b_i (so
 F(x) 1 = 1), and L(x) is block-diagonal with zero row sums and
-off-diagonal entries -q^a_ji x^a_j / x^a_i.
+off-diagonal entries -q^a_ji x^a_j / x^a_i.  The integrator steps the
+infected counts y^a = x^a p^a next to x^a in one array Z of shape
+(m, 2, n); both rows of a class share its generator, so a derivative
+is one stacked product Z @ Q plus a node-local term (with node-level
+pbar = sum_a y^a / sum_a x^a):
+
+    dx^a/dt = x^a Q^a,  dy^a/dt = y^a Q^a + beta pbar (x^a - y^a) - delta y^a
 """
 
 from __future__ import annotations
@@ -67,20 +73,13 @@ class ModelSpec:
     def nm(self) -> int:
         return self.net.nm
 
-    def beta_stacked(self) -> np.ndarray:
-        """beta repeated for every class (length nm)."""
-        return np.tile(np.asarray(self.beta), self.m)
-
-    def delta_stacked(self) -> np.ndarray:
-        return np.tile(np.asarray(self.delta), self.m)
-
     def B(self) -> np.ndarray:
         """Block-diagonal infection-rate matrix (nm x nm)."""
-        return np.diag(self.beta_stacked())
+        return np.diag(np.tile(self.beta, self.m))
 
     def D(self) -> np.ndarray:
         """Block-diagonal recovery-rate matrix (nm x nm)."""
-        return np.diag(self.delta_stacked())
+        return np.diag(np.tile(self.delta, self.m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,33 +168,30 @@ def assemble(spec: ModelSpec, x: np.ndarray, p: np.ndarray | None = None) -> Ass
 
 
 class _Workspace:
-    """Per-spec cache of transposed generators for the fast RHS path."""
+    """Per-spec stack of the m generators for the (x, y) right-hand side."""
 
     def __init__(self, spec: ModelSpec):
-        self.n, self.m = spec.n, spec.m
+        self.Qstack = np.stack([layer.Q for layer in spec.net.layers])
         self.beta = np.asarray(spec.beta)
         self.delta = np.asarray(spec.delta)
-        self.qt_full = [np.ascontiguousarray(layer.Q.T) for layer in spec.net.layers]
-        self.qt_off = []
-        for qt in self.qt_full:
-            q0 = qt.copy()
-            np.fill_diagonal(q0, 0.0)
-            self.qt_off.append(q0)
+
+    def dz(self, Z: np.ndarray) -> np.ndarray:
+        """Time derivative of the (m, 2, n) state Z = (x^a, y^a)."""
+        dZ = Z @ self.Qstack
+        totals = Z.sum(axis=0)  # node totals of x and of y
+        X, Y = Z[:, 0], Z[:, 1]
+        dZ[:, 1] += self.beta * (totals[1] / totals[0]) * (X - Y) - self.delta * Y
+        return dZ
+
+    def pack(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
+        X = np.asarray(x, dtype=float).reshape(len(self.Qstack), -1)
+        return np.stack((X, X * np.asarray(p, dtype=float).reshape(X.shape)), axis=1)
 
     def rhs(self, p: np.ndarray, x: np.ndarray):
-        n, m = self.n, self.m
-        P = p.reshape(m, n)
-        X = x.reshape(m, n)
-        pbar = (X * P).sum(axis=0) / X.sum(axis=0)
-        dP = np.empty_like(P)
-        dX = np.empty_like(X)
-        for a in range(m):
-            inflow = self.qt_off[a] @ X[a]            # sum_{j != i} q_ji x_j
-            inflow_inf = self.qt_off[a] @ (X[a] * P[a])
-            dP[a] = (self.beta * pbar * (1.0 - P[a]) - self.delta * P[a]
-                     - (P[a] * inflow - inflow_inf) / X[a])
-            dX[a] = self.qt_full[a] @ X[a]
-        return dP.ravel(), dX.ravel()
+        """(dp, dx) at (p, x), from dz via dp = (dy - p dx) / x."""
+        Z = self.pack(p, x)
+        dX, dY = self.dz(Z).transpose(1, 0, 2)
+        return ((dY - np.reshape(p, dX.shape) * dX) / Z[:, 0]).ravel(), dX.ravel()
 
 
 def rhs(spec: ModelSpec, state: SystemState):
@@ -220,15 +216,19 @@ def step_count(t_end: float, step: float) -> int:
 
 def integrate(spec: ModelSpec, initial: SystemState, t_end: float,
               dt: float = DEFAULT_DT, record_every: int = 1) -> Trajectory:
-    """Fixed-step classical RK4 over the coupled model.
+    """Fixed-step classical RK4 on the (x, y) state of the module
+    docstring, sampled as (p = y / x, x).  While x stays constant (as
+    from stationary populations) this is RK4 on (p, x) up to rounding;
+    otherwise the two differ by O(dt^4).
 
     The run takes ``step_count(t_end, dt)`` steps, so it ends exactly
-    at t_end.  Samples are recorded every ``record_every`` steps
-    (always including the initial and final states).  Infected
-    fractions are clamped back into [0, 1] only when the overshoot is
-    at most ``CLAMP_TOL``; a larger excursion raises
-    :class:`IntegrationError` since the continuous flow is invariant
-    and only discretization error should ever leave the box.
+    at t_end.  Samples are recorded every ``record_every`` steps (always
+    including the initial state, as given, and the final one).  x must
+    stay positive.  When p leaves [0, 1] by at most ``CLAMP_TOL``, y is
+    clamped into [0, x] in place and the clamped state continues; a
+    larger excursion raises :class:`IntegrationError` since the
+    continuous flow is invariant and only discretization error should
+    ever leave the box.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -237,35 +237,36 @@ def integrate(spec: ModelSpec, initial: SystemState, t_end: float,
     steps = step_count(t_end, dt)
 
     ws = _Workspace(spec)
-    p = np.array(initial.p, dtype=float)
-    x = np.array(initial.x, dtype=float)
+    Z = ws.pack(initial.p, initial.x)
+    X, Y = Z[:, 0], Z[:, 1]
 
     ts = [float(initial.t)]
-    ps = [p.copy()]
-    xs = [x.copy()]
+    ps = [np.array(initial.p, dtype=float)]
+    xs = [np.array(initial.x, dtype=float)]
 
-    t = float(initial.t)
     for k in range(steps):
-        kp1, kx1 = ws.rhs(p, x)
-        kp2, kx2 = ws.rhs(p + 0.5 * dt * kp1, x + 0.5 * dt * kx1)
-        kp3, kx3 = ws.rhs(p + 0.5 * dt * kp2, x + 0.5 * dt * kx2)
-        kp4, kx4 = ws.rhs(p + dt * kp3, x + dt * kx3)
-        p = p + (dt / 6.0) * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4)
-        x = x + (dt / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
+        k1 = ws.dz(Z)
+        k2 = ws.dz(Z + 0.5 * dt * k1)
+        k3 = ws.dz(Z + 0.5 * dt * k2)
+        k4 = ws.dz(Z + dt * k3)
+        Z += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = float(initial.t) + (k + 1) * dt
 
-        overshoot = max(-float(p.min()), float(p.max()) - 1.0, 0.0)
-        if overshoot > CLAMP_TOL:
+        if not float(X.min()) > 0.0:  # also catches NaN
+            raise IntegrationError(f"x became nonpositive at t={t:.6g}; reduce dt")
+        P = Y / X
+        overshoot = max(-float(P.min()), float(P.max()) - 1.0, 0.0)
+        if not overshoot <= CLAMP_TOL:
             raise IntegrationError(
                 f"p left [0,1] by {overshoot:.3e} at t={t:.6g}; reduce dt")
-        np.clip(p, 0.0, 1.0, out=p)
-        if float(x.min()) <= 0.0:
-            raise IntegrationError(f"x became nonpositive at t={t:.6g}; reduce dt")
+        if overshoot > 0.0:
+            np.clip(Y, 0.0, X, out=Y)
+            np.clip(P, 0.0, 1.0, out=P)
 
         if (k + 1) % record_every == 0 or k + 1 == steps:
             ts.append(t)
-            ps.append(p.copy())
-            xs.append(x.copy())
+            ps.append(P.ravel())
+            xs.append(X.flatten())
 
     return Trajectory(t=np.array(ts), p=np.array(ps), x=np.array(xs),
                       kind="deterministic", dt=dt, seed=None)
@@ -281,8 +282,7 @@ def integrate_until_settled(spec: ModelSpec, initial: SystemState,
     Raises :class:`IntegrationError` if the horizon ``t_max`` is reached
     before the derivative settles.
     """
-    state = initial
-    ws = _Workspace(spec)
+    state, ws = initial, _Workspace(spec)
     chunk_steps = max(1, int(round(chunk / dt)))
     while state.t < t_max:
         steps = min(chunk_steps, int(round((t_max - state.t) / dt)))

@@ -43,10 +43,11 @@ import numpy as np
 from . import graphs
 from .dynamics import ModelSpec, SystemState, step_count
 from .equilibria import margin_recovery_rates
-from .errors import ScenarioError
+from .errors import ScenarioError, StepSizeError
 from .network import (MobilityLayer, MultiLayerNetwork, layer_from_edge_rates,
                       metropolis_hastings_rates, network_stationary, preset_layer,
                       validate_layer)
+from .stochastic import _check_step_size
 
 _DEFAULTS = {
     "t_end": 50.0,
@@ -254,6 +255,11 @@ def parse_scenario(doc: dict) -> Scenario:
             step_count(t_end, h)
     except ValueError as exc:
         raise ScenarioError(f"t_end: {exc}") from None
+    if enabled:
+        try:
+            _check_step_size(spec, h)
+        except StepSizeError as exc:
+            raise ScenarioError(f"stochastic.h: {exc}") from None
 
     output_dir = str(doc.get("output_dir", _DEFAULTS["output_dir"]))
 

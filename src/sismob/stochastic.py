@@ -109,33 +109,32 @@ def step(spec: ModelSpec, counts: AgentCounts, h: float,
          rng: np.random.Generator) -> AgentCounts:
     """One mobility-then-epidemics update of the counts."""
     _check_step_size(spec, h)
-    return _step(spec, counts, h, rng, _move_matrices(spec, h))
+    s, i = np.empty_like(counts.s), np.empty_like(counts.i)
+    _step(spec, counts.s, counts.i, h, rng, _move_matrices(spec, h), s, i)
+    return AgentCounts(s=s, i=i)
 
 
-def _step(spec: ModelSpec, counts: AgentCounts, h: float,
-          rng: np.random.Generator, moves: list) -> AgentCounts:
-    s = counts.s
-    i = counts.i
-
+def _step(spec: ModelSpec, s: np.ndarray, i: np.ndarray, h: float,
+          rng: np.random.Generator, moves: list, s_out: np.ndarray, i_out: np.ndarray):
+    """Write the (n, m) int64 counts one step after (s, i) into s_out
+    and i_out."""
     # Mobility: one multinomial row per origin node; column sums are the
     # arrivals. Empty origins draw a zero row, so empty nodes are safe.
-    s_new = np.empty_like(s)
-    i_new = np.empty_like(i)
     for a in range(spec.m):
-        s_new[:, a] = rng.multinomial(s[:, a], moves[a]).sum(axis=0)
-        i_new[:, a] = rng.multinomial(i[:, a], moves[a]).sum(axis=0)
+        s_out[:, a] = rng.multinomial(s[:, a], moves[a]).sum(axis=0)
+        i_out[:, a] = rng.multinomial(i[:, a], moves[a]).sum(axis=0)
 
     # Epidemics at the post-move populations.
-    tot = (s_new + i_new).sum(axis=1)
-    inf = i_new.sum(axis=1)
+    tot = (s_out + i_out).sum(axis=1)
+    inf = i_out.sum(axis=1)
     pbar = np.where(tot > 0, inf / np.maximum(tot, 1), 0.0)
 
     p_infect = np.asarray(spec.beta) * pbar * h
     p_recover = np.asarray(spec.delta) * h
-    new_inf = rng.binomial(s_new, p_infect[:, None])
-    new_rec = rng.binomial(i_new, p_recover[:, None])
-
-    return AgentCounts(s=s_new - new_inf + new_rec, i=i_new + new_inf - new_rec)
+    new_inf = rng.binomial(s_out, p_infect[:, None])
+    new_rec = rng.binomial(i_out, p_recover[:, None])
+    s_out += new_rec - new_inf
+    i_out += new_inf - new_rec
 
 
 def simulate(spec: ModelSpec, initial: AgentCounts, t_end: float,
@@ -153,12 +152,9 @@ def simulate(spec: ModelSpec, initial: AgentCounts, t_end: float,
     i_series = np.empty((steps + 1, spec.n, spec.m), dtype=np.int64)
     s_series[0] = initial.s
     i_series[0] = initial.i
-
-    counts = initial
     for k in range(steps):
-        counts = _step(spec, counts, h, rng, moves)
-        s_series[k + 1] = counts.s
-        i_series[k + 1] = counts.i
+        _step(spec, s_series[k], i_series[k], h, rng, moves,
+              s_series[k + 1], i_series[k + 1])
 
     t = h * np.arange(steps + 1)
     return StochasticRun(seed=seed, h=h, t=t, s=s_series, i=i_series)

@@ -30,6 +30,28 @@ def componentwise_rhs(spec, p, x):
     return dp
 
 
+def rk4_oracle(spec, p, x, dt, steps):
+    """Plain classical RK4 on the (p, x) form with the assembled-matrix
+    right-hand side, no clamping."""
+    B, D, n = spec.B(), spec.D(), spec.n
+
+    def f(p, x):
+        mats = sm.assemble(spec, x)
+        dp = (B @ mats.F - D - mats.L) @ p - p * (B @ (mats.F @ p))
+        dx = np.concatenate([layer.Q.T @ x[a * n:(a + 1) * n]
+                             for a, layer in enumerate(spec.net.layers)])
+        return dp, dx
+
+    for _ in range(steps):
+        kp1, kx1 = f(p, x)
+        kp2, kx2 = f(p + 0.5 * dt * kp1, x + 0.5 * dt * kx1)
+        kp3, kx3 = f(p + 0.5 * dt * kp2, x + 0.5 * dt * kx2)
+        kp4, kx4 = f(p + dt * kp3, x + dt * kx3)
+        p = p + (dt / 6.0) * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4)
+        x = x + (dt / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
+    return p, x
+
+
 class TestAssemble:
     def test_single_class_shares_are_identity(self, two_node_spec):
         mats = sm.assemble(two_node_spec, np.array([50.0, 50.0]))
@@ -148,6 +170,8 @@ class TestIntegrate:
         initial = SystemState(t=0.0, p=np.full(2, 0.5), x=np.array([50.0, 50.0]))
         with pytest.raises(sm.IntegrationError):
             sm.integrate(two_node_spec, initial, 400.0, dt=25.0)
+        with np.errstate(all="ignore"), pytest.raises(sm.IntegrationError):
+            sm.integrate(two_node_spec, initial, 1e200, dt=1e200)  # overflows to NaN
 
     def test_ends_exactly_at_t_end_or_refuses(self, two_node_spec):
         initial = SystemState(t=0.0, p=np.full(2, 0.5), x=np.array([50.0, 50.0]))
@@ -166,6 +190,52 @@ class TestIntegrate:
         traj = sm.integrate(spec, SystemState(t=0.0, p=p0, x=x0), 20.0, dt=0.01,
                             record_every=10)
         assert_trajectory_invariants(spec, traj)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_matches_plain_rk4_on_the_p_x_form_at_stationary_populations(self, seed):
+        # constant x makes y = x p a fixed linear map, which RK4 commutes with
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng, n_max=6, m_max=3)
+        p0 = rng.uniform(0.0, 1.0, size=spec.nm)
+        x0 = np.asarray(sm.network_stationary(spec.net).v)
+        traj = sm.integrate(spec, SystemState(t=0.0, p=p0, x=x0), 3.0, dt=0.01,
+                            record_every=300)
+        p_ref, x_ref = rk4_oracle(spec, p0, x0, 0.01, 300)
+        assert np.max(np.abs(traj.p[-1] - p_ref)) <= 1e-12
+        assert np.max(np.abs(traj.x[-1] - x_ref) / x_ref) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_differs_from_plain_rk4_on_the_p_x_form_at_fourth_order(self, seed):
+        # moving x makes y = x p nonlinear: both schemes are fourth order,
+        # so their gap shrinks ~16x per halving of dt; x itself is linear
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng, n_max=6, m_max=3)
+        p0 = rng.uniform(0.0, 1.0, size=spec.nm)
+        x0 = rng.uniform(1.0, 10.0, size=spec.nm)
+        gaps = []
+        for dt, steps in ((0.05, 40), (0.025, 80)):
+            traj = sm.integrate(spec, SystemState(t=0.0, p=p0, x=x0), 2.0, dt=dt,
+                                record_every=steps)
+            p_ref, x_ref = rk4_oracle(spec, p0, x0, dt, steps)
+            gaps.append(np.max(np.abs(traj.p[-1] - p_ref)))
+            assert np.max(np.abs(traj.x[-1] - x_ref) / x_ref) <= 1e-12
+        assert 12.0 <= gaps[0] / gaps[1] <= 24.0, gaps
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_initial_sample_is_the_initial_state_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng)
+        initial = SystemState(t=0.5, p=rng.uniform(0.0, 1.0, size=spec.nm),
+                              x=rng.uniform(0.5, 5.0, size=spec.nm))
+        for t_end in (0.0, 0.05):
+            traj = sm.integrate(spec, initial, t_end, dt=0.01)
+            assert traj.t[0] == 0.5
+            assert np.array_equal(traj.p[0], initial.p)
+            assert np.array_equal(traj.x[0], initial.x)
+        assert len(sm.integrate(spec, initial, 0.0).t) == 1
 
     def test_settle_helper_reaches_equilibrium(self, two_node_spec):
         initial = SystemState(t=0.0, p=np.full(2, 0.01), x=np.array([40.0, 60.0]))

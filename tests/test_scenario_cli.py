@@ -87,6 +87,11 @@ class TestScenarioParsing:
         ("stochastic.h", {"stochastic": {"h": float("nan")}}),
         ("N", {"N": [1.5], "stochastic": {"enabled": True}}),
         ("stochastic.seeds", {"stochastic": {"seeds": [-1]}}),
+        ("stochastic.h", {"stochastic": {"enabled": True, "h": 5.0}}),
+        ("stochastic.h", {"beta": 0.1, "delta": 0.4,
+                          "stochastic": {"enabled": True, "h": 2.5}}),
+        ("stochastic.h", {"n": 3, "layers": [{"preset": "ring", "rate_scale": 0.5}],
+                          "beta": 0.1, "stochastic": {"enabled": True, "h": 2.5}}),
         ("layers[0].rate_scale", {"n": 3, "layers": [{"preset": "ring", "rate_scale": "x"}]}),
         ("layers[0].mh.rate_scale",
          {"n": 3, "layers": [{"mh": {"graph": "ring", "rate_scale": float("nan")}}]}),
@@ -142,6 +147,23 @@ class TestCli:
         assert main(["validate", "--scenario", str(bad)]) == 2
         err = capsys.readouterr().err
         assert f"layers[0]: edge ({edge[0]},{edge[1]}) names a node outside" in err
+
+    def test_run_refuses_oversized_stochastic_step_before_writing(self, tmp_path, capsys):
+        enabled = tmp_path / "enabled.json"
+        enabled.write_text(json.dumps(
+            scalar_doc(stochastic={"enabled": True, "h": 5.0, "seeds": [1]})))
+        disabled = tmp_path / "disabled.json"
+        disabled.write_text(json.dumps(
+            scalar_doc(stochastic={"enabled": False, "h": 5.0, "seeds": [1]})))
+        assert main(["validate", "--scenario", str(disabled)]) == 0
+        out = tmp_path / "out"
+        for argv in (["--scenario", str(enabled)],
+                     ["--scenario", str(disabled), "--seed", "1"]):
+            capsys.readouterr()
+            assert main(["run", *argv, "--out", str(out)]) == 2
+            assert ("scenario error: stochastic.h: h = 5.0 times the largest "
+                    "infection rate 0.3" in capsys.readouterr().err)
+            assert not out.exists()
 
     def test_run_writes_bundle(self, tmp_path):
         doc = scalar_doc(t_end=2.0,
