@@ -60,11 +60,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         changed = True
     if not changed:
         return scenario
-    rule_info = doc.pop("delta_rule", None)  # delta already resolved to explicit values
-    scenario = parse_scenario(doc)
-    if rule_info is not None:
-        scenario.resolved["delta_rule"] = rule_info
-    return scenario
+    return parse_scenario(doc)
 
 
 def _cmd_validate(args) -> int:

@@ -1,7 +1,8 @@
 """Small-graph helpers shared by the network and spectral modules.
 
-Edges are directed (i, j) pairs with 0-indexed nodes.  Preset graphs are
-undirected: both orientations of every edge are present.
+An edge set is an (E, 2) int array of directed (i, j) pairs, 0-indexed;
+presets hold both orientations of every undirected edge.  One boolean
+reachability routine answers every connectivity question.
 """
 
 from __future__ import annotations
@@ -11,59 +12,43 @@ import numpy as np
 PRESET_NAMES = ("complete", "line", "ring", "star")
 
 
-def preset_edges(name: str, n: int) -> list[tuple[int, int]]:
-    """Directed edge list of a named undirected preset graph.
+def preset_edges(name: str, n: int) -> np.ndarray:
+    """Directed edges of a named undirected preset graph, (E, 2) int64.
 
     ``star`` has its hub at node 0.  ``ring`` is the undirected cycle;
-    for n <= 2 it degenerates to the line graph.
+    for n <= 2 it degenerates to the line graph.  Each undirected pair
+    gives (i, j) then (j, i); ``complete`` lists its edges row-major.
     """
     if n < 1:
         raise ValueError(f"preset graph needs n >= 1, got n={n}")
-    if name == "complete":
-        return [(i, j) for i in range(n) for j in range(n) if i != j]
-    if name == "line":
-        pairs = [(i, i + 1) for i in range(n - 1)]
-    elif name == "ring":
-        if n <= 2:
-            pairs = [(i, i + 1) for i in range(n - 1)]
-        else:
-            pairs = [(i, (i + 1) % n) for i in range(n)]
-    elif name == "star":
-        pairs = [(0, i) for i in range(1, n)]
-    else:
+    if name not in PRESET_NAMES:
         raise ValueError(f"unknown graph preset {name!r}, expected one of {PRESET_NAMES}")
-    return [e for i, j in pairs for e in ((i, j), (j, i))]
+    if name == "complete":
+        return np.argwhere(~np.eye(n, dtype=bool))
+    k = np.arange(n if name == "ring" and n > 2 else n - 1)
+    pairs = np.column_stack([np.zeros_like(k) if name == "star" else k, (k + 1) % n])
+    return np.stack([pairs, pairs[:, ::-1]], axis=1).reshape(-1, 2)
 
 
 def out_degrees(n: int, edges) -> np.ndarray:
-    deg = np.zeros(n, dtype=int)
-    for i, _ in edges:
-        deg[i] += 1
-    return deg
+    return np.bincount(np.asarray(edges, dtype=np.int64).reshape(-1, 2)[:, 0], minlength=n)
+
+
+def _reachability(adj: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of a boolean adjacency matrix; k
+    squarings of the one-step reach cover every path of up to 2**k edges."""
+    reach = (adj | np.eye(len(adj), dtype=bool)).astype(float)
+    for _ in range((len(adj) - 1).bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
+    return reach > 0
 
 
 def is_strongly_connected(n: int, edges) -> bool:
-    """Reachability sweep from node 0 on the edge digraph and its reverse."""
-    if n == 1:
-        return True
-    fwd: list[list[int]] = [[] for _ in range(n)]
-    rev: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        fwd[i].append(j)
-        rev[j].append(i)
-    return _reaches_all(fwd) and _reaches_all(rev)
-
-
-def _reaches_all(adj: list[list[int]]) -> bool:
-    seen = [False] * len(adj)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        for j in adj[stack.pop()]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    return all(seen)
+    """Whether every node reaches every other along the directed edges."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[edges[:, 0], edges[:, 1]] = True
+    return bool(_reachability(adj).all())
 
 
 def edges_of_matrix(A: np.ndarray, tol: float = 0.0) -> list[tuple[int, int]]:
@@ -74,29 +59,8 @@ def edges_of_matrix(A: np.ndarray, tol: float = 0.0) -> list[tuple[int, int]]:
 
 
 def strongly_connected_components(A: np.ndarray) -> list[list[int]]:
-    """SCC partition of a matrix sparsity pattern, in node order.
-
-    Sizes here are tiny, so this uses the quadratic closure construction
-    rather than Tarjan's algorithm.
-    """
-    n = A.shape[0]
-    mask = A != 0.0
-    np.fill_diagonal(mask, False)
-    adj = [np.flatnonzero(row).tolist() for row in mask]
-    reach = np.eye(n, dtype=bool)
-    for i in range(n):
-        stack = [i]
-        while stack:
-            for j in adj[stack.pop()]:
-                if not reach[i, j]:
-                    reach[i, j] = True
-                    stack.append(j)
-    assigned = np.zeros(n, dtype=bool)
-    comps = []
-    for i in range(n):
-        if assigned[i]:
-            continue
-        comp = np.flatnonzero(reach[i] & reach[:, i])
-        assigned[comp] = True
-        comps.append(comp.tolist())
-    return comps
+    """SCC partition of a matrix sparsity pattern, in node order."""
+    reach = _reachability(A != 0.0)
+    # the smallest node each node reaches and is reached from names its component
+    root = np.argmax(reach & reach.T, axis=1)
+    return [np.flatnonzero(root == r).tolist() for r in np.unique(root)]

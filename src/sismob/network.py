@@ -21,12 +21,24 @@ from .errors import MalformedGeneratorError, NotStronglyConnectedError
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-12
+_OUTSIDE = "edge ({i},{j}) names a node outside 0..{last}"
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
     a = np.array(values, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+def _edge_array(n: int, edges) -> np.ndarray:
+    """Read-only (E, 2) int64 copy of (i, j) pairs; ``ValueError`` names
+    the first pair, in input order, with a node outside 0..n-1."""
+    edges = _frozen_array(edges, dtype=np.int64).reshape(len(edges), 2)
+    outside = ((edges < 0) | (edges >= n)).any(axis=1)
+    if outside.any():
+        i, j = edges[np.argmax(outside)].tolist()
+        raise ValueError(_OUTSIDE.format(i=i, j=j, last=n - 1))
+    return edges
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,8 +49,8 @@ class MobilityLayer:
     ----------
     n : int
         Patch count.
-    edges : sequence of (i, j)
-        Directed edges, 0-indexed.
+    edges : (E, 2) int array or sequence of (i, j) pairs
+        Directed edges, nodes in 0..n-1; kept as a read-only int64 array.
     Q : (n, n) array
         Instantaneous transition rates (1/time); row i, column j holds
         the rate from patch i to patch j, and the diagonal holds minus
@@ -46,7 +58,7 @@ class MobilityLayer:
     """
 
     n: int
-    edges: tuple
+    edges: np.ndarray
     Q: np.ndarray
 
     def __post_init__(self):
@@ -54,7 +66,7 @@ class MobilityLayer:
         if Q.shape != (self.n, self.n):
             raise ValueError(f"Q must be {self.n}x{self.n}, got shape {Q.shape}")
         object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "edges", tuple((int(i), int(j)) for i, j in self.edges))
+        object.__setattr__(self, "edges", _edge_array(self.n, self.edges))
 
     @property
     def exit_rates(self) -> np.ndarray:
@@ -134,28 +146,29 @@ class LayerValidationReport:
 def validate_layer(layer: MobilityLayer) -> LayerValidationReport:
     """Check the generator contract and strong connectivity of a layer.
 
-    Row sums must vanish to within ``ROW_SUM_TOL`` (scaled by the
-    largest rate), the sign pattern of Q must match the edge set, and
-    the edge digraph must be strongly connected.  A failing report is
-    fatal for every downstream analysis operation.
+    Entries of Q must be finite, row sums must vanish to within
+    ``ROW_SUM_TOL`` (scaled by the largest rate), the sign pattern of Q
+    must match the edge set, and the edge digraph must be strongly
+    connected.  A failing report is fatal for all downstream analysis.
     """
     Q = layer.Q
     messages = []
     scale = max(1.0, float(np.max(np.abs(Q))) if Q.size else 1.0)
 
     row_sum_error = float(np.max(np.abs(Q.sum(axis=1)))) if Q.size else 0.0
-    if row_sum_error > ROW_SUM_TOL * scale:
+    if not row_sum_error <= ROW_SUM_TOL * scale:  # a NaN row sum fails too
         messages.append(f"generator rows must sum to zero (max |row sum| = {row_sum_error:.3e})")
 
     off = ~np.eye(layer.n, dtype=bool)
     declared = np.zeros((layer.n, layer.n), dtype=bool)
-    if layer.edges:
-        declared[tuple(np.array(layer.edges).T)] = True
+    declared[layer.edges[:, 0], layer.edges[:, 1]] = True
     negative = off & (Q < 0)
-    bad = negative | (off & ((Q > 0) != declared))
+    bad = ~np.isfinite(Q) | negative | (off & ((Q > 0) != declared))
     sign_ok = not bad.any()
     for i, j in zip(*np.nonzero(bad)):
-        if negative[i, j]:
+        if not np.isfinite(Q[i, j]):
+            messages.append(f"non-finite rate q[{i},{j}] = {Q[i, j]}")
+        elif negative[i, j]:
             messages.append(f"negative off-diagonal rate q[{i},{j}] = {Q[i, j]}")
         else:
             messages.append(f"rate q[{i},{j}] = {Q[i, j]} disagrees with edge set")
@@ -218,24 +231,47 @@ def network_stationary(net: MultiLayerNetwork) -> StationaryDistribution:
 def layer_from_edge_rates(n: int, triples) -> MobilityLayer:
     """Layer from explicit (i, j, rate) triples, one per directed edge;
     the diagonal is filled in."""
+    pairs, rates = [], []
+    try:
+        for i, j, rate in triples:
+            if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in (i, j)):
+                raise ValueError(f"edge ({i!r},{j!r}) needs integer node indices")
+            rates.append(float(rate))
+            pairs.append((int(i), int(j)))
+    except (TypeError, ValueError):
+        _checked_layer(n, pairs, rates)  # a fault in an earlier triple is named first
+        raise
+    return _checked_layer(n, pairs, rates)
+
+
+def _checked_layer(n: int, edges, rates) -> MobilityLayer:
+    """Layer with rate ``rates[k]`` on edge ``edges[k]``.  ``ValueError``
+    names the first edge, in input order, with (checked in this order) a
+    node outside 0..n-1, a self-loop, a rate not in (0, inf), or a repeat."""
+    try:
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an index past int64 fails the range check all the same
+        edges = np.array(edges, dtype=object)
+    rates = np.asarray(rates, dtype=float)
+    src, dst = edges[:, 0], edges[:, 1]
+    repeat = np.ones(len(edges), dtype=bool)
+    repeat[np.unique(src * n + dst, return_index=True)[1]] = False
+    checks = (
+        (((edges < 0) | (edges >= n)).any(axis=1), _OUTSIDE),
+        (src == dst, "self-loop rate on node {i} is not allowed"),
+        (~((rates > 0) & (rates < np.inf)), "edge ({i},{j}) needs a positive finite rate, got {rate}"),
+        (repeat, "duplicate rate for edge ({i},{j})"),
+    )
+    failing = np.array([mask for mask, _ in checks], dtype=bool)
+    if failing.any():
+        k = int(np.argmax(failing.any(axis=0)))
+        message = checks[int(np.argmax(failing[:, k]))][1]
+        i, j = edges[k].tolist()
+        raise ValueError(message.format(i=i, j=j, rate=float(rates[k]), last=n - 1))
     Q = np.zeros((n, n))
-    edges = []
-    for i, j, rate in triples:
-        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in (i, j)):
-            raise ValueError(f"edge ({i!r},{j!r}) needs integer node indices")
-        i, j, rate = int(i), int(j), float(rate)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i},{j}) names a node outside 0..{n - 1}")
-        if i == j:
-            raise ValueError(f"self-loop rate on node {i} is not allowed")
-        if not 0 < rate < np.inf:
-            raise ValueError(f"edge ({i},{j}) needs a positive finite rate, got {rate}")
-        if Q[i, j] != 0.0:
-            raise ValueError(f"duplicate rate for edge ({i},{j})")
-        Q[i, j] = rate
-        edges.append((i, j))
+    Q[src, dst] = rates
     np.fill_diagonal(Q, -Q.sum(axis=1))
-    return MobilityLayer(n=n, edges=tuple(edges), Q=Q)
+    return MobilityLayer(n=n, edges=edges, Q=Q)
 
 
 def equal_exit_layer(n: int, edges, rate_scale: float) -> MobilityLayer:
@@ -243,15 +279,13 @@ def equal_exit_layer(n: int, edges, rate_scale: float) -> MobilityLayer:
     out-neighbors: q_ij = rate_scale / outdeg(i)."""
     if rate_scale <= 0:
         raise ValueError(f"rate_scale must be positive, got {rate_scale}")
-    edges = [(int(i), int(j)) for i, j in edges]
+    edges = _edge_array(n, edges)
     if n == 1:
         return MobilityLayer(n=1, edges=(), Q=np.zeros((1, 1)))
     deg = graphs.out_degrees(n, edges)
     if np.any(deg == 0):
-        isolated = int(np.argmax(deg == 0))
-        raise NotStronglyConnectedError(f"node {isolated} has no outgoing edges")
-    triples = [(i, j, rate_scale / deg[i]) for i, j in edges]
-    return layer_from_edge_rates(n, triples)
+        raise NotStronglyConnectedError(f"node {int(np.argmax(deg == 0))} has no outgoing edges")
+    return _checked_layer(n, edges, rate_scale / deg[edges[:, 0]])
 
 
 def preset_layer(name: str, n: int, rate_scale: float, rates: str = "equal_exit") -> MobilityLayer:
@@ -293,16 +327,16 @@ def metropolis_hastings_rates(n: int, edges, target: np.ndarray,
     if rate_scale <= 0:
         raise ValueError(f"rate_scale must be positive, got {rate_scale}")
 
-    und = {(int(i), int(j)) for i, j in edges} | {(int(j), int(i)) for i, j in edges}
-    und = sorted(p for p in und if p[0] != p[1])
-    if n > 1 and not graphs.is_strongly_connected(n, und):
-        raise NotStronglyConnectedError("graph must be connected to target a stationary law")
+    edges = _edge_array(n, edges)
     if n == 1:
         return MobilityLayer(n=1, edges=(), Q=np.zeros((1, 1)))
+    adj = np.zeros((n, n), dtype=bool)
+    adj[edges[:, 0], edges[:, 1]] = True
+    und = np.argwhere((adj | adj.T) & ~np.eye(n, dtype=bool))  # row-major, i.e. sorted
+    if not graphs.is_strongly_connected(n, und):
+        raise NotStronglyConnectedError("graph must be connected to target a stationary law")
 
     deg = graphs.out_degrees(n, und)
-    triples = []
-    for i, j in und:
-        accept = min(1.0, (target[j] * deg[i]) / (target[i] * deg[j]))
-        triples.append((i, j, rate_scale * accept / deg[i]))
-    return layer_from_edge_rates(n, triples)
+    i, j = und[:, 0], und[:, 1]
+    accept = np.minimum(1.0, (target[j] * deg[i]) / (target[i] * deg[j]))
+    return _checked_layer(n, und, rate_scale * accept / deg[i])

@@ -14,6 +14,7 @@ Schema (see README for the full grammar)::
       "layers": [ <layer spec>, ... ],          # m entries
       "beta": 0.3 | [per-node values],
       "delta": 0.1 | [per-node values] | {"rule": "lambda2_sufficient", ...},
+      "delta_rule": {...},                      # optional provenance of an explicit delta
       "N": [per-class populations],
       "p0": 0.01 | [nm values],
       "x0": "stationary" | [nm values],
@@ -161,7 +162,7 @@ def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: expected a JSON object")
     known = {"name", "n", "m", "layers", "beta", "delta", "N", "p0", "x0",
-             "t_end", "dt", "sample_every", "stochastic", "output_dir"}
+             "t_end", "dt", "sample_every", "stochastic", "output_dir", "delta_rule"}
     for key in doc:
         if key not in known:
             raise ScenarioError(f"{key}: unknown field")
@@ -189,7 +190,9 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError("beta: infection rates must be positive")
 
     delta_doc = _require(doc, "delta")
-    delta_info = None
+    delta_rule = doc.get("delta_rule")  # provenance of an explicit delta, as in a manifest
+    if "delta_rule" in doc and (not isinstance(delta_rule, dict) or isinstance(delta_doc, dict)):
+        raise ScenarioError("delta_rule: expected an object next to an explicit delta")
     if isinstance(delta_doc, dict):
         if delta_doc.get("rule") != "lambda2_sufficient":
             raise ScenarioError("delta.rule: the only supported rule is 'lambda2_sufficient'")
@@ -197,6 +200,7 @@ def parse_scenario(doc: dict) -> Scenario:
         deficit_nodes = delta_doc.get("deficit_nodes", [0, n - 1])
         try:
             delta, delta_info = margin_recovery_rates(net, beta, s_factor, deficit_nodes)
+            delta_rule = {"rule": "lambda2_sufficient", **delta_info}
         except (ValueError, TypeError) as exc:
             raise ScenarioError(f"delta: {exc}") from exc
     else:
@@ -268,7 +272,8 @@ def parse_scenario(doc: dict) -> Scenario:
         "n": n,
         "m": m,
         "layers": [
-            {"edges": [[int(i), int(j), float(layer.Q[i, j])] for i, j in layer.edges]}
+            {"edges": [[i, j, rate] for (i, j), rate in
+                       zip(layer.edges.tolist(), layer.Q[tuple(layer.edges.T)].tolist())]}
             for layer in layers
         ],
         "beta": [float(b) for b in beta],
@@ -282,8 +287,8 @@ def parse_scenario(doc: dict) -> Scenario:
         "stochastic": {"enabled": enabled, "h": h, "seeds": [int(s) for s in seeds]},
         "output_dir": output_dir,
     }
-    if delta_info is not None:
-        resolved["delta_rule"] = {"rule": "lambda2_sufficient", **delta_info}
+    if delta_rule is not None:
+        resolved["delta_rule"] = dict(delta_rule)
 
     return Scenario(name=name, spec=spec, p0=p0, x0=x0, t_end=t_end, dt=dt,
                     sample_every=sample_every, stochastic_enabled=enabled, h=h,

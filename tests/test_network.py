@@ -65,6 +65,22 @@ class TestValidateLayer:
         with pytest.raises(sm.MalformedGeneratorError):
             report.raise_if_invalid()
 
+    # directed 3-cycle 0 -> 1 -> 2 -> 0; (0,2) and (2,1) are not edges
+    @pytest.mark.parametrize("i, j, value", [
+        (0, 0, np.nan), (0, 2, np.nan), (1, 1, -np.inf), (0, 1, np.inf), (2, 1, np.inf),
+    ])
+    def test_non_finite_entry_is_malformed(self, i, j, value):
+        Q = np.array([[-0.2, 0.2, 0.0], [0.0, -0.2, 0.2], [0.2, 0.0, -0.2]])
+        Q[i, j] = value
+        layer = sm.MobilityLayer(n=3, edges=((0, 1), (1, 2), (2, 0)), Q=Q)
+        report = sm.validate_layer(layer)
+        assert not report.ok and report.strongly_connected
+        assert f"non-finite rate q[{i},{j}] = {value}" in report.messages
+        if np.isnan(value):
+            assert report.messages[0].startswith("generator rows must sum to zero")
+        with pytest.raises(sm.MalformedGeneratorError):
+            sm.stationary_distribution(layer)
+
     def test_row_sums_within_1e12_as_stored(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -130,6 +146,23 @@ class TestLayerFromEdgeRates:
     def test_non_integer_node_index_names_the_edge(self, i):
         with pytest.raises(ValueError, match=rf"edge \({i!r},0\) needs integer node indices"):
             sm.layer_from_edge_rates(2, [(i, 0, 0.2), (0, 1, 0.2)])
+
+
+class TestEdgeIndexRange:
+    def test_negative_index_in_hand_built_layer(self):
+        # must not wrap around to node n - 1
+        with pytest.raises(ValueError, match=r"edge \(-1,0\) names a node outside 0\.\.2"):
+            sm.MobilityLayer(n=3, edges=((0, 1), (1, 2), (-1, 0)),
+                             Q=np.array([[-0.2, 0.2, 0.0], [0.0, -0.2, 0.2], [0.2, 0.0, -0.2]]))
+
+    def test_index_past_n_in_hand_built_layer(self):
+        with pytest.raises(ValueError, match=r"edge \(0,5\) names a node outside 0\.\.2"):
+            sm.MobilityLayer(n=3, edges=((0, 1), (1, 0), (0, 5)), Q=np.zeros((3, 3)))
+
+    def test_metropolis_hastings_checks_range_before_symmetrizing(self):
+        with pytest.raises(ValueError, match=r"edge \(1,5\) names a node outside 0\.\.2"):
+            sm.metropolis_hastings_rates(3, [(0, 1), (1, 0), (1, 5), (5, 1)],
+                                         np.full(3, 1 / 3), 1.0)
 
 
 class TestMetropolisHastings:
@@ -225,3 +258,92 @@ class TestPresets:
     def test_isolated_node_rejected_with_location(self):
         with pytest.raises(sm.NotStronglyConnectedError, match="node 2"):
             sm.equal_exit_layer(3, [(0, 1), (1, 0)], 0.2)
+
+
+# Edge lists as built before layers stored their edges as arrays; the
+# resolved manifest lists edges in this order, so it fixes the manifest bytes.
+PRESET_EDGES = {
+    ("complete", 1): [],
+    ("complete", 2): [[0, 1], [1, 0]],
+    ("complete", 3): [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]],
+    ("complete", 5): [[0, 1], [0, 2], [0, 3], [0, 4], [1, 0], [1, 2], [1, 3], [1, 4],
+                      [2, 0], [2, 1], [2, 3], [2, 4], [3, 0], [3, 1], [3, 2], [3, 4],
+                      [4, 0], [4, 1], [4, 2], [4, 3]],
+    ("line", 1): [],
+    ("line", 2): [[0, 1], [1, 0]],
+    ("line", 3): [[0, 1], [1, 0], [1, 2], [2, 1]],
+    ("line", 5): [[0, 1], [1, 0], [1, 2], [2, 1], [2, 3], [3, 2], [3, 4], [4, 3]],
+    ("ring", 1): [],
+    ("ring", 2): [[0, 1], [1, 0]],
+    ("ring", 3): [[0, 1], [1, 0], [1, 2], [2, 1], [2, 0], [0, 2]],
+    ("ring", 5): [[0, 1], [1, 0], [1, 2], [2, 1], [2, 3], [3, 2], [3, 4], [4, 3],
+                  [4, 0], [0, 4]],
+    ("star", 1): [],
+    ("star", 2): [[0, 1], [1, 0]],
+    ("star", 3): [[0, 1], [1, 0], [0, 2], [2, 0]],
+    ("star", 5): [[0, 1], [1, 0], [0, 2], [2, 0], [0, 3], [3, 0], [0, 4], [4, 0]],
+}
+
+
+class TestEdgeOrder:
+    @pytest.mark.parametrize("name, n", sorted(PRESET_EDGES))
+    def test_preset_edge_order_is_pinned(self, name, n):
+        layer = sm.preset_layer(name, n, 0.2)
+        assert layer.edges.tolist() == PRESET_EDGES[name, n]
+        assert layer.edges.dtype == np.int64 and layer.edges.shape[1] == 2
+        assert not layer.edges.flags.writeable
+
+    def test_metropolis_hastings_on_messy_input_is_pinned(self):
+        # unsorted, with a repeated edge and two self-loops
+        edges = [(3, 1), (1, 3), (0, 2), (2, 2), (1, 0), (3, 1), (2, 1), (0, 0), (1, 2)]
+        layer = sm.metropolis_hastings_rates(4, edges, np.array([0.1, 0.2, 0.3, 0.4]), 0.7)
+        assert layer.edges.tolist() == [[0, 1], [0, 2], [1, 0], [1, 2], [1, 3], [2, 0],
+                                        [2, 1], [3, 1]]
+        assert layer.Q.tolist() == [
+            [-0.7, 0.35, 0.35, 0.0],
+            [0.17500000000000002, -0.6416666666666666, 0.2333333333333333,
+             0.2333333333333333],
+            [0.11666666666666667, 0.15555555555555559, -0.27222222222222225, 0.0],
+            [0.0, 0.11666666666666665, 0.0, -0.11666666666666665],
+        ]
+
+
+def warshall_reach(n, edges):
+    """Plain-Python reflexive-transitive closure (Warshall's algorithm)."""
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        reach[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    return reach
+
+
+@st.composite
+def digraphs(draw):
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=n * n))  # self-loops included
+    return n, edges
+
+
+class TestReachability:
+    @settings(max_examples=200, deadline=None)
+    @given(graph=digraphs())
+    def test_connectivity_and_components_match_warshall(self, graph):
+        n, edges = graph
+        reach = warshall_reach(n, edges)
+        assert graphs.is_strongly_connected(n, edges) == all(map(all, reach))
+
+        A = np.zeros((n, n))
+        for i, j in edges:
+            A[i, j] = -0.5 if i == j else 0.3
+        expected, seen = [], set()
+        for i in range(n):
+            if i not in seen:
+                comp = [j for j in range(n) if reach[i][j] and reach[j][i]]
+                seen.update(comp)
+                expected.append(comp)
+        assert graphs.strongly_connected_components(A) == expected

@@ -114,6 +114,21 @@ class TestScenarioParsing:
         assert len(scenario.resolved["delta"]) == 20
 
 
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+    def test_resolved_form_parses_back_to_itself(self, path):
+        resolved = sm.load_scenario(path).resolved
+        assert sm.parse_scenario(resolved).resolved == resolved
+
+    @pytest.mark.parametrize("delta, delta_rule", [
+        (0.1, 5),
+        (0.1, None),
+        ({"rule": "lambda2_sufficient"}, {"rule": "lambda2_sufficient"}),
+    ])
+    def test_delta_rule_is_provenance_of_an_explicit_delta(self, delta, delta_rule):
+        with pytest.raises(sm.ScenarioError, match="^delta_rule:"):
+            sm.parse_scenario(scalar_doc(delta=delta, delta_rule=delta_rule))
+
+
 class TestCli:
     def test_analyze_scalar_values(self, tmp_path):
         scenario_path = tmp_path / "scalar.json"
