@@ -2,17 +2,23 @@
 
 Each step of width h has two sub-steps. First, mobility: every
 individual of class a at node i relocates to node j with probability
-q^a_ij h (staying with probability 1 - nu^a_i h), drawn as one
-multinomial per (node, class, compartment). Second, epidemics: at every
-node each susceptible of class a becomes infected with probability
+q^a_ij h (staying with probability 1 - nu^a_i h). This is drawn by the
+multinomial splitting identity: Binomial(c, nu^a_i h) leavers per
+(compartment, class, node) cell, each routed on its own to j with
+probability q^a_ij / nu^a_i. Second, epidemics: at every node each
+susceptible of class a becomes infected with probability
 beta_i * pbar_i * h and each infected recovers with probability
 delta_i * h, where pbar_i is the realized infected fraction at node i
 after the mobility sub-step.
 
-Counts are plain integer arrays of shape (n, m); per-class totals are
-conserved exactly at every step.  Runs are bit-reproducible: the same
-seed and spec always produce the same sample path (PCG64 generator, one
-fixed draw order per step).
+A step works on the counts stacked as one (2, m, n) int64 array
+(compartment, class, node) and makes three generator calls, whatever
+m is: one binomial for every leaver count, one uniform per leaver for
+its destination, and one binomial for every infection and recovery
+count.  The public (n, m) ``AgentCounts`` form is kept at the edges.
+Per-class totals are conserved exactly at every step.  Runs are
+bit-reproducible: the same seed and spec always produce the same sample
+path (PCG64 generator, one fixed draw order per step).
 """
 
 from __future__ import annotations
@@ -27,6 +33,24 @@ from .errors import StepSizeError
 DEFAULT_H = 0.01
 
 
+def _fractions(s: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Infected fraction of each count cell; NaN where the cell is empty."""
+    tot = s + i
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(tot > 0, i / np.maximum(tot, 1), np.nan)
+
+
+def _whole_counts(values, name: str) -> np.ndarray:
+    """int64 copy of a count array; refuses entries that are not
+    finite whole numbers instead of truncating them."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
+        as_float = values.astype(float)
+        if not np.all(np.isfinite(as_float)) or np.any(as_float != np.floor(as_float)):
+            raise ValueError(f"{name} counts must be finite whole numbers")
+    return values.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class AgentCounts:
     """Susceptible and infected head counts per (node, class)."""
@@ -35,8 +59,8 @@ class AgentCounts:
     i: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.int64)
-        i = np.asarray(self.i, dtype=np.int64)
+        s = _whole_counts(self.s, "s")
+        i = _whole_counts(self.i, "i")
         if s.shape != i.shape or s.ndim != 2:
             raise ValueError(f"s and i must be equal-shape (n, m) matrices, "
                              f"got {s.shape} and {i.shape}")
@@ -56,10 +80,7 @@ class AgentCounts:
     def infected_fractions(self) -> np.ndarray:
         """Realized infected fraction per (node, class); NaN where the
         (node, class) cell is empty."""
-        tot = self.totals
-        with np.errstate(invalid="ignore", divide="ignore"):
-            frac = np.where(tot > 0, self.i / np.maximum(tot, 1), np.nan)
-        return frac
+        return _fractions(self.s, self.i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,9 +94,7 @@ class StochasticRun:
     i: np.ndarray          # (steps+1, n, m)
 
     def fractions(self) -> np.ndarray:
-        tot = self.s + self.i
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(tot > 0, self.i / np.maximum(tot, 1), np.nan)
+        return _fractions(self.s, self.i)
 
     def counts(self, k: int) -> AgentCounts:
         return AgentCounts(s=self.s[k], i=self.i[k])
@@ -93,48 +112,75 @@ def _check_step_size(spec: ModelSpec, h: float):
                 f"h = {h} times the largest {name} {worst} is not a valid probability")
 
 
-def _move_matrices(spec: ModelSpec, h: float) -> list:
-    """One-step relocation probabilities I + h Q per layer, with rows
-    renormalized to absorb float rounding in the stay probability."""
-    moves = []
-    for layer in spec.net.layers:
-        move = np.eye(spec.n) + h * layer.Q
-        move = np.clip(move, 0.0, None)
-        move /= move.sum(axis=1, keepdims=True)
-        moves.append(move)
-    return moves
+class _Kernel:
+    """Per-run constants of the step for counts stacked as (2, m, n).
+
+    Stacked cell c = (compartment * m + a) * n + i routes its leavers
+    through its own block of ``keys``: the cumulative routing weights
+    q^a_ij / nu^a_i over the positive off-diagonal entries of row i of
+    Q^a, shifted into (2c, 2c + 1] with the block's last entry exactly
+    2c + 1.  A leaver with uniform u in [0, 1) searches 2c + u on the
+    left, so it lands in its own block even where 2c + u rounds to
+    2c + 1; the gap up to the next block leaves no shared boundary.
+    """
+
+    def __init__(self, spec: ModelSpec, h: float):
+        n, m = spec.n, spec.m
+        Q = np.stack([layer.Q for layer in spec.net.layers])
+        rates = np.where((Q > 0) & ~np.eye(n, dtype=bool), Q, 0.0)
+        cumulative = np.cumsum(rates, axis=2)
+        nu = cumulative[:, :, -1]
+        # Row-major nonzeros come grouped by origin (a, i), destinations
+        # ascending; x / x == 1 exactly, so each block ends at 2c + 1.
+        a, i, j = np.nonzero(rates)
+        within = cumulative[a, i, j] / nu[a, i]
+        cell, dest = a * n + i, a * n + j
+        self.p_leave = h * nu                               # (m, n)
+        self.offsets = 2.0 * np.arange(2 * m * n)           # 2c per stacked cell
+        self.keys = np.concatenate([2.0 * (cell + k * m * n) + within for k in (0, 1)])
+        self.dest = np.concatenate([dest, dest + m * n])    # stacked cell per key
+        self.recover = h * spec.delta                       # (n,)
+
+
+def _check_counts(spec: ModelSpec, counts: AgentCounts):
+    if counts.s.shape != (spec.n, spec.m):
+        raise ValueError(f"counts must have shape (n, m) = ({spec.n}, {spec.m}), "
+                         f"got {counts.s.shape}")
 
 
 def step(spec: ModelSpec, counts: AgentCounts, h: float,
          rng: np.random.Generator) -> AgentCounts:
     """One mobility-then-epidemics update of the counts."""
     _check_step_size(spec, h)
-    s, i = np.empty_like(counts.s), np.empty_like(counts.i)
-    _step(spec, counts.s, counts.i, h, rng, _move_matrices(spec, h), s, i)
-    return AgentCounts(s=s, i=i)
+    _check_counts(spec, counts)
+    out = np.empty((2, spec.m, spec.n), dtype=np.int64)
+    _step(spec, np.stack((counts.s.T, counts.i.T)), h, rng, _Kernel(spec, h), out)
+    return AgentCounts(s=out[0].T, i=out[1].T)
 
 
-def _step(spec: ModelSpec, s: np.ndarray, i: np.ndarray, h: float,
-          rng: np.random.Generator, moves: list, s_out: np.ndarray, i_out: np.ndarray):
-    """Write the (n, m) int64 counts one step after (s, i) into s_out
-    and i_out."""
-    # Mobility: one multinomial row per origin node; column sums are the
-    # arrivals. Empty origins draw a zero row, so empty nodes are safe.
-    for a in range(spec.m):
-        s_out[:, a] = rng.multinomial(s[:, a], moves[a]).sum(axis=0)
-        i_out[:, a] = rng.multinomial(i[:, a], moves[a]).sum(axis=0)
+def _step(spec: ModelSpec, x: np.ndarray, h: float, rng: np.random.Generator,
+          kernel: _Kernel, out: np.ndarray):
+    """Write the (2, m, n) int64 counts one step after x into out."""
+    # Mobility: binomial leavers, each routed by one uniform draw. Empty
+    # cells draw no leavers, so empty nodes are safe.
+    leavers = rng.binomial(x, kernel.p_leave)
+    search = np.repeat(kernel.offsets, leavers.ravel())
+    search += rng.random(search.size)
+    arrivals = np.bincount(kernel.dest[np.searchsorted(kernel.keys, search)],
+                           minlength=x.size)
+    np.subtract(x, leavers, out=out)
+    out += arrivals.reshape(x.shape)
 
-    # Epidemics at the post-move populations.
-    tot = (s_out + i_out).sum(axis=1)
-    inf = i_out.sum(axis=1)
-    pbar = np.where(tot > 0, inf / np.maximum(tot, 1), 0.0)
-
-    p_infect = np.asarray(spec.beta) * pbar * h
-    p_recover = np.asarray(spec.delta) * h
-    new_inf = rng.binomial(s_out, p_infect[:, None])
-    new_rec = rng.binomial(i_out, p_recover[:, None])
-    s_out += new_rec - new_inf
-    i_out += new_inf - new_rec
+    # Epidemics at the post-move populations: row 0 draws infections
+    # among the susceptible, row 1 recoveries among the infected. An
+    # empty node has no infected, so its pbar is 0 / 1.
+    by_node = out.sum(axis=1)
+    pbar = by_node[1] / np.maximum(by_node[0] + by_node[1], 1)
+    p_flip = np.array((spec.beta * pbar * h, kernel.recover))
+    flips = rng.binomial(out, p_flip[:, None, :])
+    change = flips[1] - flips[0]
+    out[0] += change
+    out[1] -= change
 
 
 def simulate(spec: ModelSpec, initial: AgentCounts, t_end: float,
@@ -144,20 +190,19 @@ def simulate(spec: ModelSpec, initial: AgentCounts, t_end: float,
     if h <= 0:
         raise StepSizeError(f"simulate needs h > 0, got {h}")
     _check_step_size(spec, h)
+    _check_counts(spec, initial)
     steps = step_count(t_end, h)
     rng = np.random.default_rng(seed)
-    moves = _move_matrices(spec, h)
+    kernel = _Kernel(spec, h)
 
-    s_series = np.empty((steps + 1, spec.n, spec.m), dtype=np.int64)
-    i_series = np.empty((steps + 1, spec.n, spec.m), dtype=np.int64)
-    s_series[0] = initial.s
-    i_series[0] = initial.i
+    series = np.empty((steps + 1, 2, spec.m, spec.n), dtype=np.int64)
+    series[0] = (initial.s.T, initial.i.T)
     for k in range(steps):
-        _step(spec, s_series[k], i_series[k], h, rng, moves,
-              s_series[k + 1], i_series[k + 1])
+        _step(spec, series[k], h, rng, kernel, series[k + 1])
 
     t = h * np.arange(steps + 1)
-    return StochasticRun(seed=seed, h=h, t=t, s=s_series, i=i_series)
+    counts = series.transpose(1, 0, 3, 2)
+    return StochasticRun(seed=seed, h=h, t=t, s=counts[0], i=counts[1])
 
 
 def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
@@ -193,6 +238,8 @@ def seed_infections(populations: np.ndarray, p0: np.ndarray | float,
     fractions p0 as closely as integers allow (per class)."""
     populations = np.asarray(populations, dtype=np.int64)
     p = np.broadcast_to(np.asarray(p0, dtype=float).ravel(), (n * m,)).reshape(m, n).T
+    if np.any(np.isnan(p)):
+        raise ValueError("initial fractions p0 must be numbers, got NaN")
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("initial fractions p0 must lie in [0, 1]")
     infected = np.zeros_like(populations)
@@ -209,10 +256,14 @@ def write_stochastic_csv(run: StochasticRun, path, n: int, m: int, stride: int =
     """CSV with the deterministic trajectory columns (fractions and
     populations) plus the raw integer counts, sampled every ``stride``
     steps (the final step is always included)."""
-    frac = run.fractions()
-    tot = run.s + run.i
     last = len(run.t) - 1
-    rows = sorted(set(range(0, last + 1, max(1, stride))) | {last})
+    rows = np.unique(np.r_[0:last + 1:max(1, stride), last])
+    sus, inf = run.s[rows], run.i[rows]
+
+    def by_class(block):
+        return block.transpose(0, 2, 1).reshape(len(rows), n * m)
+
+    counts = np.concatenate([by_class(sus + inf), by_class(sus), by_class(inf)], axis=1)
     cols = (["t"]
             + [f"p[{a}][{i}]" for a in range(m) for i in range(n)]
             + [f"x[{a}][{i}]" for a in range(m) for i in range(n)]
@@ -220,10 +271,7 @@ def write_stochastic_csv(run: StochasticRun, path, n: int, m: int, stride: int =
             + [f"i[{a}][{i}]" for a in range(m) for i in range(n)])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in rows:
-            row = [format(run.t[k], ".17g")]
-            row += [format(val, ".17g") for val in frac[k].T.ravel()]
-            row += [str(int(val)) for val in tot[k].T.ravel()]
-            row += [str(int(val)) for val in run.s[k].T.ravel()]
-            row += [str(int(val)) for val in run.i[k].T.ravel()]
-            fh.write(",".join(row) + "\n")
+        for t, fracs, ints in zip(run.t[rows].tolist(),
+                                  by_class(_fractions(sus, inf)).tolist(), counts.tolist()):
+            fh.write(",".join([format(t, ".17g"), *[format(v, ".17g") for v in fracs],
+                               *map(str, ints)]) + "\n")

@@ -1,14 +1,46 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import sismob as sm
 from sismob.dynamics import SystemState
-from sismob.stochastic import (AgentCounts, seed_infections, simulate,
+from sismob.stochastic import (AgentCounts, StochasticRun, seed_infections, simulate,
                                stationary_counts, step, write_stochastic_csv)
 
 from conftest import random_spec
+
+
+def oracle_spec() -> sm.ModelSpec:
+    """m=2, n=4: an explicit layer with unequal rates, edges listed out
+    of origin order, plus a complete layer; the epidemic sub-step is the
+    identity up to beta = 1e-12."""
+    layer0 = sm.layer_from_edge_rates(4, [(2, 0, 0.3), (0, 1, 0.5), (3, 2, 0.2),
+                                          (1, 3, 0.35), (0, 3, 0.1), (1, 2, 0.4),
+                                          (2, 3, 0.15), (0, 2, 0.25), (3, 0, 0.45)])
+    layer1 = sm.preset_layer("complete", 4, 0.9)
+    net = sm.MultiLayerNetwork(layers=(layer0, layer1), N=np.array([620.0, 530.0]))
+    return sm.ModelSpec(net=net, beta=np.full(4, 1e-12), delta=np.zeros(4))
+
+
+ORACLE_COUNTS = AgentCounts(s=np.array([[300, 40], [0, 120], [80, 200], [35, 0]]),
+                            i=np.array([[20, 5], [60, 0], [0, 15], [10, 90]]))
+
+
+class PinnedUniforms:
+    """Generator stand-in: real binomial draws (kept in ``binomials``),
+    every uniform pinned to ``u``."""
+
+    def __init__(self, u: float, seed: int):
+        self.u, self.rng, self.binomials = u, np.random.default_rng(seed), []
+
+    def binomial(self, n, p):
+        self.binomials.append(self.rng.binomial(n, p))
+        return self.binomials[-1]
+
+    def random(self, size):
+        return np.full(size, self.u)
 
 
 def node_mean_fraction(run):
@@ -56,6 +88,52 @@ class TestStep:
         frac = counts.infected_fractions()
         assert np.isnan(frac[0, 0]) and frac[1, 0] == pytest.approx(5 / 55)
 
+    def test_mobility_matches_multinomial_mean_and_covariance(self):
+        # Arrivals of one step: for class a and compartment counts c,
+        # mean c P and covariance sum_i c_i (diag P_i - P_i P_i^T) with
+        # P = I + h Q^a. 16 mean and 64 covariance z-scores, each within
+        # 4.5 (a false failure per score has probability ~7e-6).
+        spec, h, samples = oracle_spec(), 0.5, 10000
+        rng = np.random.default_rng(2024)
+        draws = np.empty((samples, 2, spec.m, spec.n))
+        for k in range(samples):
+            out = step(spec, ORACLE_COUNTS, h, rng)
+            draws[k] = (out.s.T, out.i.T)
+        for comp, start in enumerate((ORACLE_COUNTS.s.T, ORACLE_COUNTS.i.T)):
+            for a, layer in enumerate(spec.net.layers):
+                c, P = start[a], np.eye(spec.n) + h * layer.Q
+                mean = c @ P
+                cov = sum(c[i] * (np.diag(P[i]) - np.outer(P[i], P[i]))
+                          for i in range(spec.n))
+                x = draws[:, comp, a]
+                var = np.diag(cov)
+                z_mean = (x.mean(axis=0) - mean) / np.sqrt(var / samples)
+                z_cov = ((np.cov(x, rowvar=False) - cov)
+                         / np.sqrt((np.outer(var, var) + cov ** 2) / samples))
+                assert np.all(np.abs(z_mean) < 4.5), (comp, a, z_mean)
+                assert np.all(np.abs(z_cov) < 4.5), (comp, a, z_cov)
+
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0 ** -53])
+    def test_extreme_uniforms_route_inside_the_origin_row(self, u):
+        # Generator.random lies in [0, 1 - 2**-53]: the smallest draw
+        # must pick each origin's first destination, the largest its last.
+        spec, h = oracle_spec(), 0.5
+        rng = PinnedUniforms(u, seed=5)
+        out = step(spec, ORACLE_COUNTS, h, rng)
+        leavers, flips = rng.binomials
+        assert not np.any(flips)
+        expected = np.stack((ORACLE_COUNTS.s.T, ORACLE_COUNTS.i.T)) - leavers
+        for a, layer in enumerate(spec.net.layers):
+            for i in range(spec.n):
+                targets = [j for j in range(spec.n) if j != i and layer.Q[i, j] > 0]
+                expected[:, a, targets[0] if u == 0.0 else targets[-1]] += leavers[:, a, i]
+        assert np.array_equal(out.s.T, expected[0]) and np.array_equal(out.i.T, expected[1])
+
+    def test_counts_of_the_wrong_shape_are_refused(self, two_node_spec):
+        counts = AgentCounts(s=np.full((2, 2), 10), i=np.ones((2, 2)))
+        with pytest.raises(ValueError, match=r"shape \(n, m\) = \(2, 1\), got \(2, 2\)"):
+            step(two_node_spec, counts, 0.01, np.random.default_rng(0))
+
 
 class TestSimulate:
     def test_degenerate_rates_give_constant_series(self):
@@ -86,6 +164,20 @@ class TestSimulate:
         run = simulate(spec, init, 10.0, h=0.01, seed=3)
         class_totals = (run.s + run.i).sum(axis=1)
         assert np.all(class_totals == class_totals[0])
+
+    def test_class_totals_exact_on_every_row_with_three_classes(self):
+        spec = random_spec(np.random.default_rng(12), n=6, m=3)
+        init = seed_infections(stationary_counts(spec), 0.1, spec.n, spec.m)
+        run = simulate(spec, init, 5.0, h=0.01, seed=8)
+        assert np.all(run.s >= 0) and np.all(run.i >= 0)
+        class_totals = (run.s + run.i).sum(axis=1)
+        assert np.all(class_totals == np.round(spec.net.N).astype(np.int64))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 1)])
+    def test_counts_of_the_wrong_shape_are_refused(self, two_node_spec, shape):
+        init = AgentCounts(s=np.full(shape, 10), i=np.ones(shape))
+        with pytest.raises(ValueError, match=r"shape \(n, m\) = \(2, 1\), got " + re.escape(str(shape))):
+            simulate(two_node_spec, init, 1.0, h=0.01, seed=0)
 
     def test_mean_field_gap_shrinks_with_population(self):
         # ODE trajectory vs across-seed mean at class populations 1e2..1e4
@@ -134,7 +226,49 @@ class TestInitialConditions:
         assert np.array_equal(counts.s + counts.i, pops)
 
 
+    def test_nan_fractions_are_refused(self):
+        with pytest.raises(ValueError, match="p0 must be numbers, got NaN"):
+            seed_infections(np.full((2, 1), 10), np.nan, 2, 1)
+
+
+class TestAgentCounts:
+    @pytest.mark.parametrize("s, i", [
+        ([[2.7], [3.9]], [[0.5], [1.2]]),
+        ([[2.0], [np.nan]], [[0.0], [1.0]]),
+        ([[2.0], [3.0]], [[np.inf], [1.0]]),
+    ])
+    def test_non_whole_counts_are_refused(self, s, i):
+        with pytest.raises(ValueError, match="finite whole numbers"):
+            AgentCounts(s=s, i=i)
+
+    def test_whole_float_counts_are_kept(self):
+        counts = AgentCounts(s=[[2.0], [3.0]], i=[[0.0], [1.0]])
+        assert counts.s.dtype == np.int64 and counts.s.tolist() == [[2], [3]]
+
+
+PINNED_CSV = """\
+t,p[0][0],p[0][1],p[1][0],p[1][1],x[0][0],x[0][1],x[1][0],x[1][1],\
+s[0][0],s[0][1],s[1][0],s[1][1],i[0][0],i[0][1],i[1][0],i[1][1]
+0,0,1,nan,0.22222222222222221,3,1,0,9,3,0,0,7,0,1,0,2
+0.20000000000000001,0.33333333333333331,0,1,0.375,3,1,1,8,2,1,0,5,1,0,1,3
+0.40000000000000002,1,0,nan,0.5714285714285714,3,4,0,7,0,4,0,3,3,0,0,4
+0.5,1,0.25,0.5,0.5714285714285714,2,4,2,7,0,3,1,3,2,1,1,4
+"""
+
+
 class TestCsvExport:
+    def test_bytes_are_pinned(self, tmp_path):
+        # n=2, m=2, an empty cell, and a stride that does not divide the
+        # last step (rows 0, 2, 4 and the final 5).
+        s = np.array([[[3, 0], [0, 7]], [[2, 1], [0, 6]], [[2, 0], [1, 5]],
+                      [[1, 0], [2, 5]], [[0, 0], [4, 3]], [[0, 1], [3, 3]]])
+        i = np.array([[[0, 0], [1, 2]], [[1, 0], [1, 2]], [[1, 1], [0, 3]],
+                      [[2, 1], [0, 3]], [[3, 0], [0, 4]], [[2, 1], [1, 4]]])
+        run = StochasticRun(seed=7, h=0.1, t=0.1 * np.arange(6), s=s, i=i)
+        path = tmp_path / "pinned.csv"
+        write_stochastic_csv(run, path, 2, 2, stride=2)
+        assert path.read_bytes() == PINNED_CSV.encode()
+
     def test_columns_and_missing_fractions(self, two_node_spec, tmp_path):
         init = AgentCounts(s=np.array([[0], [90]]), i=np.array([[0], [10]]))
         run = simulate(two_node_spec, init, 0.5, h=0.01, seed=1)
