@@ -16,7 +16,9 @@ Each tree runs ``sismob.cli.main`` in its own subprocess, with that tree's
 
 Each scenario gets ``analyze``, ``run --t-end 2`` and three ``sweep`` grids:
 ``beta=0.05:0.6:9``, ``delta=-0.05:0.6:9`` (its negative point is a failing
-row) and ``rate_scale=0.05:1.5:6``.  Every call's exit code, stdout and
+row) and ``rate_scale=0.05:1.5:6``.  Two more calls carry the overrides
+``--dt 0.02 --t-end 2 --seed 3``: an ``analyze`` and a ``sweep`` over
+``beta=0.05:0.6:3``.  Every call's exit code, stdout and
 stderr are saved next to its output files.  The script then compares the
 sha256 of every file, lists each file that differs or exists on one side
 only, and exits with 1 on any difference, 0 when all files are identical.
@@ -35,6 +37,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 SIZES = (10, 40, 80, 160)
 GRIDS = ("beta=0.05:0.6:9", "delta=-0.05:0.6:9", "rate_scale=0.05:1.5:6")
+OVERRIDES = ["--dt", "0.02", "--t-end", "2", "--seed", "3"]
 
 # Runs in the subprocess: reads [job name, argv] pairs from stdin and writes
 # each job's files under out/<job name>/ relative to its working directory,
@@ -96,6 +99,9 @@ def jobs(scenario_dir: Path) -> list:
         for grid in GRIDS:
             field = grid.split("=")[0]
             out.append((f"{path.stem}/sweep_{field}", ["sweep", *scenario, "--grid", grid]))
+        out.append((f"{path.stem}/analyze_overrides", ["analyze", *scenario, *OVERRIDES]))
+        out.append((f"{path.stem}/sweep_overrides",
+                    ["sweep", *scenario, *OVERRIDES, "--grid", "beta=0.05:0.6:3"]))
     return out
 
 

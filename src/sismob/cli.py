@@ -20,7 +20,7 @@ from . import __version__
 from .dynamics import integrate, write_trajectory_csv
 from .equilibria import classify, equilibrium_matrices, threshold
 from .errors import ScenarioError
-from .scenario import Scenario, initial_state, load_scenario, parse_scenario
+from .scenario import Scenario, initial_state, parse_scenario, read_document
 from .stochastic import seed_infections, simulate, stationary_counts, write_stochastic_csv
 
 
@@ -46,32 +46,32 @@ def _manifest(scenario: Scenario, command: str, outputs: list) -> dict:
     }
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    doc = dict(scenario.resolved)
-    changed = False
+def _document(args):
+    """The scenario document with the --dt, --t-end and --seed overrides
+    applied; a document or ``stochastic`` block that is not an object is
+    left for ``parse_scenario`` to name."""
+    doc = read_document(args.scenario)
+    if not isinstance(doc, dict):
+        return doc
     if args.dt is not None:
         doc["dt"] = args.dt
-        changed = True
-    if getattr(args, "t_end", None) is not None:
+    if args.t_end is not None:
         doc["t_end"] = args.t_end
-        changed = True
-    if getattr(args, "seed", None):
-        doc["stochastic"] = {**doc["stochastic"], "seeds": args.seed, "enabled": True}
-        changed = True
-    if not changed:
-        return scenario
-    return parse_scenario(doc)
+    stochastic = doc.get("stochastic", {})
+    if args.seed and isinstance(stochastic, dict):
+        doc["stochastic"] = {**stochastic, "seeds": args.seed, "enabled": True}
+    return doc
 
 
 def _cmd_validate(args) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = parse_scenario(_document(args))
     print(f"scenario {scenario.name!r} is valid "
           f"(n={scenario.spec.n}, m={scenario.spec.m})")
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = parse_scenario(_document(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     analysis_path = out / f"{scenario.name}_analysis.json"
@@ -83,7 +83,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = parse_scenario(_document(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -159,16 +159,8 @@ def _grid_point_doc(doc: dict, field: str, value: float) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        try:
-            raw_doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"scenario file: invalid JSON ({exc})") from exc
-    scenario = _apply_overrides(parse_scenario(raw_doc), args)
-    if args.dt is not None:
-        raw_doc["dt"] = args.dt
-    if args.t_end is not None:
-        raw_doc["t_end"] = args.t_end
+    doc = _document(args)
+    scenario = parse_scenario(doc)
     field, values = _parse_grid(args.grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -176,7 +168,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for idx, value in enumerate(values):
         try:
-            point = parse_scenario(_grid_point_doc(raw_doc, field, float(value)))
+            point = parse_scenario(_grid_point_doc(doc, field, float(value)))
             mu, r0, classification = threshold(equilibrium_matrices(point.spec))
             rows.append([idx, value, mu, "" if r0 is None else r0,
                          classification, ""])

@@ -31,6 +31,7 @@ from .network import MultiLayerNetwork, _frozen_array
 
 CLAMP_TOL = 1e-9
 DEFAULT_DT = 0.01
+SETTLE_CHUNK = 50.0
 STEP_COUNT_RTOL = 1e-9
 
 
@@ -108,14 +109,12 @@ class AssembledMatrices:
     """Dense model matrices at a population vector x.
 
     F (nm x nm) holds the node-share weights, L the block-diagonal flow
-    matrix, and M = I - F the Laplacian complement of F.  ``pbar`` is
-    the node-level infected fraction (only when p was supplied).
+    matrix, and M = I - F the Laplacian complement of F.
     """
 
     F: np.ndarray
     L: np.ndarray
     M: np.ndarray
-    pbar: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,16 +124,14 @@ class Trajectory:
     t: np.ndarray
     p: np.ndarray
     x: np.ndarray
-    kind: str = "deterministic"
     dt: float = DEFAULT_DT
-    seed: int | None = None
 
     def state(self, k: int) -> SystemState:
         return SystemState(t=float(self.t[k]), p=self.p[k], x=self.x[k])
 
 
-def assemble(spec: ModelSpec, x: np.ndarray, p: np.ndarray | None = None) -> AssembledMatrices:
-    """Build F(x), L(x), M = I - F(x) and, when p is given, pbar."""
+def assemble(spec: ModelSpec, x: np.ndarray) -> AssembledMatrices:
+    """Build F(x), L(x) and M = I - F(x)."""
     n, m, nm = spec.n, spec.m, spec.nm
     x = np.asarray(x, dtype=float)
     if x.shape != (nm,):
@@ -156,15 +153,7 @@ def assemble(spec: ModelSpec, x: np.ndarray, p: np.ndarray | None = None) -> Ass
         L[a * n:(a + 1) * n, a * n:(a + 1) * n] = block
 
     M = np.eye(nm) - F
-
-    pbar = None
-    if p is not None:
-        p = np.asarray(p, dtype=float)
-        if p.shape != (nm,):
-            raise ValueError(f"p must have length nm={nm}, got shape {p.shape}")
-        pbar = (shares * p.reshape(m, n)).sum(axis=0)
-
-    return AssembledMatrices(F=F, L=L, M=M, pbar=pbar)
+    return AssembledMatrices(F=F, L=L, M=M)
 
 
 class _Workspace:
@@ -268,22 +257,20 @@ def integrate(spec: ModelSpec, initial: SystemState, t_end: float,
             ps.append(P.ravel())
             xs.append(X.flatten())
 
-    return Trajectory(t=np.array(ts), p=np.array(ps), x=np.array(xs),
-                      kind="deterministic", dt=dt, seed=None)
+    return Trajectory(t=np.array(ts), p=np.array(ps), x=np.array(xs), dt=dt)
 
 
 def integrate_until_settled(spec: ModelSpec, initial: SystemState,
                             dt: float = DEFAULT_DT, t_max: float = 5000.0,
-                            settle_tol: float = 1e-9,
-                            chunk: float = 50.0) -> SystemState:
-    """Integrate in chunks until ||dp/dt||_inf and ||dx/dt||_inf drop
-    below ``settle_tol``, returning the settled state.
+                            settle_tol: float = 1e-9) -> SystemState:
+    """Integrate in SETTLE_CHUNK-long chunks until ||dp/dt||_inf and
+    ||dx/dt||_inf drop below ``settle_tol``, returning the settled state.
 
     Raises :class:`IntegrationError` if the horizon ``t_max`` is reached
     before the derivative settles.
     """
     state, ws = initial, _Workspace(spec)
-    chunk_steps = max(1, int(round(chunk / dt)))
+    chunk_steps = max(1, int(round(SETTLE_CHUNK / dt)))
     while state.t < t_max:
         steps = min(chunk_steps, int(round((t_max - state.t) / dt)))
         if steps < 1:

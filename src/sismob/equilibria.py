@@ -34,6 +34,7 @@ MU_TIE_TOL = 1e-10
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITER = 100_000
 RESIDUAL_TOL = 1e-8
+MARGIN_SLACK = 1e-9
 # Floating-point guard when deciding the lambda2 sufficient condition;
 # instances built to satisfy it with equality must not flip sign.
 CONDITION_EVAL_TOL = 1e-12
@@ -171,9 +172,7 @@ def _lambda2(mats: EquilibriumMatrices):
 
 
 def endemic_fixed_point(spec: ModelSpec, mats: EquilibriumMatrices | None = None,
-                        mu: float | None = None,
-                        tol: float = FIXED_POINT_TOL,
-                        max_iter: int = FIXED_POINT_MAX_ITER) -> np.ndarray:
+                        mu: float | None = None) -> np.ndarray:
     """Endemic infected fractions p* >> 0, by monotone fixed-point
     iteration from p = 1.
 
@@ -192,11 +191,11 @@ def endemic_fixed_point(spec: ModelSpec, mats: EquilibriumMatrices | None = None
     if mu <= MU_TIE_TOL:
         raise ValueError(f"no endemic equilibrium: threshold mu = {mu:.3e} is not positive")
     p = np.ones(mats.A.shape[0])
-    for _ in range(max_iter):
+    for _ in range(FIXED_POINT_MAX_ITER):
         p_next = apply_infection_map(mats, p)
         step = float(np.max(np.abs(p_next - p)))
         p = p_next
-        if step <= tol:
+        if step <= FIXED_POINT_TOL:
             break
     else:
         raise ConvergenceError(
@@ -242,7 +241,7 @@ def stability_conditions(spec: ModelSpec, mats: EquilibriumMatrices | None = Non
     n, m, nm = spec.n, spec.m, spec.nm
 
     nu = np.stack([layer.exit_rates for layer in spec.net.layers])  # (m, n)
-    nec_per_node = [bool(np.any(delta[i] > beta[i] - nu[:, i])) for i in range(n)]
+    nec_per_node = np.any(delta > beta - nu, axis=0).tolist()
     nec_exists = bool(np.any(delta >= beta))
     suf_all = bool(np.all(delta >= beta))
 
@@ -293,8 +292,7 @@ def classify(spec: ModelSpec) -> EquilibriumReport:
                              marginal=marginal, p_star=p_star, conditions=conditions)
 
 
-def margin_recovery_rates(net, beta, s_factor: float, deficit_nodes,
-                          slack: float = 1e-9):
+def margin_recovery_rates(net, beta, s_factor: float, deficit_nodes):
     """Recovery rates that stabilize the disease-free state despite a
     recovery deficit at chosen nodes.
 
@@ -303,8 +301,8 @@ def margin_recovery_rates(net, beta, s_factor: float, deficit_nodes,
     worst deficit to s = s_factor * s_lower (s_factor in (0, 1)), puts
     delta_i = beta_i + s at the deficit nodes, and solves the condition
     with equality for the uniform extra recovery d at all other nodes,
-    inflated by a relative ``slack`` so the condition holds robustly in
-    floating point.
+    inflated by the relative MARGIN_SLACK so the condition holds
+    robustly in floating point.
 
     Returns (delta, info) where info carries lambda2, s_lower, s, d.
     """
@@ -334,7 +332,7 @@ def margin_recovery_rates(net, beta, s_factor: float, deficit_nodes,
     deficit_mask = np.zeros(n, dtype=bool)
     deficit_mask[deficit_nodes] = True
     w_rest = float(w @ np.tile(~deficit_mask, m))
-    d = (target / w_rest) * (1.0 + slack)
+    d = (target / w_rest) * (1.0 + MARGIN_SLACK)
 
     delta = beta + s + np.where(deficit_mask, 0.0, d)
     info = {"lambda2": lambda2, "s_lower": float(s_lower), "s": float(s), "d": float(d)}

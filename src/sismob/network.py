@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,14 @@ class MobilityLayer:
     def exit_rates(self) -> np.ndarray:
         """Total rate of leaving each patch (nu_i = -q_ii)."""
         return -np.diag(self.Q)
+
+    @cached_property
+    def stationary(self) -> np.ndarray:
+        """Read-only certified stationary law, computed once per layer by
+        ``stationary_distribution`` (which raises as it does)."""
+        v = stationary_distribution(self)
+        v.setflags(write=False)
+        return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +232,7 @@ def stationary_distribution(layer: MobilityLayer) -> np.ndarray:
 
 def network_stationary(net: MultiLayerNetwork) -> StationaryDistribution:
     """Stationary laws of all layers plus the stacked population vector."""
-    per_layer = tuple(stationary_distribution(layer) for layer in net.layers)
+    per_layer = tuple(layer.stationary for layer in net.layers)
     v = np.concatenate([net.N[a] * per_layer[a] for a in range(net.m)])
     return StationaryDistribution(per_layer, _frozen_array(v))
 

@@ -44,10 +44,10 @@ import numpy as np
 from . import graphs
 from .dynamics import ModelSpec, SystemState, step_count
 from .equilibria import margin_recovery_rates
-from .errors import ScenarioError, StepSizeError
+from .errors import (MalformedGeneratorError, NotStronglyConnectedError, ScenarioError,
+                     StepSizeError)
 from .network import (MobilityLayer, MultiLayerNetwork, layer_from_edge_rates,
-                      metropolis_hastings_rates, network_stationary, preset_layer,
-                      validate_layer)
+                      metropolis_hastings_rates, network_stationary, preset_layer)
 from .stochastic import _check_step_size
 
 _DEFAULTS = {
@@ -79,13 +79,17 @@ class Scenario:
     resolved: dict   # explicit form of every input, for the manifest
 
 
-def load_scenario(path) -> Scenario:
+def read_document(path):
+    """The raw JSON document of a scenario file, not yet checked."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"scenario file: invalid JSON ({exc})") from exc
-    return parse_scenario(doc)
+
+
+def load_scenario(path) -> Scenario:
+    return parse_scenario(read_document(path))
 
 
 def _require(doc: dict, key: str):
@@ -176,9 +180,10 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError(f"layers: expected a list of m={m} layer specs")
     layers = [_build_layer(entry, n, k) for k, entry in enumerate(layers_doc)]
     for k, layer in enumerate(layers):
-        report = validate_layer(layer)
-        if not report.ok:
-            raise ScenarioError(f"layers[{k}]: " + "; ".join(report.messages))
+        try:
+            layer.stationary  # validates and certifies the layer once
+        except (MalformedGeneratorError, NotStronglyConnectedError) as exc:
+            raise ScenarioError(f"layers[{k}]: {exc}") from exc
 
     N = _as_vector(_require(doc, "N"), m, "N")
     if np.any(N <= 0):

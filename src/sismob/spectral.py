@@ -20,6 +20,7 @@ from .network import left_null_vector
 
 EIG_TOL = 1e-10
 METZLER_TOL = 1e-12
+SEMI_POSITIVE_TOL = 1e-12
 
 
 @dataclass
@@ -116,7 +117,7 @@ class MMatrixReport:
     agree: bool
 
 
-def mmatrix_checks(A: np.ndarray, tol: float = EIG_TOL) -> MMatrixReport:
+def mmatrix_checks(A: np.ndarray) -> MMatrixReport:
     """Evaluate the stability / inverse-positivity / semi-positivity
     characterizations of a Z-matrix independently and report agreement."""
     A = np.asarray(A, dtype=float)
@@ -126,8 +127,8 @@ def mmatrix_checks(A: np.ndarray, tol: float = EIG_TOL) -> MMatrixReport:
         raise ValueError("matrix is not a Z-matrix: positive off-diagonal entry")
 
     mu_neg = spectral_abscissa(-A).mu
-    stability = mu_neg < -tol
-    singular = abs(mu_neg) <= tol
+    stability = mu_neg < -EIG_TOL
+    singular = abs(mu_neg) <= EIG_TOL
 
     inverse_positive = None
     if not singular:
@@ -147,7 +148,7 @@ def mmatrix_checks(A: np.ndarray, tol: float = EIG_TOL) -> MMatrixReport:
                          float(mu_neg), agree)
 
 
-def _semi_positivity(A: np.ndarray, tol: float = 1e-12) -> bool:
+def _semi_positivity(A: np.ndarray) -> bool:
     """Test for x >> 0 with Ax >> 0 using Perron vectors of -A.
 
     The candidate is assembled per strongly connected component of A's
@@ -160,7 +161,7 @@ def _semi_positivity(A: np.ndarray, tol: float = 1e-12) -> bool:
         if y is None:
             return False
         x[idx] = y
-    if x.min() <= tol:
+    if x.min() <= SEMI_POSITIVE_TOL:
         return False
     w = A @ x
-    return bool(w.min() > tol * max(1.0, float(np.max(np.abs(A)))))
+    return bool(w.min() > SEMI_POSITIVE_TOL * max(1.0, float(np.max(np.abs(A)))))

@@ -29,6 +29,7 @@ import numpy as np
 
 from .dynamics import ModelSpec, step_count
 from .errors import StepSizeError
+from .network import network_stationary
 
 DEFAULT_H = 0.01
 
@@ -100,10 +101,19 @@ class StochasticRun:
         return AgentCounts(s=self.s[k], i=self.i[k])
 
 
+def _moves(spec: ModelSpec):
+    """(m, n, n) positive off-diagonal rates of every Q^a, the ones a step
+    moves individuals with, and their row-wise cumulative sums, whose
+    last column is the leave rate nu^a_i."""
+    Q = np.stack([layer.Q for layer in spec.net.layers])
+    rates = np.where((Q > 0) & ~np.eye(spec.n, dtype=bool), Q, 0.0)
+    return rates, np.cumsum(rates, axis=2)
+
+
 def _check_step_size(spec: ModelSpec, h: float):
     if h < 0:
         raise StepSizeError(f"h must be nonnegative, got {h}")
-    max_nu = max(float(layer.exit_rates.max()) for layer in spec.net.layers)
+    max_nu = float(_moves(spec)[1][:, :, -1].max())
     for name, worst in (("exit rate", max_nu),
                         ("infection rate", float(np.max(spec.beta))),
                         ("recovery rate", float(np.max(spec.delta)))):
@@ -126,9 +136,7 @@ class _Kernel:
 
     def __init__(self, spec: ModelSpec, h: float):
         n, m = spec.n, spec.m
-        Q = np.stack([layer.Q for layer in spec.net.layers])
-        rates = np.where((Q > 0) & ~np.eye(n, dtype=bool), Q, 0.0)
-        cumulative = np.cumsum(rates, axis=2)
+        rates, cumulative = _moves(spec)
         nu = cumulative[:, :, -1]
         # Row-major nonzeros come grouped by origin (a, i), destinations
         # ascending; x / x == 1 exactly, so each block ends at 2c + 1.
@@ -223,8 +231,6 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
 def stationary_counts(spec: ModelSpec) -> np.ndarray:
     """Integer (n, m) populations matching the stationary distribution,
     exact per-class totals."""
-    from .network import network_stationary
-
     stat = network_stationary(spec.net)
     x = np.zeros((spec.n, spec.m), dtype=np.int64)
     for a in range(spec.m):

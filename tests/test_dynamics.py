@@ -94,9 +94,11 @@ class TestAssemble:
         spec = random_spec(rng)
         x = rng.uniform(0.5, 5.0, size=spec.nm)
         p = rng.uniform(0.0, 1.0, size=spec.nm)
-        mats = sm.assemble(spec, x, p)
+        mats = sm.assemble(spec, x)
+        X, P = x.reshape(spec.m, spec.n), p.reshape(spec.m, spec.n)
+        pbar = (X * P).sum(axis=0) / X.sum(axis=0)
         assert np.max(np.abs(mats.F.sum(axis=1) - 1.0)) <= 1e-13
-        assert np.allclose(mats.F @ p, np.tile(mats.pbar, spec.m), rtol=0.0, atol=1e-14)
+        assert np.allclose(mats.F @ p, np.tile(pbar, spec.m), rtol=0.0, atol=1e-14)
 
 
 class TestRhs:

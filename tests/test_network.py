@@ -126,6 +126,22 @@ class TestStationaryDistribution:
         with pytest.raises(sm.NotStronglyConnectedError):
             sm.stationary_distribution(layer)
 
+    def test_layer_law_is_kept_read_only(self):
+        layer = sm.preset_layer("line", 4, 0.2)
+        v = layer.stationary
+        assert layer.stationary is v
+        assert np.array_equal(v, sm.stationary_distribution(layer))
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+
+    def test_layer_law_raises_as_the_uncached_routine(self):
+        layer = sm.MobilityLayer(n=2, edges=((0, 1),),
+                                 Q=np.array([[-0.2, 0.2], [0.0, 0.0]]))
+        for _ in range(2):  # a failure is not cached
+            with pytest.raises(sm.NotStronglyConnectedError):
+                layer.stationary
+
 
 class TestLayerFromEdgeRates:
     def test_duplicate_edge_names_the_edge(self):

@@ -108,6 +108,22 @@ class TestScenarioParsing:
         assert main(["validate", "--scenario", str(path)]) == 2
         assert f"scenario error: {field}:" in capsys.readouterr().err
 
+    def test_each_layer_is_validated_once(self, monkeypatch):
+        # load, classify and stationary counts share each layer's law
+        calls = []
+        original = sm.network.validate_layer
+
+        def counting(layer):
+            calls.append(layer)
+            return original(layer)
+
+        monkeypatch.setattr(sm.network, "validate_layer", counting)
+        scenario = sm.load_scenario(SCENARIOS / "fig1_complete_line.json")
+        sm.classify(scenario.spec)
+        sm.stationary_counts(scenario.spec)
+        assert len(calls) == scenario.spec.m
+        assert {id(layer) for layer in calls} == {id(layer) for layer in scenario.spec.net.layers}
+
     def test_delta_rule_resolves_to_explicit_vector(self):
         scenario = sm.load_scenario(SCENARIOS / "fig3_lambda2.json")
         assert scenario.resolved["delta_rule"]["rule"] == "lambda2_sufficient"
@@ -179,6 +195,17 @@ class TestCli:
             assert ("scenario error: stochastic.h: h = 5.0 times the largest "
                     "infection rate 0.3" in capsys.readouterr().err)
             assert not out.exists()
+
+    def test_validate_applies_overrides(self, tmp_path, capsys):
+        scalar = tmp_path / "scalar.json"
+        scalar.write_text(json.dumps(scalar_doc()))
+        assert main(["validate", "--scenario", str(scalar), "--t-end", "3.333"]) == 2
+        assert "scenario error: t_end: t_end = 3.333" in capsys.readouterr().err
+        disabled = tmp_path / "disabled.json"
+        disabled.write_text(json.dumps(
+            scalar_doc(stochastic={"enabled": False, "h": 5.0, "seeds": [1]})))
+        assert main(["validate", "--scenario", str(disabled), "--seed", "1"]) == 2
+        assert "scenario error: stochastic.h: h = 5.0" in capsys.readouterr().err
 
     def test_run_writes_bundle(self, tmp_path):
         doc = scalar_doc(t_end=2.0,
@@ -303,6 +330,23 @@ class TestCli:
         assert len(rows) == 3
         assert "ScenarioError" in rows[0]
         assert rows[-1].split(",")[4] == "DFE_unstable_EE_exists"
+
+    def test_sweep_points_get_the_seed_override(self, tmp_path):
+        # --seed enables stochastic runs at every point, so h = 0.01 is
+        # checked against each point's beta: beta * h >= 1 from beta = 100
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps(scalar_doc()))
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
+                     "--seed", "1", "--grid", "beta=50:150:3"]) == 0
+        rows = (out / "scalar_sweep.csv").read_text().splitlines()[1:]
+        assert rows[0].startswith("0,50,") and rows[0].endswith(",DFE_unstable_EE_exists,")
+        for row, beta in zip(rows[1:], ("100", "150")):
+            assert row == (f"{row[0]},{beta},,,,\"ScenarioError: stochastic.h: h = 0.01 "
+                           f"times the largest infection rate {beta}.0 is not a valid "
+                           f"probability\"")
+        manifest = json.loads((out / "scalar_manifest.json").read_text())
+        assert manifest["scenario"]["stochastic"]["seeds"] == [1]
 
     def test_sweep_propagates_programming_errors(self, tmp_path, monkeypatch):
         # only the package's own (ValueError/RuntimeError) failures are sweep data

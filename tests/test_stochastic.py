@@ -79,6 +79,19 @@ class TestStep:
         with pytest.raises(sm.StepSizeError):
             step(two_node_spec, counts, 5.0, np.random.default_rng(0))
 
+    def test_step_size_is_checked_against_the_drawn_leave_rate(self):
+        # -diag(Q) = (0.5, 0.3) but the step draws leavers at the positive
+        # off-diagonal row sum (2.0, 0.3): h = 0.9 is too large.
+        layer = sm.MobilityLayer(n=2, edges=((0, 1), (1, 0)),
+                                 Q=np.array([[-0.5, 2.0], [0.3, -0.3]]))
+        net = sm.MultiLayerNetwork(layers=(layer,), N=np.array([100.0]))
+        spec = sm.ModelSpec(net=net, beta=np.full(2, 0.3), delta=np.full(2, 0.1))
+        counts = AgentCounts(s=np.array([[45], [45]]), i=np.array([[5], [5]]))
+        with pytest.raises(sm.StepSizeError, match="exit rate 2.0"):
+            step(spec, counts, 0.9, np.random.default_rng(0))
+        with pytest.raises(sm.StepSizeError, match="exit rate 2.0"):
+            simulate(spec, counts, 0.9, h=0.9, seed=0)
+
     def test_empty_node_is_safe(self, two_node_spec):
         counts = AgentCounts(s=np.array([[0], [50]]), i=np.array([[0], [5]]))
         rng = np.random.default_rng(4)
