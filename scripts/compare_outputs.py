@@ -14,9 +14,9 @@ Each tree runs ``sismob.cli.main`` in its own subprocess, with that tree's
   seeds) at n = 10, 40, 80 and 160;
 - the n = 80 one again with ``delta`` from the ``lambda2_sufficient`` rule.
 
-Each scenario gets ``analyze``, ``run --t-end 2`` and three ``sweep`` grids:
-``beta=0.05:0.6:9``, ``delta=-0.05:0.6:9`` (its negative point is a failing
-row) and ``rate_scale=0.05:1.5:6``.  Two more calls carry the overrides
+Each scenario gets ``analyze``, ``run --t-end 2`` and four ``sweep`` grids:
+``beta=0.05:0.6:9``, ``rate_scale=0.05:1.5:6``, and ``beta=-0.05:0.6:9`` and
+``delta=-0.05:0.6:9``, whose first points are failing rows.  Two more calls carry the overrides
 ``--dt 0.02 --t-end 2 --seed 3``: an ``analyze`` and a ``sweep`` over
 ``beta=0.05:0.6:3``.  Every call's exit code, stdout and
 stderr are saved next to its output files.  The script then compares the
@@ -36,7 +36,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SIZES = (10, 40, 80, 160)
-GRIDS = ("beta=0.05:0.6:9", "delta=-0.05:0.6:9", "rate_scale=0.05:1.5:6")
+# job name -> grid
+GRIDS = {"beta": "beta=0.05:0.6:9", "beta_from_negative": "beta=-0.05:0.6:9",
+         "delta": "delta=-0.05:0.6:9", "rate_scale": "rate_scale=0.05:1.5:6"}
 OVERRIDES = ["--dt", "0.02", "--t-end", "2", "--seed", "3"]
 
 # Runs in the subprocess: reads [job name, argv] pairs from stdin and writes
@@ -96,9 +98,8 @@ def jobs(scenario_dir: Path) -> list:
         scenario = ["--scenario", str(path)]
         out.append((f"{path.stem}/analyze", ["analyze", *scenario]))
         out.append((f"{path.stem}/run", ["run", *scenario, "--t-end", "2"]))
-        for grid in GRIDS:
-            field = grid.split("=")[0]
-            out.append((f"{path.stem}/sweep_{field}", ["sweep", *scenario, "--grid", grid]))
+        for job, grid in GRIDS.items():
+            out.append((f"{path.stem}/sweep_{job}", ["sweep", *scenario, "--grid", grid]))
         out.append((f"{path.stem}/analyze_overrides", ["analyze", *scenario, *OVERRIDES]))
         out.append((f"{path.stem}/sweep_overrides",
                     ["sweep", *scenario, *OVERRIDES, "--grid", "beta=0.05:0.6:3"]))

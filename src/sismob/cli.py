@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,7 +21,8 @@ from . import __version__
 from .dynamics import integrate, write_trajectory_csv
 from .equilibria import classify, equilibrium_matrices, threshold
 from .errors import ScenarioError
-from .scenario import Scenario, initial_state, parse_scenario, read_document
+from .scenario import (Scenario, _parse_instance, initial_state, parse_scenario,
+                       read_document)
 from .stochastic import seed_infections, simulate, stationary_counts, write_stochastic_csv
 
 
@@ -136,25 +138,30 @@ def _parse_grid(text: str):
     if field not in ("beta", "delta", "rate_scale"):
         raise ScenarioError(
             f"--grid: can only sweep 'beta', 'delta' or 'rate_scale', got {field!r}")
-    return field, np.linspace(start, stop, count) if count else np.array([])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ScenarioError(f"--grid: start and stop must be finite, got {text!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.linspace(start, stop, count) if count else np.array([])
+    if not np.all(np.isfinite(values)):
+        raise ScenarioError(f"--grid: the points of {text!r} overflow to non-finite values")
+    return field, values
 
 
 def _grid_point_doc(doc: dict, field: str, value: float) -> dict:
-    point = json.loads(json.dumps(doc))  # deep copy of the raw document
-    if field == "rate_scale":
-        hits = 0
-        for layer in point.get("layers", []):
-            if "preset" in layer:
-                layer["rate_scale"] = value
-                hits += 1
-            elif "mh" in layer:
-                layer["mh"]["rate_scale"] = value
-                hits += 1
-        if not hits:
-            raise ScenarioError(
-                "layers: rate_scale sweeps need preset or mh layer specs")
-    else:
-        point[field] = value
+    if field != "rate_scale":
+        return {**doc, field: value}
+    point = json.loads(json.dumps(doc))  # deep copy: the layer specs change
+    hits = 0
+    for layer in point.get("layers", []):
+        if "preset" in layer:
+            layer["rate_scale"] = value
+            hits += 1
+        elif "mh" in layer:
+            layer["mh"]["rate_scale"] = value
+            hits += 1
+    if not hits:
+        raise ScenarioError(
+            "layers: rate_scale sweeps need preset or mh layer specs")
     return point
 
 
@@ -168,7 +175,11 @@ def _cmd_sweep(args) -> int:
     rows = []
     for idx, value in enumerate(values):
         try:
-            point = parse_scenario(_grid_point_doc(doc, field, float(value)))
+            point_doc = _grid_point_doc(doc, field, float(value))
+            if field == "rate_scale":
+                point = parse_scenario(point_doc)
+            else:  # the grid changes no layer: share the one parsed network
+                point = _parse_instance(point_doc, scenario.spec.net)
             mu, r0, classification = threshold(equilibrium_matrices(point.spec))
             rows.append([idx, value, mu, "" if r0 is None else r0,
                          classification, ""])

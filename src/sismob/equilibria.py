@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelSpec, assemble
+from .dynamics import ModelSpec
 from .errors import ConvergenceError
 from .network import left_null_vector, network_stationary
 from .spectral import spectral_abscissa, spectral_radius
@@ -119,11 +119,11 @@ class EquilibriumReport:
 
 
 def equilibrium_matrices(spec: ModelSpec) -> EquilibriumMatrices:
-    """Validate all layers (through their stationary laws), then
-    assemble F*, L*, M, the DFE linearization, and (when defined)
-    A = (L* + D)^{-1} B."""
+    """Validate all layers (through their stationary laws), then build
+    the DFE linearization and (when defined) A = (L* + D)^{-1} B from
+    F*, L* and M, which the network assembles once for all its specs."""
     stat = network_stationary(spec.net)
-    mats = assemble(spec, stat.v)
+    mats = spec.net.assembled
     B = spec.B()
     D = spec.D()
     G = B @ mats.F - D - mats.L

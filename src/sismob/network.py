@@ -121,6 +121,25 @@ class MultiLayerNetwork:
     def nm(self) -> int:
         return self.n * self.m
 
+    @cached_property
+    def stationary(self) -> StationaryDistribution:
+        """Per-layer laws and stacked populations, computed once per
+        network from the layers' certified laws."""
+        per_layer = tuple(layer.stationary for layer in self.layers)
+        v = np.concatenate([self.N[a] * per_layer[a] for a in range(self.m)])
+        return StationaryDistribution(per_layer, _frozen_array(v))
+
+    @cached_property
+    def assembled(self):
+        """Read-only F*, L* and M, assembled once per network at the
+        stationary populations; every spec on this network shares them."""
+        from .dynamics import ModelSpec, assemble  # dynamics imports this module
+        probe = ModelSpec(net=self, beta=np.ones(self.n), delta=np.zeros(self.n))
+        mats = assemble(probe, self.stationary.v)  # reads only the network of a spec
+        for matrix in (mats.F, mats.L, mats.M):
+            matrix.setflags(write=False)
+        return mats
+
 
 @dataclass(frozen=True, eq=False)
 class StationaryDistribution:
@@ -232,9 +251,7 @@ def stationary_distribution(layer: MobilityLayer) -> np.ndarray:
 
 def network_stationary(net: MultiLayerNetwork) -> StationaryDistribution:
     """Stationary laws of all layers plus the stacked population vector."""
-    per_layer = tuple(layer.stationary for layer in net.layers)
-    v = np.concatenate([net.N[a] * per_layer[a] for a in range(net.m)])
-    return StationaryDistribution(per_layer, _frozen_array(v))
+    return net.stationary
 
 
 def layer_from_edge_rates(n: int, triples) -> MobilityLayer:

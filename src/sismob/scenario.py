@@ -163,6 +163,19 @@ def _build_layer(entry, n: int, idx: int) -> MobilityLayer:
 
 
 def parse_scenario(doc: dict) -> Scenario:
+    net = _parse_network(doc)
+    scenario = _parse_instance(doc, net)
+    scenario.resolved["layers"] = [
+        {"edges": [[i, j, rate] for (i, j), rate in
+                   zip(layer.edges.tolist(), layer.Q[tuple(layer.edges.T)].tolist())]}
+        for layer in net.layers
+    ]
+    return scenario
+
+
+def _parse_network(doc) -> MultiLayerNetwork:
+    """First stage of ``parse_scenario``: the document's fields, ``name``,
+    ``n``, ``m``, each layer (certified once) and ``N``."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: expected a JSON object")
     known = {"name", "n", "m", "layers", "beta", "delta", "N", "p0", "x0",
@@ -171,7 +184,7 @@ def parse_scenario(doc: dict) -> Scenario:
         if key not in known:
             raise ScenarioError(f"{key}: unknown field")
 
-    name = str(_require(doc, "name"))
+    _require(doc, "name")
     n = _as_positive_int(_require(doc, "n"), "n")
     m = _as_positive_int(_require(doc, "m"), "m")
 
@@ -188,7 +201,16 @@ def parse_scenario(doc: dict) -> Scenario:
     N = _as_vector(_require(doc, "N"), m, "N")
     if np.any(N <= 0):
         raise ScenarioError("N: class populations must be positive")
-    net = MultiLayerNetwork(layers=tuple(layers), N=N)
+    return MultiLayerNetwork(layers=tuple(layers), N=N)
+
+
+def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
+    """Second stage of ``parse_scenario``: everything but the network,
+    checked against ``net`` as parsed from ``doc`` (or from a document
+    that differs from it only in ``beta`` or ``delta``).  ``resolved``
+    lacks the ``layers`` listing."""
+    name = str(doc["name"])
+    n, m, N = net.n, net.m, net.N
 
     beta = _as_vector(_require(doc, "beta"), n, "beta")
     if np.any(beta <= 0):
@@ -276,11 +298,6 @@ def parse_scenario(doc: dict) -> Scenario:
         "name": name,
         "n": n,
         "m": m,
-        "layers": [
-            {"edges": [[i, j, rate] for (i, j), rate in
-                       zip(layer.edges.tolist(), layer.Q[tuple(layer.edges.T)].tolist())]}
-            for layer in layers
-        ],
         "beta": [float(b) for b in beta],
         "delta": [float(d) for d in delta],
         "N": [float(v) for v in N],

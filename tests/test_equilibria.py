@@ -7,7 +7,7 @@ import sismob as sm
 from sismob.dynamics import SystemState
 from sismob.equilibria import apply_infection_map
 
-from conftest import random_spec
+from conftest import SCENARIOS, random_spec
 
 
 class TestClassify:
@@ -219,6 +219,28 @@ class TestMarginRecoveryRates:
         report = sm.classify(sm.ModelSpec(net=net, beta=beta, delta=delta))
         assert report.conditions.suf_lambda2 is True
         assert report.mu <= 0
+
+    def test_specs_on_one_network_assemble_once(self, monkeypatch):
+        # the lambda2 rule's probe, classify and any later spec on the
+        # network share one read-only assembly at the stationary populations
+        calls = []
+        original = sm.dynamics.assemble
+
+        def counting(spec, x):
+            calls.append(spec.net)
+            return original(spec, x)
+
+        monkeypatch.setattr(sm.dynamics, "assemble", counting)
+        scenario = sm.load_scenario(SCENARIOS / "fig3_lambda2.json")
+        spec = scenario.spec
+        sm.classify(spec)
+        sm.classify(sm.ModelSpec(net=spec.net, beta=spec.beta, delta=spec.delta + 0.5))
+        assert calls == [spec.net]
+        mats = sm.equilibrium_matrices(spec)
+        fresh = original(spec, sm.network_stationary(spec.net).v)
+        for name in ("F", "L", "M"):
+            assert np.array_equal(getattr(mats, name), getattr(fresh, name))
+            assert not getattr(mats, name).flags.writeable
 
     def test_lambda2_agrees_with_stability_conditions(self):
         n = 8

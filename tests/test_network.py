@@ -135,6 +135,16 @@ class TestStationaryDistribution:
         with pytest.raises(ValueError):
             v[0] = 1.0
 
+    def test_network_law_is_kept_read_only(self):
+        layers = (sm.preset_layer("line", 4, 0.2), sm.preset_layer("star", 4, 0.3))
+        net = sm.MultiLayerNetwork(layers=layers, N=np.array([100.0, 40.0]))
+        stat = sm.network_stationary(net)
+        assert sm.network_stationary(net) is stat
+        oracle = np.concatenate([N * sm.stationary_distribution(layer)
+                                 for N, layer in zip(net.N, layers)])
+        assert np.array_equal(stat.v, oracle)
+        assert not stat.v.flags.writeable
+
     def test_layer_law_raises_as_the_uncached_routine(self):
         layer = sm.MobilityLayer(n=2, edges=((0, 1),),
                                  Q=np.array([[-0.2, 0.2], [0.0, 0.0]]))

@@ -4,9 +4,44 @@ import numpy as np
 import pytest
 
 import sismob as sm
-from sismob.cli import main
+from sismob.cli import _document, _grid_point_doc, _parse_grid, build_parser, main
 
 from conftest import SCENARIOS
+
+
+def two_layer_doc(**overrides):
+    doc = {
+        "name": "pair_layers",
+        "n": 4, "m": 2,
+        "layers": [{"preset": "complete", "rate_scale": 0.2},
+                   {"preset": "line", "rate_scale": 0.2}],
+        "beta": [0.3, 0.25, 0.35, 0.28], "delta": 0.1,
+        "N": [1000, 1000],
+        "t_end": 1.0, "dt": 0.01,
+    }
+    doc.update(overrides)
+    return doc
+
+
+LAMBDA2_RULE = {"rule": "lambda2_sufficient", "s_factor": 0.8, "deficit_nodes": [0, 3]}
+
+
+def pointwise_rows(argv):
+    """The sweep's CSV rows, each from a full parse of its own grid point."""
+    args = build_parser().parse_args(argv)
+    doc = _document(args)
+    field, values = _parse_grid(args.grid)
+    rows = []
+    for idx, value in enumerate(values):
+        try:
+            point = sm.parse_scenario(_grid_point_doc(doc, field, float(value)))
+            mu, r0, cls = sm.equilibria.threshold(sm.equilibrium_matrices(point.spec))
+        except (ValueError, RuntimeError) as exc:
+            rows.append(f"{idx},{value:.17g},,,,\"{type(exc).__name__}: {exc}\"")
+            continue
+        r0_s = "" if r0 is None else format(r0, ".17g")
+        rows.append(f"{idx},{value:.17g},{mu:.17g},{r0_s},{cls},")
+    return rows
 
 
 def scalar_doc(**overrides):
@@ -347,6 +382,63 @@ class TestCli:
                            f"probability\"")
         manifest = json.loads((out / "scalar_manifest.json").read_text())
         assert manifest["scenario"]["stochastic"]["seeds"] == [1]
+
+    @pytest.mark.parametrize("doc, extra, grid, failing", [
+        (two_layer_doc(delta=LAMBDA2_RULE), [], "beta=0.05:0.6:7", 0),
+        (two_layer_doc(delta=LAMBDA2_RULE), [], "delta=-0.05:0.6:6", 1),
+        (two_layer_doc(stochastic={"h": 0.01}), ["--seed", "1"], "beta=50:150:3", 2),
+        (two_layer_doc(), [], "beta=-0.1:0.5:7", 2),
+    ], ids=["beta_over_lambda2_rule", "delta_over_lambda2_rule",
+            "beta_with_seed_h_check", "beta_from_nonpositive"])
+    def test_sweep_rows_match_pointwise_full_parse(self, doc, extra, grid, failing,
+                                                   tmp_path):
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps(doc))
+        argv = ["sweep", "--scenario", str(scenario_path), "--out", str(tmp_path / "out"),
+                *extra, "--grid", grid]
+        assert main(argv) == 0
+        rows = (tmp_path / "out" / "pair_layers_sweep.csv").read_text().splitlines()[1:]
+        assert rows == pointwise_rows(argv)
+        assert sum("ScenarioError" in row for row in rows) == failing
+
+    @pytest.mark.parametrize("grid, calls", [
+        ("delta=0.05:0.6:50", 2),
+        ("beta=0.05:0.6:50", 2),
+        ("rate_scale=0.05:0.6:10", 2 * (10 + 1)),
+    ])
+    def test_network_work_runs_once_per_beta_or_delta_sweep(self, grid, calls, tmp_path,
+                                                            monkeypatch):
+        # a beta or delta grid shares the up-front parse's layers; a
+        # rate_scale grid builds and validates them again at every point
+        seen = []
+        original = sm.network.validate_layer
+
+        def counting(layer):
+            seen.append(layer)
+            return original(layer)
+
+        monkeypatch.setattr(sm.network, "validate_layer", counting)
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps(two_layer_doc()))
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
+                     "--grid", grid]) == 0
+        rows = (out / "pair_layers_sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == int(grid.rsplit(":", 1)[1])
+        assert all(row.endswith(",") for row in rows)
+        assert len(seen) == calls
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", ["delta=0:inf:3", "beta=1e308:1e309:2",
+                                      "delta=nan:0.5:3", "beta=-1.7e308:1.7e308:3"])
+    def test_sweep_refuses_non_finite_grids(self, grid, tmp_path, capsys):
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps(scalar_doc()))
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
+                     "--grid", grid]) == 2
+        assert capsys.readouterr().err.startswith("scenario error: --grid: ")
+        assert not out.exists()
 
     def test_sweep_propagates_programming_errors(self, tmp_path, monkeypatch):
         # only the package's own (ValueError/RuntimeError) failures are sweep data
