@@ -22,11 +22,20 @@ Each scenario gets ``analyze``, ``run --t-end 2`` and four ``sweep`` grids:
 stderr are saved next to its output files.  The script then compares the
 sha256 of every file, lists each file that differs or exists on one side
 only, and exits with 1 on any difference, 0 when all files are identical.
+
+For a differing CSV or JSON file whose non-numeric skeleton is unchanged
+(the same rows, keys, strings and flags, numbers in the same places), it
+prints the largest absolute difference |a - b| and relative difference
+|a - b| / max(|a|, |b|) of the numbers per CSV column or JSON key (list
+entries share their key), and at the end the largest of each over all
+such files: the agreement bound between the two trees.
 """
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -123,6 +132,70 @@ def digests(root: Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _number(value):
+    """value as a float when it is a number or a numeric CSV cell, else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _parse(path: Path):
+    """A JSON file's value, or a CSV file as {column: [cells]}."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)
+    rows = list(csv.reader(text.splitlines()))
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("rows of different lengths")
+    return {name: [row[j] for row in rows[1:]] for j, name in enumerate(rows[0])}
+
+
+def _pairs(old, new, key=""):
+    """(key, a, b) for each pair of differing numbers in two parsed files
+    (list entries share their key); raises ValueError where the
+    non-numeric skeletons differ."""
+    if old == new:
+        return
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        for k in old:
+            yield from _pairs(old[k], new[k], f"{key}.{k}" if key else k)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for a, b in zip(old, new):
+            yield from _pairs(a, b, f"{key}[]")
+    elif _number(old) is None or _number(new) is None:
+        raise ValueError(key)
+    else:
+        yield key, _number(old), _number(new)
+
+
+def _widen(table: dict, key: str, diff: float, rel: float):
+    old_abs, old_rel = table.get(key, (0.0, 0.0))
+    table[key] = (max(old_abs, diff), max(old_rel, rel))
+
+
+def numeric_differences(old_path: Path, new_path: Path):
+    """{column or key: (max |a - b|, max |a - b| / max(|a|, |b|))} over the
+    numbers that differ, or None when the file is neither CSV nor JSON or
+    its non-numeric skeleton differs."""
+    if old_path.suffix not in (".csv", ".json"):
+        return None
+    worst = {}
+    try:
+        for key, a, b in _pairs(_parse(old_path), _parse(new_path)):
+            if math.isnan(a) and math.isnan(b):
+                continue
+            if not (math.isfinite(a) and math.isfinite(b)):
+                return None
+            diff = abs(a - b)
+            _widen(worst, key, diff, diff / max(abs(a), abs(b)))  # at most 2, also at 0
+    except ValueError:  # also json.JSONDecodeError
+        return None
+    return worst
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -140,16 +213,33 @@ def main(argv=None) -> int:
         run_tree(args.old_src, tmp / "old", job_list)
         run_tree(args.new_src, tmp / "new", job_list)
         old, new = digests(tmp / "old" / "out"), digests(tmp / "new" / "out")
+        differing = [name for name in sorted(old.keys() & new.keys()) if old[name] != new[name]]
+        numeric = {name: numeric_differences(tmp / "old" / "out" / name,
+                                             tmp / "new" / "out" / name)
+                   for name in differing}
 
-    problems = [f"differs: {name}" for name in sorted(old.keys() & new.keys())
-                if old[name] != new[name]]
-    problems += [f"only in old: {name}" for name in sorted(old.keys() - new.keys())]
+    problems = [f"only in old: {name}" for name in sorted(old.keys() - new.keys())]
     problems += [f"only in new: {name}" for name in sorted(new.keys() - old.keys())]
+    bound = {}
+    for name in differing:
+        worst = numeric[name]
+        if worst is None:
+            print(f"differs: {name} (not only in numbers)")
+            continue
+        print(f"differs: {name} (only in numbers)")
+        for key, (diff, rel) in sorted(worst.items()):
+            print(f"    {key}: max abs {diff:.3g}, max rel {rel:.3g}")
+            _widen(bound, key, diff, rel)
     for line in problems:
         print(line)
+    if bound:
+        count = sum(worst is not None for worst in numeric.values())
+        print(f"largest differences over the {count} files that differ only in numbers:")
+        for key, (diff, rel) in sorted(bound.items()):
+            print(f"    {key}: max abs {diff:.3g}, max rel {rel:.3g}")
     print(f"{len(job_list)} CLI calls, {len(old.keys() | new.keys())} files compared, "
-          f"{len(problems)} differ")
-    return 1 if problems else 0
+          f"{len(differing) + len(problems)} differ")
+    return 1 if differing or problems else 0
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ from . import __version__
 from .dynamics import integrate, write_trajectory_csv
 from .equilibria import classify, equilibrium_matrices, threshold
 from .errors import ScenarioError
-from .scenario import (Scenario, _parse_instance, initial_state, parse_scenario,
-                       read_document)
+from .scenario import (Scenario, _parse_instance, _parse_network, initial_state,
+                       parse_scenario, read_document)
 from .stochastic import seed_infections, simulate, stationary_counts, write_stochastic_csv
 
 
@@ -176,10 +176,10 @@ def _cmd_sweep(args) -> int:
     for idx, value in enumerate(values):
         try:
             point_doc = _grid_point_doc(doc, field, float(value))
-            if field == "rate_scale":
-                point = parse_scenario(point_doc)
-            else:  # the grid changes no layer: share the one parsed network
-                point = _parse_instance(point_doc, scenario.spec.net)
+            # a beta or delta grid changes no layer: share the one parsed
+            # network; no point needs the manifest's layer listing
+            net = _parse_network(point_doc) if field == "rate_scale" else scenario.spec.net
+            point = _parse_instance(point_doc, net)
             mu, r0, classification = threshold(equilibrium_matrices(point.spec))
             rows.append([idx, value, mu, "" if r0 is None else r0,
                          classification, ""])

@@ -388,8 +388,10 @@ class TestCli:
         (two_layer_doc(delta=LAMBDA2_RULE), [], "delta=-0.05:0.6:6", 1),
         (two_layer_doc(stochastic={"h": 0.01}), ["--seed", "1"], "beta=50:150:3", 2),
         (two_layer_doc(), [], "beta=-0.1:0.5:7", 2),
+        (two_layer_doc(delta=LAMBDA2_RULE), [], "rate_scale=-0.1:0.6:8", 2),
     ], ids=["beta_over_lambda2_rule", "delta_over_lambda2_rule",
-            "beta_with_seed_h_check", "beta_from_nonpositive"])
+            "beta_with_seed_h_check", "beta_from_nonpositive",
+            "rate_scale_over_lambda2_rule"])
     def test_sweep_rows_match_pointwise_full_parse(self, doc, extra, grid, failing,
                                                    tmp_path):
         scenario_path = tmp_path / "s.json"

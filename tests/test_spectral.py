@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sismob as sm
+from sismob.spectral import NODA_MAX_ITER, NODA_TOL
 
-from conftest import random_layer
+from conftest import SCENARIOS, random_layer
 
 
 def random_metzler(rng, n):
@@ -89,7 +91,10 @@ class TestSpectralAbscissa:
             G[start:start + k, start:start + k] = block
             start += k
         oracle = max(float(np.max(np.linalg.eigvals(b).real)) for b in blocks)
-        assert sm.spectral_abscissa(G).mu == pytest.approx(oracle, abs=1e-10)
+        res = sm.spectral_abscissa(G)
+        assert res.mu == pytest.approx(oracle, abs=1e-10)
+        assert not res.converged and res.bracket is None  # reducible: the fallback ran
+        assert res.mu == float(np.max(np.linalg.eigvals(G).real))
 
     def test_triangular_gives_largest_diagonal_block_abscissa(self):
         rng = np.random.default_rng(22)
@@ -97,7 +102,15 @@ class TestSpectralAbscissa:
         G[3:, :3] = 0.0  # reducible: no path from the last three nodes back
         oracle = max(float(np.max(np.linalg.eigvals(G[:3, :3]).real)),
                      float(np.max(np.linalg.eigvals(G[3:, 3:]).real)))
-        assert sm.spectral_abscissa(G).mu == pytest.approx(oracle, abs=1e-10)
+        # the first three rows draw on the dominant block G[3:, 3:], so the
+        # Perron vector is positive and Noda's bracket closes (in either
+        # memory order); transposed, the Perron vector has zero entries and
+        # the dense fallback runs
+        for M, converges in ((G, True), (np.asfortranarray(G), True), (G.T, False)):
+            res = sm.spectral_abscissa(M)
+            assert res.mu == pytest.approx(oracle, abs=1e-10)
+            assert res.converged == converges
+            assert (res.bracket is None) == (not converges)
 
     def test_zero_matrix_does_not_raise(self):
         res = sm.spectral_abscissa(np.zeros((4, 4)))
@@ -115,12 +128,93 @@ class TestSpectralAbscissa:
         abscissa = sm.spectral_abscissa(G)
         radius = sm.spectral_radius(np.abs(G))
         for M, lam, res in ((G, abscissa.mu, abscissa), (np.abs(G), radius.rho, radius)):
-            assert res.iterations == 0
+            assert 0 <= res.iterations <= NODA_MAX_ITER
+            if res.converged:
+                # Noda solves until the Collatz-Wielandt bracket of y
+                # closes; y = 1 is already exact when the row sums agree
+                lo, hi = res.bracket
+                assert lo <= lam <= hi
+                assert hi - lo <= NODA_TOL * max(1.0, np.abs(M).max())
+                first = M @ np.ones(n)
+                closed_at_start = first.max() - first.min() <= NODA_TOL * max(1.0, np.abs(M).max())
+                assert (res.iterations == 0) == closed_at_start
+            else:
+                assert res.bracket is None
+                assert lam == float(np.max(np.linalg.eigvals(M).real))
             y = res.perron_vector
             if y is not None:
                 assert np.min(y) > 0 and np.max(y) == 1.0
                 assert np.max(np.abs(M @ y - lam * y)) == res.residual
                 assert res.residual <= 1e-9 * max(1.0, np.abs(M).max())
+
+
+class TestNodaIteration:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**9), positive=st.booleans())
+    def test_bracket_contains_dense_eigensolver_root(self, seed, positive):
+        # irreducible input: every off-diagonal entry is positive
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 41))
+        if positive:
+            S = rng.uniform(0.01, 1.0, size=(n, n))
+            res = sm.spectral_radius(S)
+            lam = res.rho
+        else:
+            S = random_metzler(rng, n) + 0.01 * (1.0 - np.eye(n))
+            res = sm.spectral_abscissa(S)
+            lam = res.mu
+        scale = max(1.0, np.abs(S).max())
+        oracle = float(np.max(np.linalg.eigvals(S).real))
+        assert res.converged
+        assert 1 <= res.iterations <= NODA_MAX_ITER or n == 1
+        lo, hi = res.bracket
+        assert lo <= lam <= hi and hi - lo <= NODA_TOL * scale
+        assert abs(lam - oracle) <= 1e-12 * scale
+        assert res.perron_vector is not None and np.min(res.perron_vector) > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("routine", [sm.spectral_abscissa, sm.spectral_radius,
+                                         sm.mmatrix_checks],
+                             ids=["abscissa", "radius", "mmatrix_checks"])
+    def test_non_finite_entries_are_refused(self, routine, bad):
+        A = np.array([[0.5, 0.2, 0.1], [0.3, 0.4, 0.2], [0.1, 0.1, 0.6]])
+        if routine is sm.mmatrix_checks:
+            A = np.eye(3) - A
+        A[0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                routine(A)
+
+    @pytest.mark.parametrize("n", [10, 20, 40, 80, 160])
+    def test_model_thresholds_never_fall_back(self, n, monkeypatch):
+        results = []
+
+        def recording(routine):
+            def wrapper(G):
+                results.append(routine(G))
+                return results[-1]
+            return wrapper
+
+        for name in ("spectral_abscissa", "spectral_radius"):
+            monkeypatch.setattr(sm.equilibria, name, recording(getattr(sm.spectral, name)))
+        # shaped like the benchmark's inputs: complete + line layers at rate
+        # 0.2, beta in [0.25, 0.35], delta across the sweep grid's range
+        rng = np.random.default_rng(n)
+        docs = [{"name": f"fig1_n{n}", "n": n, "m": 2,
+                 "layers": [{"preset": "complete", "rate_scale": 0.2},
+                            {"preset": "line", "rate_scale": 0.2}],
+                 "beta": rng.uniform(0.25, 0.35, n).tolist(), "delta": delta,
+                 "N": [10000, 10000]} for delta in (0.05, 0.1, 0.3, 0.6)]
+        if n == 10:
+            docs += [sm.scenario.read_document(path)
+                     for path in sorted(SCENARIOS.glob("*.json"))]
+        for doc in docs:
+            sm.equilibria.threshold(sm.equilibrium_matrices(sm.parse_scenario(doc).spec))
+        assert len(results) > len(docs)
+        for res in results:
+            assert res.converged, res
+            assert res.iterations <= NODA_MAX_ITER
 
 
 class TestSpectralRadius:
