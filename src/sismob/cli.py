@@ -26,10 +26,64 @@ from .scenario import (Scenario, _parse_instance, _parse_network, initial_state,
 from .stochastic import seed_infections, simulate, stationary_counts, write_stochastic_csv
 
 
+_COMPACT = json.JSONEncoder(separators=(",", ":"))  # no indent: the C encoder
+JSON_BLOCK = 128  # list items per compact encode: a long edge list streams
+
+
 def _write_json(path: Path, payload: dict):
+    """Write ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``,
+    byte for byte.  With ``indent`` json runs its pure-Python encoder, so
+    lists of numbers and of number rows (the manifest's edges) are instead
+    encoded compactly in blocks of JSON_BLOCK items and re-indented."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        _write_value(fh, payload, "\n")
         fh.write("\n")
+
+
+def _reindented(text: str, inner: str):
+    """The items of a nonempty list's compact text at indent ``inner``,
+    or None unless they are scalars or nonempty rows of scalars.  No
+    token but a string holds a quote, comma or bracket, so in a text
+    without quotes these are all structure; ``{}`` reads the same at any
+    indent."""
+    if '"' in text or "[]" in text:
+        return None
+    if "[" not in text[1:]:
+        return inner + text[1:-1].replace(",", "," + inner)
+    rows, row = text[2:-2], inner + "  "
+    bare = rows.replace("],[", ",")
+    if "[" in bare or "]" in bare:
+        return None
+    rows = rows.replace(",", "," + row).replace(f"],{row}[", f"{inner}],{inner}[{row}")
+    return f"{inner}[{row}{rows}{inner}]"
+
+
+def _write_value(fh, obj, nl: str):
+    """Write ``obj`` indented as by json at the indent that ``nl``
+    (a newline and that indent) closes it with."""
+    inner = nl + "  "
+    if isinstance(obj, dict) and obj:
+        for idx, (key, value) in enumerate(sorted(obj.items())):
+            key = key if isinstance(key, str) else _COMPACT.encode(key)
+            fh.write(f"{',' if idx else '{'}{inner}{_COMPACT.encode(key)}: ")
+            _write_value(fh, value, inner)
+        fh.write(nl + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        fh.write("[")
+        for start in range(0, len(obj), JSON_BLOCK):
+            block = obj[start:start + JSON_BLOCK]
+            fh.write("," if start else "")
+            if not isinstance(block[0], (dict, str)):  # else the encode is wasted
+                text = _reindented(_COMPACT.encode(block), inner)
+                if text is not None:
+                    fh.write(text)
+                    continue
+            for idx, item in enumerate(block):
+                fh.write(f"{',' if idx else ''}{inner}")
+                _write_value(fh, item, inner)
+        fh.write(nl + "]")
+    else:
+        fh.write(_COMPACT.encode(obj))
 
 
 def _analysis_payload(scenario: Scenario) -> dict:

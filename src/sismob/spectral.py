@@ -7,11 +7,11 @@ is found by Noda's iteration (Numer. Math. 17, 1971) from y = 1: with
 r = (S y) / y, solve (max r I - S) z = y and set y = z / max z.  For
 y >> 0 the Collatz-Wielandt bracket min r <= lambda <= max r is the
 certificate; it closes quadratically for irreducible S.  If a solve is
-singular, or the bracket is open after NODA_MAX_ITER solves or closes
-on a y that is not strictly positive (reducible input only: the model
-matrices are irreducible by construction), the root comes from one
-dense ``np.linalg.eigvals`` call and its eigenvector from one
-replaced-row solve of (S - lambda I) y = 0 instead.
+singular, or leaves y not strictly positive (the bracket then certifies
+nothing), or the bracket is open after NODA_MAX_ITER solves (reducible
+input only: the model matrices are irreducible by construction), the
+root comes from one dense ``np.linalg.eigvals`` call and its eigenvector
+from one replaced-row solve of (S - lambda I) y = 0 instead.
 """
 
 from __future__ import annotations
@@ -63,14 +63,16 @@ def _perron(S: np.ndarray, scale: float):
     shifted, s_diag = np.negative(S, order="C"), S.diagonal()
     diagonal = shifted.reshape(-1)[::n + 1]  # a view (C order): hi I - S in place
     y = np.ones(n)
-    # on reducible input y can lose positivity, underflow or overflow; a
-    # zero or non-finite y_i makes r_i infinite or NaN: the bracket stays open
+    # on reducible input y can lose positivity, underflow or overflow; the
+    # bracket certifies nothing then (a zero or non-finite y_i makes r_i
+    # infinite or NaN), so the fallback takes over at once
     with np.errstate(all="ignore"):
         for solves in range(NODA_MAX_ITER + 1):
             r = S @ y
             r /= y
             lo, hi = float(r.min()), float(r.max())
-            if hi - lo <= NODA_TOL * scale or solves == NODA_MAX_ITER:
+            if (hi - lo <= NODA_TOL * scale or solves == NODA_MAX_ITER
+                    or not y.min() > 0):
                 break
             np.subtract(hi, s_diag, out=diagonal)
             try:
