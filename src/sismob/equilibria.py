@@ -10,13 +10,25 @@ the reproduction number R0 = rho(A F*) with A = (L* + D)^{-1} B.
 ``threshold`` computes (mu, R0, classification) and is the one routine
 behind both ``classify`` and the CLI sweep.
 
-The endemic point is found by iterating the monotone self-map
+The endemic point p* is the positive zero of
+
+    f(p) = G p - p o (B F* p),   G = B F* - D - L*,
+
+found by Newton's method from p = 1 with the Jacobian
+J(p) = G - diag(B F* p) - diag(p) B F*.  The iterates decrease
+monotonically onto p* (Ortega and Rheinboldt's monotone Newton
+theorem): every second partial of f is -(B F*)_ij <= 0, so f is
+order-concave; J(p) is Metzler with J(p) <= J(p*) entrywise for
+p >= p*, and J(p*) is Hurwitz because the endemic point is stable when
+mu > 0, so -J(p)^{-1} >= 0 along the way; and f(1) = -delta <= 0 since
+the rows of L* sum to zero.  Each step is one nm x nm solve.
+
+The paper's monotone self-map
 
     H(p) = (I + A (P + (I - P) M))^{-1} A p
 
-downward from p = 1: H is entrywise monotone with H(1) <= 1, so the
-iterates decrease monotonically onto the fixed point.
-``apply_infection_map`` is the one implementation of H.
+has the same positive fixed point and is kept as
+``apply_infection_map``, the oracle the tests iterate from p = 1.
 """
 
 from __future__ import annotations
@@ -31,8 +43,12 @@ from .network import left_null_vector, network_stationary
 from .spectral import spectral_abscissa, spectral_radius
 
 MU_TIE_TOL = 1e-10
-FIXED_POINT_TOL = 1e-10
-FIXED_POINT_MAX_ITER = 100_000
+# Newton's relative step tolerance and step cap.  Far above p* a step
+# roughly halves p, then convergence is quadratic: mu = 1e-8 takes
+# about 30 steps.
+NEWTON_STEP_TOL = 1e-13
+NEWTON_MAX_ITER = 100
+# certificate: ||f(p*)||_inf <= RESIDUAL_TOL * max(p*)
 RESIDUAL_TOL = 1e-8
 MARGIN_SLACK = 1e-9
 # Floating-point guard when deciding the lambda2 sufficient condition;
@@ -118,6 +134,12 @@ class EquilibriumReport:
         }
 
 
+def _row_scaled(B: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """B @ X for the diagonal B, as a row scaling: the same numbers
+    without the dense product."""
+    return B.diagonal()[:, None] * X
+
+
 def equilibrium_matrices(spec: ModelSpec) -> EquilibriumMatrices:
     """Validate all layers (through their stationary laws), then build
     the DFE linearization and (when defined) A = (L* + D)^{-1} B from
@@ -126,7 +148,7 @@ def equilibrium_matrices(spec: ModelSpec) -> EquilibriumMatrices:
     mats = spec.net.assembled
     B = spec.B()
     D = spec.D()
-    G = B @ mats.F - D - mats.L
+    G = _row_scaled(B, mats.F) - D - mats.L
     A = None
     if np.any(np.asarray(spec.delta) > 0):
         A = np.linalg.solve(mats.L + D, B)
@@ -161,7 +183,7 @@ def _lambda2(mats: EquilibriumMatrices):
     and lambda2 the second smallest eigenvalue of
     (W (B M + L*) + (B M + L*)^T W) / 2.
     """
-    lap = mats.B @ mats.M + mats.L
+    lap = _row_scaled(mats.B, mats.M) + mats.L
     w = left_null_vector(lap)
     if np.any(w <= 0):
         raise ConvergenceError("left null vector is not positive; matrix not irreducible?")
@@ -173,13 +195,13 @@ def _lambda2(mats: EquilibriumMatrices):
 
 def endemic_fixed_point(spec: ModelSpec, mats: EquilibriumMatrices | None = None,
                         mu: float | None = None) -> np.ndarray:
-    """Endemic infected fractions p* >> 0, by monotone fixed-point
-    iteration from p = 1.
+    """Endemic infected fractions p* >> 0, by monotone Newton from p = 1.
 
     Requires mu > 0 and at least one positive recovery rate (``mu`` may
-    be passed to skip recomputing it).  The returned point is certified
-    by the stationarity residual
-    ||(B F* - D - L* - P* B F*) p*||_inf <= 1e-8.
+    be passed to skip recomputing it).  An iterate outside (0, 1] raises
+    ``ConvergenceError``.  The returned point is certified by the
+    stationarity residual
+    ||(B F* - D - L* - P* B F*) p*||_inf <= 1e-8 max(p*).
     """
     if mats is None:
         mats = equilibrium_matrices(spec)
@@ -190,20 +212,30 @@ def endemic_fixed_point(spec: ModelSpec, mats: EquilibriumMatrices | None = None
         mu = float(spectral_abscissa(mats.G).mu)
     if mu <= MU_TIE_TOL:
         raise ValueError(f"no endemic equilibrium: threshold mu = {mu:.3e} is not positive")
-    p = np.ones(mats.A.shape[0])
-    for _ in range(FIXED_POINT_MAX_ITER):
-        p_next = apply_infection_map(mats, p)
-        step = float(np.max(np.abs(p_next - p)))
-        p = p_next
-        if step <= FIXED_POINT_TOL:
+    BF = _row_scaled(mats.B, mats.F)
+    diagonal = np.diag_indices_from(BF)
+    p = np.ones(BF.shape[0])
+    for _ in range(NEWTON_MAX_ITER):
+        q = BF @ p
+        J = mats.G - p[:, None] * BF
+        J[diagonal] -= q
+        dp = np.linalg.solve(J, p * q - mats.G @ p)
+        p = p + dp
+        if not np.all((p > 0.0) & (p <= 1.0)):
+            raise ConvergenceError("Newton iterate left (0, 1]")
+        # In exact arithmetic every step lowers every entry until p = p*.
+        # A step that raises one is rounding: near the threshold p* is
+        # determined only to about eps |G| / mu relative, and the steps
+        # stall there above NEWTON_STEP_TOL.
+        if np.max(np.abs(dp)) <= NEWTON_STEP_TOL * p.max() or np.any(dp > 0.0):
             break
     else:
-        raise ConvergenceError(
-            f"fixed-point iteration did not converge (last step {step:.3e})")
+        raise ConvergenceError(f"Newton iteration did not converge in {NEWTON_MAX_ITER} steps")
 
-    residual = float(np.max(np.abs(mats.G @ p - p * (mats.B @ (mats.F @ p)))))
-    if residual > RESIDUAL_TOL:
-        raise ConvergenceError(f"endemic point residual {residual:.3e} exceeds {RESIDUAL_TOL}")
+    residual = float(np.max(np.abs(mats.G @ p - p * (BF @ p))))
+    bound = RESIDUAL_TOL * float(p.max())
+    if residual > bound:
+        raise ConvergenceError(f"endemic point residual {residual:.3e} exceeds {bound:.3e}")
     return p
 
 

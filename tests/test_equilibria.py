@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sismob as sm
 from sismob.dynamics import SystemState
-from sismob.equilibria import apply_infection_map
+from sismob.equilibria import RESIDUAL_TOL, apply_infection_map
 
 from conftest import SCENARIOS, random_spec
 
@@ -67,7 +67,41 @@ class TestClassify:
 class TestEndemicFixedPoint:
     def test_scalar_analytic(self, scalar_spec):
         p = sm.endemic_fixed_point(scalar_spec)
-        assert p[0] == pytest.approx(2.0 / 3.0, abs=1e-10)
+        assert p[0] == pytest.approx(2.0 / 3.0, abs=1e-14)
+
+    @pytest.mark.parametrize("gap", [1e-7, 1e-9])
+    def test_scalar_near_threshold(self, scalar_spec, gap):
+        # p* = 1 - delta/beta, written as (beta - delta)/beta: the
+        # subtraction of two close doubles is exact, 1 - delta/beta is not
+        beta = float(scalar_spec.beta[0])
+        delta = beta - gap
+        spec = sm.ModelSpec(net=scalar_spec.net, beta=scalar_spec.beta,
+                            delta=np.array([delta]))
+        p = sm.endemic_fixed_point(spec)
+        assert p[0] == pytest.approx((beta - delta) / beta, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_multi_node_near_threshold(self, seed):
+        # a uniform delta shifts B F* - D - L* by a multiple of I, so
+        # delta = mu(delta = 0) - target puts mu at the target; near the
+        # threshold p* = mu x1 + O(mu^2), so p*/mu settles on one vector
+        base = random_spec(np.random.default_rng(seed), n=4, m=2)
+        zero = sm.ModelSpec(net=base.net, beta=base.beta, delta=np.zeros(base.n))
+        mu0 = sm.spectral_abscissa(sm.equilibrium_matrices(zero).G).mu
+        scaled = []
+        for target in (1e-4, 1e-6, 1e-8):
+            spec = sm.ModelSpec(net=base.net, beta=base.beta,
+                                delta=np.full(base.n, mu0 - target))
+            mats = sm.equilibrium_matrices(spec)
+            mu = sm.spectral_abscissa(mats.G).mu
+            assert mu == pytest.approx(target, rel=1e-6)
+            p = sm.endemic_fixed_point(spec, mats, mu=mu)
+            assert np.min(p) > 0
+            residual = np.max(np.abs(mats.G @ p - p * (mats.B @ (mats.F @ p))))
+            assert residual <= RESIDUAL_TOL * np.max(p)
+            scaled.append((mu, p / mu))
+        for (mu, coarse), (_, fine) in zip(scaled, scaled[1:]):
+            assert np.max(np.abs(coarse / fine - 1.0)) <= 100.0 * mu
 
     def test_two_node_against_long_ode_run(self, two_node_spec):
         p_star = sm.endemic_fixed_point(two_node_spec)
@@ -109,9 +143,34 @@ class TestEndemicFixedPoint:
                 continue
             p = sm.endemic_fixed_point(spec, mats)
             residual = np.max(np.abs(mats.G @ p - p * (mats.B @ (mats.F @ p))))
-            assert residual <= 1e-8
+            assert residual <= RESIDUAL_TOL * np.max(p)
             assert np.min(p) > 0
             checked += 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**9), delta_scale=st.sampled_from([1.0, 1e-4]))
+    def test_newton_agrees_with_the_monotone_map(self, seed, delta_scale):
+        # oracle: H iterated from p = 1 until its step is 1e-14, or until
+        # a step raises an entry (H's iterates fall in exact arithmetic,
+        # so that is its rounding floor, reached when a small
+        # delta_scale puts p* near 1 and makes A = (L* + D)^{-1} B large)
+        base = random_spec(np.random.default_rng(seed), n_max=6, m_max=3,
+                           allow_zero_delta_entries=True)
+        spec = sm.ModelSpec(net=base.net, beta=base.beta, delta=base.delta * delta_scale)
+        mats = sm.equilibrium_matrices(spec)
+        mu = sm.spectral_abscissa(mats.G).mu
+        assume(mu >= 0.05)
+        h = np.ones(spec.nm)
+        for _ in range(10_000):
+            h_next = apply_infection_map(mats, h)
+            step = h_next - h
+            h = h_next
+            if np.max(np.abs(step)) <= 1e-14 or np.any(step > 0):
+                break
+        else:
+            pytest.fail("the monotone map did not settle")
+        p = sm.endemic_fixed_point(spec, mats, mu=mu)
+        assert np.max(np.abs(p - h)) <= 1e-9
 
 
 class TestMonotoneMap:

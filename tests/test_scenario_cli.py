@@ -191,6 +191,20 @@ class TestCli:
         assert doc["R0"] == pytest.approx(3.0, abs=1e-10)
         assert doc["p_star"][0] == pytest.approx(2 / 3, abs=1e-6)
 
+    def test_analyze_just_above_threshold(self, tmp_path):
+        # a uniform delta shifts mu one-for-one, so this document has
+        # mu = 1e-6 up to rounding; its endemic point must still be found
+        zero = sm.parse_scenario(two_layer_doc(delta=0.0))
+        mu0 = sm.spectral_abscissa(sm.equilibrium_matrices(zero.spec).G).mu
+        scenario_path = tmp_path / "near.json"
+        scenario_path.write_text(json.dumps(two_layer_doc(delta=mu0 - 1e-6)))
+        assert main(["analyze", "--scenario", str(scenario_path),
+                     "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "pair_layers_analysis.json").read_text())
+        assert doc["mu"] == pytest.approx(1e-6, rel=1e-6)
+        assert doc["classification"] == "DFE_unstable_EE_exists"
+        assert min(doc["p_star"]) > 0
+
     def test_analyze_bundled_margin_scenario(self, tmp_path):
         assert main(["analyze", "--scenario", str(SCENARIOS / "fig3_lambda2.json"),
                      "--out", str(tmp_path)]) == 0
