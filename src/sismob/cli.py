@@ -28,6 +28,7 @@ from .stochastic import seed_infections, simulate, stationary_counts, write_stoc
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))  # no indent: the C encoder
 JSON_BLOCK = 128  # list items per compact encode: a long edge list streams
+GRID_MAX_POINTS = 10**6  # largest --grid count, refused before any allocation
 
 
 def _write_json(path: Path, payload: dict):
@@ -186,8 +187,9 @@ def _parse_grid(text: str):
     except ValueError:
         raise ScenarioError(
             f"--grid: expected field=start:stop:count, got {text!r}") from None
-    if count < 0:
-        raise ScenarioError(f"--grid: count must be nonnegative, got {count}")
+    if not 0 <= count <= GRID_MAX_POINTS:
+        raise ScenarioError(
+            f"--grid: count must lie in [0, {GRID_MAX_POINTS}], got {count}")
     field = field.strip()
     if field not in ("beta", "delta", "rate_scale"):
         raise ScenarioError(

@@ -6,7 +6,9 @@ the stability threshold: the disease-free equilibrium (p = 0, x = v) is
 globally asymptotically stable iff mu <= 0, and a unique positive
 endemic equilibrium exists iff mu > 0.  When at least one node has a
 positive recovery rate the threshold can equivalently be stated through
-the reproduction number R0 = rho(A F*) with A = (L* + D)^{-1} B.
+the reproduction number R0 = rho((L* + D)^{-1} B F*).  With F* = U V,
+U the m stacked n x n identities and V = F*[:n], R0 is the spectral
+radius of the n x n matrix V Z, where Z solves (L* + D) Z = B U.
 ``threshold`` computes (mu, R0, classification) and is the one routine
 behind both ``classify`` and the CLI sweep.
 
@@ -25,7 +27,7 @@ the rows of L* sum to zero.  Each step is one nm x nm solve.
 
 The paper's monotone self-map
 
-    H(p) = (I + A (P + (I - P) M))^{-1} A p
+    H(p) = (I + A (P + (I - P) M))^{-1} A p,   A = (L* + D)^{-1} B,
 
 has the same positive fixed point and is kept as
 ``apply_infection_map``, the oracle the tests iterate from p = 1.
@@ -33,6 +35,7 @@ has the same positive fixed point and is kept as
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,17 +64,18 @@ DFE_UNSTABLE = "DFE_unstable_EE_exists"
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumMatrices:
-    """Model matrices evaluated at the stationary populations."""
+    """Model matrices evaluated at the stationary populations.  The
+    diagonal B and D are held as the stacked rate vectors b and d."""
 
     v: np.ndarray
     v_per_layer: tuple
     F: np.ndarray
     L: np.ndarray
     M: np.ndarray
-    B: np.ndarray
-    D: np.ndarray
+    b: np.ndarray              # beta repeated over the m classes
+    d: np.ndarray              # delta repeated over the m classes
+    BF: np.ndarray             # B F
     G: np.ndarray              # B F - D - L, the linearization at the DFE
-    A: np.ndarray | None       # (L + D)^{-1} B, defined when D != 0
 
 
 @dataclass
@@ -134,44 +138,37 @@ class EquilibriumReport:
         }
 
 
-def _row_scaled(B: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """B @ X for the diagonal B, as a row scaling: the same numbers
-    without the dense product."""
-    return B.diagonal()[:, None] * X
-
-
 def equilibrium_matrices(spec: ModelSpec) -> EquilibriumMatrices:
     """Validate all layers (through their stationary laws), then build
-    the DFE linearization and (when defined) A = (L* + D)^{-1} B from
-    F*, L* and M, which the network assembles once for all its specs."""
+    B F* and the DFE linearization from F*, L* and M, which the network
+    assembles once for all its specs."""
     stat = network_stationary(spec.net)
     mats = spec.net.assembled
-    B = spec.B()
-    D = spec.D()
-    G = _row_scaled(B, mats.F) - D - mats.L
-    A = None
-    if np.any(np.asarray(spec.delta) > 0):
-        A = np.linalg.solve(mats.L + D, B)
-    return EquilibriumMatrices(v=stat.v, v_per_layer=stat.v_per_layer,
-                               F=mats.F, L=mats.L, M=mats.M, B=B, D=D, G=G, A=A)
+    b, d = np.tile(spec.beta, spec.m), np.tile(spec.delta, spec.m)
+    BF = b[:, None] * mats.F
+    G = BF.copy()
+    G[np.diag_indices_from(G)] -= d
+    G -= mats.L
+    return EquilibriumMatrices(v=stat.v, v_per_layer=stat.v_per_layer, F=mats.F,
+                               L=mats.L, M=mats.M, b=b, d=d, BF=BF, G=G)
 
 
 def threshold(mats: EquilibriumMatrices):
     """Threshold quantities (mu, R0, classification) of a model instance.
 
     mu is the spectral abscissa of the DFE linearization, R0 the
-    spectral radius of A F* (None when no recovery rate is positive),
-    and the disease-free state counts as stable when mu <= MU_TIE_TOL.
-    F* = U V with U the m stacked n x n identities and V = F*[:n], so
-    A F* = (A U) V has the nonzero spectrum of the n x n matrix V (A U).
+    spectral radius of V Z with (L* + D) Z = B U (None when no recovery
+    rate is positive), and the disease-free state counts as stable when
+    mu <= MU_TIE_TOL.
     """
     mu = float(spectral_abscissa(mats.G).mu)
     R0 = None
-    if mats.A is not None:
-        nm, m = mats.A.shape[0], len(mats.v_per_layer)
-        n = nm // m
-        AU = mats.A.reshape(nm, m, n).sum(axis=1)
-        R0 = float(spectral_radius(mats.F[:n] @ AU).rho)
+    if np.any(mats.d > 0):
+        m = len(mats.v_per_layer)
+        n = len(mats.b) // m
+        BU = np.tile(np.diag(mats.b[:n]), (m, 1))
+        Z = np.linalg.solve(mats.L + np.diag(mats.d), BU)
+        R0 = float(spectral_radius(mats.F[:n] @ Z).rho)
     classification = DFE_UNSTABLE if mu > MU_TIE_TOL else DFE_STABLE
     return mu, R0, classification
 
@@ -183,7 +180,7 @@ def _lambda2(mats: EquilibriumMatrices):
     and lambda2 the second smallest eigenvalue of
     (W (B M + L*) + (B M + L*)^T W) / 2.
     """
-    lap = _row_scaled(mats.B, mats.M) + mats.L
+    lap = mats.b[:, None] * mats.M + mats.L
     w = left_null_vector(lap)
     if np.any(w <= 0):
         raise ConvergenceError("left null vector is not positive; matrix not irreducible?")
@@ -205,14 +202,14 @@ def endemic_fixed_point(spec: ModelSpec, mats: EquilibriumMatrices | None = None
     """
     if mats is None:
         mats = equilibrium_matrices(spec)
-    if mats.A is None:
+    if not np.any(mats.d > 0):
         raise ValueError("endemic fixed point needs at least one positive recovery rate "
                          "(with none, the endemic state is p = 1)")
     if mu is None:
         mu = float(spectral_abscissa(mats.G).mu)
     if mu <= MU_TIE_TOL:
         raise ValueError(f"no endemic equilibrium: threshold mu = {mu:.3e} is not positive")
-    BF = _row_scaled(mats.B, mats.F)
+    BF = mats.BF
     diagonal = np.diag_indices_from(BF)
     p = np.ones(BF.shape[0])
     for _ in range(NEWTON_MAX_ITER):
@@ -242,12 +239,12 @@ def endemic_fixed_point(spec: ModelSpec, mats: EquilibriumMatrices | None = None
 def apply_infection_map(mats: EquilibriumMatrices, p: np.ndarray) -> np.ndarray:
     """One application of the monotone map H whose fixed points are the
     endemic equilibria."""
-    if mats.A is None:
+    if not np.any(mats.d > 0):
         raise ValueError("H is defined only when some recovery rate is positive")
-    nm = mats.A.shape[0]
+    A = np.linalg.solve(mats.L + np.diag(mats.d), np.diag(mats.b))
     p = np.asarray(p, dtype=float)
-    T = np.eye(nm) + mats.A @ (np.diag(p) + (1.0 - p)[:, None] * mats.M)
-    return np.linalg.solve(T, mats.A @ p)
+    T = np.eye(len(p)) + A @ (np.diag(p) + (1.0 - p)[:, None] * mats.M)
+    return np.linalg.solve(T, A @ p)
 
 
 def stability_conditions(spec: ModelSpec, mats: EquilibriumMatrices | None = None) -> ConditionReport:
@@ -314,7 +311,7 @@ def classify(spec: ModelSpec) -> EquilibriumReport:
     marginal = abs(mu) <= MU_TIE_TOL
     p_star = None
     if classification == DFE_UNSTABLE:
-        if mats.A is None:
+        if not np.any(mats.d > 0):
             p_star = np.ones(spec.nm)  # no recovery anywhere: everyone ends up infected
         else:
             p_star = endemic_fixed_point(spec, mats, mu=mu)
@@ -342,6 +339,8 @@ def margin_recovery_rates(net, beta, s_factor: float, deficit_nodes):
     n, m, nm = net.n, net.m, net.nm
     if not 0.0 < s_factor < 1.0:
         raise ValueError(f"s_factor must lie in (0, 1), got {s_factor}")
+    if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in deficit_nodes):
+        raise ValueError(f"deficit_nodes must be integer node indices, got {deficit_nodes!r}")
     deficit_nodes = sorted({int(i) for i in deficit_nodes})
     if not deficit_nodes or len(deficit_nodes) >= n:
         raise ValueError("deficit_nodes must be a nonempty proper subset of the nodes")

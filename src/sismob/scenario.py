@@ -174,8 +174,9 @@ def parse_scenario(doc: dict) -> Scenario:
 
 
 def _parse_network(doc) -> MultiLayerNetwork:
-    """First stage of ``parse_scenario``: the document's fields, ``name``,
-    ``n``, ``m``, each layer (certified once) and ``N``."""
+    """First stage of ``parse_scenario``: the document's fields, ``name``
+    (a file-name stem, since outputs are named after it), ``n``, ``m``,
+    each layer (certified once) and ``N``."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: expected a JSON object")
     known = {"name", "n", "m", "layers", "beta", "delta", "N", "p0", "x0",
@@ -184,7 +185,11 @@ def _parse_network(doc) -> MultiLayerNetwork:
         if key not in known:
             raise ScenarioError(f"{key}: unknown field")
 
-    _require(doc, "name")
+    name = _require(doc, "name")
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or any(c in name for c in "/\\\0")):
+        raise ScenarioError("name: expected a file name (a nonempty string other than '.' "
+                            f"and '..', without '/', '\\' or NUL), got {name!r}")
     n = _as_positive_int(_require(doc, "n"), "n")
     m = _as_positive_int(_require(doc, "m"), "m")
 
@@ -209,7 +214,7 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
     checked against ``net`` as parsed from ``doc`` (or from a document
     that differs from it only in ``beta`` or ``delta``).  ``resolved``
     lacks the ``layers`` listing."""
-    name = str(doc["name"])
+    name = doc["name"]
     n, m, N = net.n, net.m, net.N
 
     beta = _as_vector(_require(doc, "beta"), n, "beta")
@@ -225,6 +230,10 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
             raise ScenarioError("delta.rule: the only supported rule is 'lambda2_sufficient'")
         s_factor = _as_number(delta_doc.get("s_factor", 0.8), "delta.s_factor")
         deficit_nodes = delta_doc.get("deficit_nodes", [0, n - 1])
+        if not (isinstance(deficit_nodes, list)
+                and all(isinstance(i, int) and not isinstance(i, bool) for i in deficit_nodes)):
+            raise ScenarioError("delta.deficit_nodes: expected a list of integer node indices, "
+                                f"got {deficit_nodes!r}")
         try:
             delta, delta_info = margin_recovery_rates(net, beta, s_factor, deficit_nodes)
             delta_rule = {"rule": "lambda2_sufficient", **delta_info}

@@ -54,8 +54,19 @@ class TestClassify:
         for _ in range(8):
             spec = random_spec(rng, n_max=7, m=m)
             mats = sm.equilibrium_matrices(spec)
-            oracle = float(np.max(np.abs(np.linalg.eigvals(mats.A @ mats.F))))
+            A = np.linalg.solve(mats.L + spec.D(), spec.B())
+            oracle = float(np.max(np.abs(np.linalg.eigvals(A @ mats.F))))
             assert sm.classify(spec).R0 == pytest.approx(oracle, rel=1e-10, abs=1e-12)
+
+    def test_stored_matrices_match_dense_oracles(self):
+        rng = np.random.default_rng(41)
+        for _ in range(8):
+            spec = random_spec(rng, n_max=7)
+            mats = sm.equilibrium_matrices(spec)
+            B, D = spec.B(), spec.D()
+            assert np.array_equal(np.diag(mats.b), B) and np.array_equal(np.diag(mats.d), D)
+            assert np.array_equal(mats.BF, B @ mats.F)
+            assert np.array_equal(mats.G, B @ mats.F - D - mats.L)
 
     def test_report_serializes(self, two_node_spec):
         doc = sm.classify(two_node_spec).to_dict()
@@ -97,7 +108,7 @@ class TestEndemicFixedPoint:
             assert mu == pytest.approx(target, rel=1e-6)
             p = sm.endemic_fixed_point(spec, mats, mu=mu)
             assert np.min(p) > 0
-            residual = np.max(np.abs(mats.G @ p - p * (mats.B @ (mats.F @ p))))
+            residual = np.max(np.abs(mats.G @ p - p * (spec.B() @ (mats.F @ p))))
             assert residual <= RESIDUAL_TOL * np.max(p)
             scaled.append((mu, p / mu))
         for (mu, coarse), (_, fine) in zip(scaled, scaled[1:]):
@@ -139,10 +150,10 @@ class TestEndemicFixedPoint:
         while checked < 10:
             spec = random_spec(rng)
             mats = sm.equilibrium_matrices(spec)
-            if sm.spectral_abscissa(mats.G).mu <= 1e-3 or mats.A is None:
+            if sm.spectral_abscissa(mats.G).mu <= 1e-3 or not np.any(spec.delta > 0):
                 continue
             p = sm.endemic_fixed_point(spec, mats)
-            residual = np.max(np.abs(mats.G @ p - p * (mats.B @ (mats.F @ p))))
+            residual = np.max(np.abs(mats.G @ p - p * (spec.B() @ (mats.F @ p))))
             assert residual <= RESIDUAL_TOL * np.max(p)
             assert np.min(p) > 0
             checked += 1
@@ -255,6 +266,14 @@ class TestMarginRecoveryRates:
             sm.margin_recovery_rates(net, beta, 1.5, [0])
         with pytest.raises(ValueError):
             sm.margin_recovery_rates(net, beta, 0.8, [0, 1, 2])
+
+    @pytest.mark.parametrize("nodes", [[0.7, 2], [0, 2.9], [True, 2], "01", [0, 2.0]])
+    def test_rejects_non_integral_nodes(self, nodes):
+        layer = sm.preset_layer("line", 3, 0.2)
+        net = sm.MultiLayerNetwork(layers=(layer,), N=np.array([100.0]))
+        with pytest.raises(ValueError, match="integer node indices"):
+            sm.margin_recovery_rates(net, np.full(3, 0.3), 0.8, nodes)
+        sm.margin_recovery_rates(net, np.full(3, 0.3), 0.8, np.array([0, 2]))
 
     def test_threshold_matches_dense_eigensolver(self):
         # anchor the flagship instance against a full dense spectrum

@@ -1,10 +1,14 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sismob as sm
-from sismob.cli import _document, _grid_point_doc, _parse_grid, build_parser, main
+from sismob.cli import (GRID_MAX_POINTS, _document, _grid_point_doc, _parse_grid,
+                        build_parser, main)
 
 from conftest import SCENARIOS
 
@@ -42,6 +46,15 @@ def pointwise_rows(argv):
         r0_s = "" if r0 is None else format(r0, ".17g")
         rows.append(f"{idx},{value:.17g},{mu:.17g},{r0_s},{cls},")
     return rows
+
+
+_LINSPACE = np.linspace
+
+
+def _bounded_linspace(start, stop, num, *args, **kwargs):
+    """np.linspace that refuses an oversize grid instead of allocating it."""
+    assert num <= GRID_MAX_POINTS, f"np.linspace asked for {num} points"
+    return _LINSPACE(start, stop, num, *args, **kwargs)
 
 
 def scalar_doc(**overrides):
@@ -132,6 +145,10 @@ class TestScenarioParsing:
          {"n": 3, "layers": [{"mh": {"graph": "ring", "rate_scale": float("nan")}}]}),
         ("delta.s_factor", {"n": 3, "layers": [{"preset": "ring", "rate_scale": 0.2}],
                             "delta": {"rule": "lambda2_sufficient", "s_factor": float("inf")}}),
+        *[("delta.deficit_nodes",
+           {"n": 3, "layers": [{"preset": "ring", "rate_scale": 0.2}],
+            "delta": {"rule": "lambda2_sufficient", "deficit_nodes": nodes}})
+          for nodes in ([0.7, 2], [0, 2.9], [True, 2], "01")],
     ])
     def test_bad_numbers_name_the_field(self, field, overrides, tmp_path, capsys):
         doc = scalar_doc(**overrides)
@@ -158,6 +175,26 @@ class TestScenarioParsing:
         sm.stationary_counts(scenario.spec)
         assert len(calls) == scenario.spec.m
         assert {id(layer) for layer in calls} == {id(layer) for layer in scenario.spec.net.layers}
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "a\0b", ".", "..", "",
+                                      {"a": 1}, 7, None, True])
+    def test_name_must_be_a_file_name(self, name, tmp_path, capsys):
+        # outputs are named <name>_*.json: a name must not leave --out
+        with pytest.raises(sm.ScenarioError, match="^name:"):
+            sm.parse_scenario(scalar_doc(name=name))
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scalar_doc(name=name)))
+        out = str(tmp_path / "out")
+        for argv in (["validate"], ["analyze", "--out", out], ["run", "--out", out],
+                     ["sweep", "--out", out, "--grid", "delta=0.1:0.5:3"]):
+            assert main([*argv, "--scenario", str(path)]) == 2
+            assert "scenario error: name:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+    @pytest.mark.parametrize("name", ["fig1_complete_line", "sweep_n20", "analyze_lambda2_n80",
+                                      "fig1_n160", "fig1_n80_lambda2", "a..b", "with space"])
+    def test_file_name_stems_are_accepted(self, name):
+        assert sm.parse_scenario(scalar_doc(name=name)).name == name
 
     def test_delta_rule_resolves_to_explicit_vector(self):
         scenario = sm.load_scenario(SCENARIOS / "fig3_lambda2.json")
@@ -455,6 +492,59 @@ class TestCli:
                      "--grid", grid]) == 2
         assert capsys.readouterr().err.startswith("scenario error: --grid: ")
         assert not out.exists()
+
+    def test_sweep_refuses_oversize_grid_before_allocating(self, tmp_path, capsys):
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps(scalar_doc()))
+        out = tmp_path / "out"
+        with mock.patch.object(np, "linspace", _bounded_linspace):
+            assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
+                         "--grid", "delta=0:1:10000000000"]) == 2
+        assert capsys.readouterr().err.startswith("scenario error: --grid: count ")
+        assert not out.exists()
+
+    def test_grid_bound_is_inclusive(self):
+        _, values = _parse_grid(f"delta=0:1:{GRID_MAX_POINTS}")
+        assert len(values) == GRID_MAX_POINTS and values[-1] == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(["beta", "delta", "rate_scale", " delta ", "gamma", ""]),
+           ends=st.lists(st.one_of(st.floats().map(repr),
+                                   st.sampled_from(["", "x", "1e400", "-0", "3"])),
+                         min_size=2, max_size=2),
+           count=st.one_of(st.integers(-3, 40).map(str),
+                           st.integers(GRID_MAX_POINTS + 1, 10**30).map(str),
+                           st.sampled_from(["", "2.5", "1e3", "ten"])),
+           shape=st.sampled_from(["ok", "extra ':'", "missing ':'", "no '='"]))
+    @example(field="delta", ends=["0.6", "0.05"], count="5", shape="ok")        # reversed
+    @example(field="beta", ends=["0.1", "0.5"], count="0", shape="ok")         # empty
+    @example(field="beta", ends=["0.1", "0.5"], count="1000001", shape="ok")   # oversize
+    @example(field="beta", ends=["0.1", ""], count="3", shape="ok")            # empty field
+    def test_parse_grid_gives_count_finite_points_or_refuses(self, field, ends, count, shape):
+        parts = {"ok": [*ends, count], "extra ':'": [*ends, count, "3"],
+                 "missing ':'": [ends[0], count], "no '='": [*ends, count]}[shape]
+        text = ("" if shape == "no '='" else field + "=") + ":".join(parts)
+        try:
+            with mock.patch.object(np, "linspace", _bounded_linspace):
+                got_field, values = _parse_grid(text)
+        except sm.ScenarioError as exc:
+            assert str(exc).startswith("--grid:"), (text, str(exc))
+            try:
+                start, stop, k = float(ends[0]), float(ends[1]), int(count)
+            except ValueError:
+                return
+            # refusing a well-formed, modest grid would be a false alarm
+            assert not (shape == "ok" and field.strip() in ("beta", "delta", "rate_scale")
+                        and 0 <= k <= GRID_MAX_POINTS
+                        and max(abs(start), abs(stop)) < 1e300), (text, str(exc))
+            return
+        assert shape == "ok" and got_field == field.strip(), text
+        assert len(values) == int(count) <= GRID_MAX_POINTS, text
+        assert np.all(np.isfinite(values)), text
+        if len(values) >= 1:
+            assert values[0] == float(ends[0]), text
+        if len(values) >= 2:
+            assert values[-1] == float(ends[1]), text
 
     def test_sweep_propagates_programming_errors(self, tmp_path, monkeypatch):
         # only the package's own (ValueError/RuntimeError) failures are sweep data
