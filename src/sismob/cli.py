@@ -4,7 +4,8 @@ Subcommands: ``run`` (deterministic trajectory, optional stochastic
 replicas, analysis, manifest), ``analyze`` (equilibrium/condition report
 only), ``sweep`` (classification table over a scalar parameter grid),
 and ``validate``.  All outputs land under ``--out`` and are
-byte-reproducible for a fixed scenario and seed list.
+byte-reproducible for a fixed scenario and seed list.  Scenario documents
+are edited (overrides, sweep points) by the ``scenario`` module only.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from . import __version__
 from .dynamics import integrate, write_trajectory_csv
 from .equilibria import classify, equilibrium_matrices, threshold
 from .errors import ScenarioError
-from .scenario import (Scenario, _parse_instance, _parse_network, initial_state,
-                       parse_scenario, read_document)
+from .scenario import (Scenario, initial_state, parse_point, parse_scenario, read_document,
+                       set_fields)
 from .stochastic import seed_infections, simulate, stationary_counts, write_stochastic_csv
 
 
@@ -104,20 +105,9 @@ def _manifest(scenario: Scenario, command: str, outputs: list) -> dict:
 
 
 def _document(args):
-    """The scenario document with the --dt, --t-end and --seed overrides
-    applied; a document or ``stochastic`` block that is not an object is
-    left for ``parse_scenario`` to name."""
-    doc = read_document(args.scenario)
-    if not isinstance(doc, dict):
-        return doc
-    if args.dt is not None:
-        doc["dt"] = args.dt
-    if args.t_end is not None:
-        doc["t_end"] = args.t_end
-    stochastic = doc.get("stochastic", {})
-    if args.seed and isinstance(stochastic, dict):
-        doc["stochastic"] = {**stochastic, "seeds": args.seed, "enabled": True}
-    return doc
+    """The scenario document with the given --dt, --t-end and --seed set."""
+    return set_fields(read_document(args.scenario), dt=args.dt, t_end=args.t_end,
+                      seeds=args.seed or None)
 
 
 def _cmd_validate(args) -> int:
@@ -153,14 +143,12 @@ def _cmd_run(args) -> int:
 
     if scenario.stochastic_enabled:
         populations = stationary_counts(scenario.spec)
-        initial_counts = seed_infections(populations, scenario.p0,
-                                         scenario.spec.n, scenario.spec.m)
+        initial_counts = seed_infections(populations, scenario.p0)
         for seed in scenario.seeds:
             run = simulate(scenario.spec, initial_counts, scenario.t_end,
                            h=scenario.h, seed=seed)
             sto_path = out / f"{scenario.name}_stochastic_seed{seed}.csv"
-            write_stochastic_csv(run, sto_path, scenario.spec.n, scenario.spec.m,
-                                 stride=scenario.sample_every)
+            write_stochastic_csv(run, sto_path, stride=scenario.sample_every)
             sidecar = out / f"{scenario.name}_stochastic_seed{seed}.json"
             _write_json(sidecar, {"seed": seed, "h": scenario.h,
                                   "t_end": scenario.t_end,
@@ -203,24 +191,6 @@ def _parse_grid(text: str):
     return field, values
 
 
-def _grid_point_doc(doc: dict, field: str, value: float) -> dict:
-    if field != "rate_scale":
-        return {**doc, field: value}
-    point = json.loads(json.dumps(doc))  # deep copy: the layer specs change
-    hits = 0
-    for layer in point.get("layers", []):
-        if "preset" in layer:
-            layer["rate_scale"] = value
-            hits += 1
-        elif "mh" in layer:
-            layer["mh"]["rate_scale"] = value
-            hits += 1
-    if not hits:
-        raise ScenarioError(
-            "layers: rate_scale sweeps need preset or mh layer specs")
-    return point
-
-
 def _cmd_sweep(args) -> int:
     doc = _document(args)
     scenario = parse_scenario(doc)
@@ -231,11 +201,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for idx, value in enumerate(values):
         try:
-            point_doc = _grid_point_doc(doc, field, float(value))
-            # a beta or delta grid changes no layer: share the one parsed
-            # network; no point needs the manifest's layer listing
-            net = _parse_network(point_doc) if field == "rate_scale" else scenario.spec.net
-            point = _parse_instance(point_doc, net)
+            point = parse_point(doc, scenario, field, float(value))
             mu, r0, classification = threshold(equilibrium_matrices(point.spec))
             rows.append([idx, value, mu, "" if r0 is None else r0,
                          classification, ""])

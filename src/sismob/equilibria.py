@@ -173,14 +173,13 @@ def threshold(mats: EquilibriumMatrices):
     return mu, R0, classification
 
 
-def _lambda2(mats: EquilibriumMatrices):
-    """Weighted-Laplacian quantities (w, lambda2) of the lambda2 bound.
-
-    w is the positive left null vector of B M + L* scaled to max w = 1,
-    and lambda2 the second smallest eigenvalue of
-    (W (B M + L*) + (B M + L*)^T W) / 2.
+def _lambda2(b: np.ndarray, M: np.ndarray, L: np.ndarray):
+    """Weighted-Laplacian quantities (w, lambda2) of the lambda2 bound for
+    stacked infection rates b (the diagonal of B), M and L*: w is the
+    positive left null vector of B M + L* scaled to max w = 1, and lambda2
+    the second smallest eigenvalue of (W (B M + L*) + (B M + L*)^T W) / 2.
     """
-    lap = mats.b[:, None] * mats.M + mats.L
+    lap = b[:, None] * M + L
     w = left_null_vector(lap)
     if np.any(w <= 0):
         raise ConvergenceError("left null vector is not positive; matrix not irreducible?")
@@ -279,7 +278,7 @@ def stability_conditions(spec: ModelSpec, mats: EquilibriumMatrices | None = Non
         return ConditionReport(nec_per_node, nec_exists, suf_all, None,
                                None, s, None, None, None, None)
 
-    w, lambda2 = _lambda2(mats)
+    w, lambda2 = _lambda2(mats.b, mats.M, mats.L)
     s_lower = -lambda2 / (4.0 * m * n + 1.0)
 
     deficits = np.tile(delta - beta, m) - s  # per stacked index, >= 0
@@ -337,6 +336,8 @@ def margin_recovery_rates(net, beta, s_factor: float, deficit_nodes):
     """
     beta = np.asarray(beta, dtype=float)
     n, m, nm = net.n, net.m, net.nm
+    if beta.shape != (n,) or np.any(beta <= 0):
+        raise ValueError(f"beta must be n={n} positive infection rates, got shape {beta.shape}")
     if not 0.0 < s_factor < 1.0:
         raise ValueError(f"s_factor must lie in (0, 1), got {s_factor}")
     if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in deficit_nodes):
@@ -349,8 +350,8 @@ def margin_recovery_rates(net, beta, s_factor: float, deficit_nodes):
     if nm < 2:
         raise ValueError("the lambda2 construction needs nm >= 2")
 
-    probe = ModelSpec(net=net, beta=beta, delta=np.zeros(n))
-    w, lambda2 = _lambda2(equilibrium_matrices(probe))
+    mats = net.assembled
+    w, lambda2 = _lambda2(np.tile(beta, m), mats.M, mats.L)
 
     s_lower = -lambda2 / (4.0 * m * n + 1.0)
     s = s_factor * s_lower

@@ -30,6 +30,11 @@ Layer specs come in three forms::
      "rates": "equal_exit"|"mh_uniform"}        # rates defaults to equal_exit
     {"edges": [[i, j, rate], ...]}
     {"mh": {"graph": preset, "target": "uniform"|[n values], "rate_scale": nu}}
+
+Every object but ``delta_rule`` (free-form provenance) refuses a key it
+does not know, naming its path.  Only this module edits documents:
+``set_fields`` sets the CLI overrides and a sweep point's value, and
+``parse_point`` parses a sweep point.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ _DEFAULTS = {
     "stochastic": {"enabled": False, "h": 0.01, "seeds": [0]},
     "output_dir": "out",
 }
+_TOP_KEYS = ("name", "n", "m", "layers", "beta", "delta", "delta_rule", "N", *_DEFAULTS)
+# layer form -> its keys
+_LAYER_KEYS = {"preset": ("preset", "rate_scale", "rates"), "edges": ("edges",), "mh": ("mh",)}
 
 
 @dataclass
@@ -90,6 +98,17 @@ def read_document(path):
 
 def load_scenario(path) -> Scenario:
     return parse_scenario(read_document(path))
+
+
+def _object(value, field: str, known) -> dict:
+    """``value``, checked to be a JSON object whose keys all lie in
+    ``known``; ``field`` is its path, empty for the document itself."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{field or 'scenario'}: expected a JSON object")
+    for key in value:
+        if key not in known:
+            raise ScenarioError(f"{field + '.' if field else ''}{key}: unknown field")
+    return value
 
 
 def _require(doc: dict, key: str):
@@ -125,24 +144,21 @@ def _as_vector(value, length: int, field: str) -> np.ndarray:
 
 def _build_layer(entry, n: int, idx: int) -> MobilityLayer:
     field = f"layers[{idx}]"
-    if not isinstance(entry, dict):
-        raise ScenarioError(f"{field}: expected an object")
-    forms = [k for k in ("preset", "edges", "mh") if k in entry]
+    _object(entry, field, [key for keys in _LAYER_KEYS.values() for key in keys])
+    forms = [k for k in _LAYER_KEYS if k in entry]
     if len(forms) != 1:
         raise ScenarioError(f"{field}: expected exactly one of 'preset', 'edges', 'mh'")
+    _object(entry, field, _LAYER_KEYS[forms[0]])
     try:
         if "preset" in entry:
             name = entry["preset"]
             if name not in graphs.PRESET_NAMES:
                 raise ScenarioError(f"{field}.preset: unknown preset {name!r}")
             rate_scale = _as_number(entry.get("rate_scale", 1.0), f"{field}.rate_scale")
-            rates = entry.get("rates", "equal_exit")
-            return preset_layer(name, n, rate_scale, rates=rates)
+            return preset_layer(name, n, rate_scale, rates=entry.get("rates", "equal_exit"))
         if "edges" in entry:
             return layer_from_edge_rates(n, entry["edges"])
-        mh = entry["mh"]
-        if not isinstance(mh, dict):
-            raise ScenarioError(f"{field}.mh: expected an object")
+        mh = _object(entry["mh"], f"{field}.mh", ("graph", "target", "rate_scale"))
         name = mh.get("graph")
         if name not in graphs.PRESET_NAMES:
             raise ScenarioError(f"{field}.mh.graph: unknown preset {name!r}")
@@ -173,18 +189,47 @@ def parse_scenario(doc: dict) -> Scenario:
     return scenario
 
 
+def set_fields(doc, **fields):
+    """A copy of ``doc`` with each field not None set: ``seeds`` in
+    ``stochastic`` (which it enables), ``rate_scale`` in every preset and mh
+    layer of a document that parses, any other at the top level.  Only
+    objects on an edited path are copied; a document or ``stochastic``
+    that is not an object is left for ``parse_scenario`` to name."""
+    if not isinstance(doc, dict):
+        return doc
+    doc = dict(doc)
+    for field, value in fields.items():
+        if value is None:
+            continue
+        if field == "seeds":
+            stochastic = doc.get("stochastic", {})
+            if isinstance(stochastic, dict):
+                doc["stochastic"] = {**stochastic, "seeds": value, "enabled": True}
+        elif field == "rate_scale":
+            if not any("preset" in spec or "mh" in spec for spec in doc["layers"]):
+                raise ScenarioError("layers: rate_scale sweeps need preset or mh layer specs")
+            doc["layers"] = [{**spec, "rate_scale": value} if "preset" in spec
+                             else {**spec, "mh": {**spec["mh"], "rate_scale": value}}
+                             if "mh" in spec else spec for spec in doc["layers"]]
+        else:
+            doc[field] = value
+    return doc
+
+
+def parse_point(doc: dict, scenario: Scenario, field: str, value) -> Scenario:
+    """The sweep point of ``doc`` (parsed as ``scenario``) with ``field`` set to
+    ``value``: a ``beta`` or ``delta`` point shares the parsed network, a
+    ``rate_scale`` point builds its own, and none gets the layer listing."""
+    point = set_fields(doc, **{field: value})
+    net = _parse_network(point) if field == "rate_scale" else scenario.spec.net
+    return _parse_instance(point, net)
+
+
 def _parse_network(doc) -> MultiLayerNetwork:
     """First stage of ``parse_scenario``: the document's fields, ``name``
     (a file-name stem, since outputs are named after it), ``n``, ``m``,
     each layer (certified once) and ``N``."""
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario: expected a JSON object")
-    known = {"name", "n", "m", "layers", "beta", "delta", "N", "p0", "x0",
-             "t_end", "dt", "sample_every", "stochastic", "output_dir", "delta_rule"}
-    for key in doc:
-        if key not in known:
-            raise ScenarioError(f"{key}: unknown field")
-
+    _object(doc, "", _TOP_KEYS)
     name = _require(doc, "name")
     if (not isinstance(name, str) or name in ("", ".", "..")
             or any(c in name for c in "/\\\0")):
@@ -214,6 +259,7 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
     checked against ``net`` as parsed from ``doc`` (or from a document
     that differs from it only in ``beta`` or ``delta``).  ``resolved``
     lacks the ``layers`` listing."""
+    doc = {**_DEFAULTS, **doc}
     name = doc["name"]
     n, m, N = net.n, net.m, net.N
 
@@ -226,6 +272,7 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
     if "delta_rule" in doc and (not isinstance(delta_rule, dict) or isinstance(delta_doc, dict)):
         raise ScenarioError("delta_rule: expected an object next to an explicit delta")
     if isinstance(delta_doc, dict):
+        _object(delta_doc, "delta", ("rule", "s_factor", "deficit_nodes"))
         if delta_doc.get("rule") != "lambda2_sufficient":
             raise ScenarioError("delta.rule: the only supported rule is 'lambda2_sufficient'")
         s_factor = _as_number(delta_doc.get("s_factor", 0.8), "delta.s_factor")
@@ -246,35 +293,27 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
 
     spec = ModelSpec(net=net, beta=beta, delta=delta)
 
-    p0 = _as_vector(doc.get("p0", _DEFAULTS["p0"]), n * m, "p0")
+    p0 = _as_vector(doc["p0"], n * m, "p0")
     if np.any(p0 < 0) or np.any(p0 > 1):
         raise ScenarioError("p0: initial fractions must lie in [0, 1]")
 
-    x0_doc = doc.get("x0", _DEFAULTS["x0"])
-    if isinstance(x0_doc, str):
-        if x0_doc != "stationary":
+    if isinstance(doc["x0"], str):
+        if doc["x0"] != "stationary":
             raise ScenarioError("x0: expected 'stationary' or a list of nm values")
         x0 = np.asarray(network_stationary(net).v)
     else:
-        x0 = _as_vector(x0_doc, n * m, "x0")
+        x0 = _as_vector(doc["x0"], n * m, "x0")
         if np.any(x0 <= 0):
             raise ScenarioError("x0: populations must be positive")
 
-    t_end = _as_number(doc.get("t_end", _DEFAULTS["t_end"]), "t_end")
-    dt = _as_number(doc.get("dt", _DEFAULTS["dt"]), "dt")
+    t_end = _as_number(doc["t_end"], "t_end")
+    dt = _as_number(doc["dt"], "dt")
     if dt <= 0:
         raise ScenarioError(f"dt: must be positive, got {dt}")
-    sample_every = doc.get("sample_every", _DEFAULTS["sample_every"])
-    sample_every = _as_positive_int(sample_every, "sample_every")
+    sample_every = _as_positive_int(doc["sample_every"], "sample_every")
 
-    sto = dict(_DEFAULTS["stochastic"])
-    sto_doc = doc.get("stochastic", {})
-    if not isinstance(sto_doc, dict):
-        raise ScenarioError("stochastic: expected an object")
-    for key in sto_doc:
-        if key not in sto:
-            raise ScenarioError(f"stochastic.{key}: unknown field")
-    sto.update(sto_doc)
+    sto = {**_DEFAULTS["stochastic"],
+           **_object(doc["stochastic"], "stochastic", _DEFAULTS["stochastic"])}
     enabled = sto["enabled"]
     if not isinstance(enabled, bool):
         raise ScenarioError(f"stochastic.enabled: expected true or false, got {enabled!r}")
@@ -301,20 +340,15 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
         except StepSizeError as exc:
             raise ScenarioError(f"stochastic.h: {exc}") from None
 
-    output_dir = str(doc.get("output_dir", _DEFAULTS["output_dir"]))
+    output_dir = doc["output_dir"]
+    if not isinstance(output_dir, str):
+        raise ScenarioError(f"output_dir: expected a string, got {output_dir!r}")
 
     resolved = {
-        "name": name,
-        "n": n,
-        "m": m,
-        "beta": [float(b) for b in beta],
-        "delta": [float(d) for d in delta],
-        "N": [float(v) for v in N],
-        "p0": [float(v) for v in p0],
-        "x0": [float(v) for v in x0],
-        "t_end": t_end,
-        "dt": dt,
-        "sample_every": sample_every,
+        "name": name, "n": n, "m": m,
+        **{key: [float(v) for v in vector] for key, vector in
+           (("beta", beta), ("delta", delta), ("N", N), ("p0", p0), ("x0", x0))},
+        "t_end": t_end, "dt": dt, "sample_every": sample_every,
         "stochastic": {"enabled": enabled, "h": h, "seeds": [int(s) for s in seeds]},
         "output_dir": output_dir,
     }

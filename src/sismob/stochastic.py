@@ -97,9 +97,6 @@ class StochasticRun:
     def fractions(self) -> np.ndarray:
         return _fractions(self.s, self.i)
 
-    def counts(self, k: int) -> AgentCounts:
-        return AgentCounts(s=self.s[k], i=self.i[k])
-
 
 def _moves(spec: ModelSpec):
     """(m, n, n) positive off-diagonal rates of every Q^a, the ones a step
@@ -238,11 +235,12 @@ def stationary_counts(spec: ModelSpec) -> np.ndarray:
     return x
 
 
-def seed_infections(populations: np.ndarray, p0: np.ndarray | float,
-                    n: int, m: int) -> AgentCounts:
+def seed_infections(populations: np.ndarray, p0: np.ndarray | float) -> AgentCounts:
     """Initial counts with infections allocated to match the target
-    fractions p0 as closely as integers allow (per class)."""
+    fractions p0 (a number or nm values, layer-major) in the (n, m)
+    populations as closely as integers allow (per class)."""
     populations = np.asarray(populations, dtype=np.int64)
+    n, m = populations.shape
     p = np.broadcast_to(np.asarray(p0, dtype=float).ravel(), (n * m,)).reshape(m, n).T
     if np.any(np.isnan(p)):
         raise ValueError("initial fractions p0 must be numbers, got NaN")
@@ -258,10 +256,11 @@ def seed_infections(populations: np.ndarray, p0: np.ndarray | float,
     return AgentCounts(s=populations - infected, i=infected)
 
 
-def write_stochastic_csv(run: StochasticRun, path, n: int, m: int, stride: int = 1):
+def write_stochastic_csv(run: StochasticRun, path, stride: int = 1):
     """CSV with the deterministic trajectory columns (fractions and
     populations) plus the raw integer counts, sampled every ``stride``
     steps (the final step is always included)."""
+    _, n, m = run.s.shape
     last = len(run.t) - 1
     rows = np.unique(np.r_[0:last + 1:max(1, stride), last])
     sus, inf = run.s[rows], run.i[rows]

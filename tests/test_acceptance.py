@@ -179,7 +179,7 @@ def test_criterion_08_stochastic_deterministic_agreement():
         net = sm.MultiLayerNetwork(layers=layers, N=np.array([float(n * per_node)] * m))
         spec = sm.ModelSpec(net=net, beta=beta, delta=delta)
         populations = stationary_counts(spec)
-        init = seed_infections(populations, 0.01, n, m)
+        init = seed_infections(populations, 0.01)
 
         # deterministic counterpart started from the integerized state
         p0 = (init.i / np.maximum(init.s + init.i, 1)).T.ravel()

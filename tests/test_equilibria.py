@@ -299,8 +299,8 @@ class TestMarginRecoveryRates:
         assert report.mu <= 0
 
     def test_specs_on_one_network_assemble_once(self, monkeypatch):
-        # the lambda2 rule's probe, classify and any later spec on the
-        # network share one read-only assembly at the stationary populations
+        # the lambda2 rule, classify and any later spec on the network
+        # share one read-only assembly at the stationary populations
         calls = []
         original = sm.dynamics.assemble
 

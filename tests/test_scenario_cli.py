@@ -1,4 +1,8 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sismob as sm
-from sismob.cli import (GRID_MAX_POINTS, _document, _grid_point_doc, _parse_grid,
-                        build_parser, main)
+from sismob.cli import GRID_MAX_POINTS, _parse_grid, build_parser, main
+from sismob.scenario import read_document, set_fields
 
 from conftest import SCENARIOS
 
@@ -33,12 +37,13 @@ LAMBDA2_RULE = {"rule": "lambda2_sufficient", "s_factor": 0.8, "deficit_nodes": 
 def pointwise_rows(argv):
     """The sweep's CSV rows, each from a full parse of its own grid point."""
     args = build_parser().parse_args(argv)
-    doc = _document(args)
+    doc = set_fields(read_document(args.scenario), dt=args.dt, t_end=args.t_end,
+                     seeds=args.seed or None)
     field, values = _parse_grid(args.grid)
     rows = []
     for idx, value in enumerate(values):
         try:
-            point = sm.parse_scenario(_grid_point_doc(doc, field, float(value)))
+            point = sm.parse_scenario(set_fields(doc, **{field: float(value)}))
             mu, r0, cls = sm.equilibria.threshold(sm.equilibrium_matrices(point.spec))
         except (ValueError, RuntimeError) as exc:
             rows.append(f"{idx},{value:.17g},,,,\"{type(exc).__name__}: {exc}\"")
@@ -70,6 +75,50 @@ def scalar_doc(**overrides):
     return doc
 
 
+def every_object_doc():
+    """A valid document holding every kind of checked object: the top
+    level, each layer form, an mh block, a delta rule and stochastic."""
+    return {
+        "name": "every_object", "n": 3, "m": 3,
+        "layers": [{"preset": "ring", "rate_scale": 0.2, "rates": "equal_exit"},
+                   {"edges": [[0, 1, 0.2], [1, 2, 0.2], [2, 0, 0.2]]},
+                   {"mh": {"graph": "line", "target": "uniform", "rate_scale": 0.3}}],
+        "beta": 0.3,
+        "delta": {"rule": "lambda2_sufficient", "s_factor": 0.8, "deficit_nodes": [0]},
+        "N": [100, 100, 100], "p0": 0.01, "x0": "stationary",
+        "t_end": 1.0, "dt": 0.01, "sample_every": 1,
+        "stochastic": {"enabled": False, "h": 0.01, "seeds": [0]},
+        "output_dir": "out",
+    }
+
+
+# path of each checked object of every_object_doc -> how to reach it
+OBJECTS = {
+    "": lambda doc: doc,
+    "layers[0]": lambda doc: doc["layers"][0],
+    "layers[1]": lambda doc: doc["layers"][1],
+    "layers[2]": lambda doc: doc["layers"][2],
+    "layers[2].mh": lambda doc: doc["layers"][2]["mh"],
+    "delta": lambda doc: doc["delta"],
+    "stochastic": lambda doc: doc["stochastic"],
+}
+KNOWN_KEYS = {"name", "n", "m", "layers", "beta", "delta", "delta_rule", "N", "p0", "x0",
+              "t_end", "dt", "sample_every", "stochastic", "output_dir", "preset",
+              "rate_scale", "rates", "edges", "mh", "graph", "target", "rule", "s_factor",
+              "deficit_nodes", "enabled", "h", "seeds"}
+
+
+def assert_refused_without_writing(doc, prefix, tmp_path, capsys, commands):
+    """Each command exits 2 naming ``prefix`` and writes nothing."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "out")
+    for argv in commands:
+        assert main([*argv, "--scenario", str(path)]) == 2, argv
+        assert capsys.readouterr().err.startswith(f"scenario error: {prefix}"), argv
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+
 class TestScenarioParsing:
     def test_bundled_scenarios_all_parse(self):
         for path in sorted(SCENARIOS.glob("*.json")):
@@ -85,6 +134,57 @@ class TestScenarioParsing:
     def test_unknown_field_rejected(self):
         with pytest.raises(sm.ScenarioError, match="betaa"):
             sm.parse_scenario(scalar_doc(betaa=0.3))
+
+    def test_every_object_doc_parses(self):
+        assert sm.parse_scenario(every_object_doc()).spec.nm == 9
+
+    @settings(max_examples=60, deadline=None)
+    @given(path=st.sampled_from(sorted(OBJECTS)), data=st.data(),
+           new_key=st.text(min_size=1, max_size=12).filter(lambda k: k not in KNOWN_KEYS))
+    def test_unknown_key_in_any_object_names_its_path(self, path, data, new_key):
+        # a misspelled key must not leave a default (or the correctly
+        # spelled key) in force: rename one key, or add one, in one object
+        doc = every_object_doc()
+        obj = OBJECTS[path](doc)
+        renamed = data.draw(st.sampled_from([None, *sorted(obj)]), label="renamed")
+        obj[new_key] = obj.pop(renamed) if renamed else 1.0
+        key_path = f"{path}.{new_key}" if path else new_key
+        with pytest.raises(sm.ScenarioError) as info:
+            sm.parse_scenario(doc)
+        assert str(info.value).startswith(f"{key_path}: unknown field"), str(info.value)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "s.json").write_text(json.dumps(doc))
+            stderr = io.StringIO()
+            for argv in (["validate"], ["analyze", "--out", str(tmp / "out")]):
+                with contextlib.redirect_stderr(stderr):
+                    assert main([*argv, "--scenario", str(tmp / "s.json")]) == 2
+            assert stderr.getvalue().count(f"scenario error: {key_path}: unknown field") == 2
+            assert [p.name for p in tmp.iterdir()] == ["s.json"]
+
+    @pytest.mark.parametrize("edit, key_path", [
+        (lambda doc: doc["layers"][0].update(rate_scal=5.0), "layers[0].rate_scal"),
+        (lambda doc: doc["layers"].__setitem__(1, {"mh": {"graph": "line", "rate_scal": 9.0}}),
+         "layers[1].mh.rate_scal"),
+        (lambda doc: doc.update(delta={"rule": "lambda2_sufficient", "s_facter": 0.1}),
+         "delta.s_facter"),
+    ], ids=["layer", "mh", "delta_rule"])
+    def test_misspelled_keys_stop_every_command(self, edit, key_path, tmp_path, capsys):
+        doc = read_document(SCENARIOS / "fig1_complete_line.json")
+        edit(doc)
+        out = str(tmp_path / "out")
+        assert_refused_without_writing(
+            doc, f"{key_path}: unknown field", tmp_path, capsys,
+            (["validate"], ["analyze", "--out", out], ["run", "--out", out],
+             ["sweep", "--out", out, "--grid", "delta=0.1:0.5:3"]))
+
+    @pytest.mark.parametrize("output_dir", [[1, 2], None, 5, {"a": "b"}, True])
+    def test_output_dir_must_be_a_string(self, output_dir, tmp_path, capsys):
+        doc = scalar_doc(output_dir=output_dir)
+        with pytest.raises(sm.ScenarioError, match="^output_dir: expected a string"):
+            sm.parse_scenario(doc)
+        assert_refused_without_writing(doc, "output_dir:", tmp_path, capsys,
+                                       (["validate"],))
 
     def test_disconnected_layer_names_layer(self):
         doc = scalar_doc(n=3, layers=[{"edges": [[0, 1, 0.2], [1, 0, 0.2]]}])
@@ -454,6 +554,29 @@ class TestCli:
         assert rows == pointwise_rows(argv)
         assert sum("ScenarioError" in row for row in rows) == failing
 
+    def test_set_fields_copies_only_the_edited_path(self):
+        doc = every_object_doc()
+        before = json.loads(json.dumps(doc))
+        point = set_fields(doc, rate_scale=0.5, seeds=[3], dt=0.02, t_end=None)
+        assert doc == before
+        assert [spec.get("rate_scale") for spec in point["layers"]] == [0.5, None, None]
+        assert point["layers"][2]["mh"] == {"graph": "line", "target": "uniform",
+                                            "rate_scale": 0.5}
+        assert point["layers"][1] is doc["layers"][1]
+        assert point["stochastic"] == {"enabled": True, "h": 0.01, "seeds": [3]}
+        assert (point["dt"], point["t_end"]) == (0.02, 1.0)
+
+    def test_rate_scale_sweep_needs_a_preset_or_mh_layer(self, tmp_path):
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps(
+            scalar_doc(n=2, layers=[{"edges": [[0, 1, 0.2], [1, 0, 0.2]]}])))
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
+                     "--grid", "rate_scale=0.1:0.5:2"]) == 0
+        rows = (out / "scalar_sweep.csv").read_text().splitlines()[1:]
+        assert rows == [f"{idx},{value:.17g},,,,\"ScenarioError: layers: rate_scale sweeps need "
+                        f"preset or mh layer specs\"" for idx, value in ((0, 0.1), (1, 0.5))]
+
     @pytest.mark.parametrize("grid, calls", [
         ("delta=0.05:0.6:50", 2),
         ("beta=0.05:0.6:50", 2),
@@ -520,6 +643,7 @@ class TestCli:
     @example(field="beta", ends=["0.1", "0.5"], count="0", shape="ok")         # empty
     @example(field="beta", ends=["0.1", "0.5"], count="1000001", shape="ok")   # oversize
     @example(field="beta", ends=["0.1", ""], count="3", shape="ok")            # empty field
+    @example(field="beta", ends=["0.0", "nan"], count="0", shape="ok")         # NaN stop
     def test_parse_grid_gives_count_finite_points_or_refuses(self, field, ends, count, shape):
         parts = {"ok": [*ends, count], "extra ':'": [*ends, count, "3"],
                  "missing ':'": [ends[0], count], "no '='": [*ends, count]}[shape]
@@ -536,7 +660,7 @@ class TestCli:
             # refusing a well-formed, modest grid would be a false alarm
             assert not (shape == "ok" and field.strip() in ("beta", "delta", "rate_scale")
                         and 0 <= k <= GRID_MAX_POINTS
-                        and max(abs(start), abs(stop)) < 1e300), (text, str(exc))
+                        and abs(start) < 1e300 and abs(stop) < 1e300), (text, str(exc))
             return
         assert shape == "ok" and got_field == field.strip(), text
         assert len(values) == int(count) <= GRID_MAX_POINTS, text

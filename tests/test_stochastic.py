@@ -69,7 +69,7 @@ class TestStep:
         big = sm.ModelSpec(net=sm.MultiLayerNetwork(layers=scalar_spec.net.layers,
                                                     N=np.array([100000.0])),
                            beta=scalar_spec.beta, delta=scalar_spec.delta)
-        init = seed_infections(stationary_counts(big), 0.01, 1, 1)
+        init = seed_infections(stationary_counts(big), 0.01)
         finals = [simulate(big, init, 100.0, h=0.01, seed=seed).fractions()[-1, 0, 0]
                   for seed in range(10)]
         assert abs(np.mean(finals) - 2.0 / 3.0) < 0.01
@@ -173,14 +173,14 @@ class TestSimulate:
     def test_population_conserved_exactly(self):
         rng = np.random.default_rng(6)
         spec = random_spec(rng, n_max=5, m_max=3)
-        init = seed_infections(stationary_counts(spec), 0.05, spec.n, spec.m)
+        init = seed_infections(stationary_counts(spec), 0.05)
         run = simulate(spec, init, 10.0, h=0.01, seed=3)
         class_totals = (run.s + run.i).sum(axis=1)
         assert np.all(class_totals == class_totals[0])
 
     def test_class_totals_exact_on_every_row_with_three_classes(self):
         spec = random_spec(np.random.default_rng(12), n=6, m=3)
-        init = seed_infections(stationary_counts(spec), 0.1, spec.n, spec.m)
+        init = seed_infections(stationary_counts(spec), 0.1)
         run = simulate(spec, init, 5.0, h=0.01, seed=8)
         assert np.all(run.s >= 0) and np.all(run.i >= 0)
         class_totals = (run.s + run.i).sum(axis=1)
@@ -206,7 +206,7 @@ class TestSimulate:
                                        N=np.array([class_population] * 2, dtype=float))
             spec = sm.ModelSpec(net=net, beta=beta, delta=delta)
             x0 = stationary_counts(spec)
-            init = seed_infections(x0, 0.02, 4, 2)
+            init = seed_infections(x0, 0.02)
 
             p0 = (init.i / np.maximum(init.s + init.i, 1)).T.ravel()
             state = SystemState(t=0.0, p=p0, x=(init.s + init.i).T.ravel().astype(float))
@@ -232,7 +232,7 @@ class TestInitialConditions:
 
     def test_seeding_hits_requested_totals(self):
         pops = np.array([[50, 500], [50, 500], [50, 500], [50, 500]])
-        counts = seed_infections(pops, 0.01, 4, 2)
+        counts = seed_infections(pops, 0.01)
         # 0.01 * 200 = 2 infected in class 0, 0.01 * 2000 = 20 in class 1
         assert counts.i[:, 0].sum() == 2
         assert counts.i[:, 1].sum() == 20
@@ -241,7 +241,7 @@ class TestInitialConditions:
 
     def test_nan_fractions_are_refused(self):
         with pytest.raises(ValueError, match="p0 must be numbers, got NaN"):
-            seed_infections(np.full((2, 1), 10), np.nan, 2, 1)
+            seed_infections(np.full((2, 1), 10), np.nan)
 
 
 class TestAgentCounts:
@@ -279,14 +279,14 @@ class TestCsvExport:
                       [[2, 1], [0, 3]], [[3, 0], [0, 4]], [[2, 1], [1, 4]]])
         run = StochasticRun(seed=7, h=0.1, t=0.1 * np.arange(6), s=s, i=i)
         path = tmp_path / "pinned.csv"
-        write_stochastic_csv(run, path, 2, 2, stride=2)
+        write_stochastic_csv(run, path, stride=2)
         assert path.read_bytes() == PINNED_CSV.encode()
 
     def test_columns_and_missing_fractions(self, two_node_spec, tmp_path):
         init = AgentCounts(s=np.array([[0], [90]]), i=np.array([[0], [10]]))
         run = simulate(two_node_spec, init, 0.5, h=0.01, seed=1)
         path = tmp_path / "run.csv"
-        write_stochastic_csv(run, path, 2, 1)
+        write_stochastic_csv(run, path)
         header = path.read_text().splitlines()[0].split(",")
         assert header == ["t", "p[0][0]", "p[0][1]", "x[0][0]", "x[0][1]",
                           "s[0][0]", "s[0][1]", "i[0][0]", "i[0][1]"]
