@@ -30,6 +30,7 @@ from .stochastic import seed_infections, simulate, stationary_counts, write_stoc
 _COMPACT = json.JSONEncoder(separators=(",", ":"))  # no indent: the C encoder
 JSON_BLOCK = 128  # list items per compact encode: a long edge list streams
 GRID_MAX_POINTS = 10**6  # largest --grid count, refused before any allocation
+STACK_BYTES = 216 * 1024  # sweep chunk budget at 8 nm^2 bytes + 1 KiB a point: 16 at nm = 40
 
 
 def _write_json(path: Path, payload: dict):
@@ -107,7 +108,7 @@ def _manifest(scenario: Scenario, command: str, outputs: list) -> dict:
 def _document(args):
     """The scenario document with the given --dt, --t-end and --seed set."""
     return set_fields(read_document(args.scenario), dt=args.dt, t_end=args.t_end,
-                      seeds=args.seed or None)
+                      seeds=args.seed)
 
 
 def _cmd_validate(args) -> int:
@@ -191,6 +192,14 @@ def _parse_grid(text: str):
     return field, values
 
 
+def _attempt(fn, *args):
+    """fn(*args), or the ValueError or RuntimeError it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return exc
+
+
 def _cmd_sweep(args) -> int:
     doc = _document(args)
     scenario = parse_scenario(doc)
@@ -198,29 +207,32 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    for idx, value in enumerate(values):
-        try:
-            point = parse_point(doc, scenario, field, float(value))
-            mu, r0, classification = threshold(equilibrium_matrices(point.spec))
-            rows.append([idx, value, mu, "" if r0 is None else r0,
-                         classification, ""])
-        except (ValueError, RuntimeError) as exc:  # per-point failure: record and continue
-            rows.append([idx, value, "", "", "", f"{type(exc).__name__}: {exc}"])
+    rows, lanes = [], max(1, STACK_BYTES // (8 * scenario.spec.nm ** 2 + 1024))
+    for start in range(0, len(values), lanes):
+        chunk = [_attempt(lambda v: equilibrium_matrices(parse_point(doc, scenario, field, v).spec),
+                          float(value)) for value in values[start:start + lanes]]
+        parsed = [mats for mats in chunk if not isinstance(mats, Exception)]
+        found = _attempt(threshold, parsed) if parsed else []
+        if isinstance(found, Exception):  # rerun each lane alone for its own outcome
+            found = [_attempt(lambda mats: threshold([mats])[0], mats) for mats in parsed]
+        found = iter(found)
+        for idx, outcome in enumerate(chunk, start):
+            outcome = outcome if isinstance(outcome, Exception) else next(found)
+            rows.append([idx, values[idx], "", "", "", f"{type(outcome).__name__}: {outcome}"]
+                        if isinstance(outcome, Exception) else [idx, values[idx], *outcome, ""])
 
     sweep_path = out / f"{scenario.name}_sweep.csv"
     with open(sweep_path, "w", encoding="utf-8") as fh:
         fh.write(f"index,{field},mu,R0,classification,error\n")
         for idx, value, mu, r0, cls, err in rows:
             mu_s = "" if mu == "" else format(mu, ".17g")
-            r0_s = "" if r0 == "" else format(r0, ".17g")
+            r0_s = "" if r0 in ("", None) else format(r0, ".17g")
             err_s = f"\"{err}\"" if err else ""
             fh.write(f"{idx},{format(value, '.17g')},{mu_s},{r0_s},{cls},{err_s}\n")
 
     manifest_path = out / f"{scenario.name}_manifest.json"
     _write_json(manifest_path, {**_manifest(scenario, "sweep", [sweep_path]),
-                                "grid": {"field": field,
-                                         "values": [float(v) for v in values]}})
+                                "grid": {"field": field, "values": values.tolist()}})
     print(f"wrote {sweep_path}")
     return 0
 
@@ -239,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dt", type=float, default=None, help="override scenario dt")
         p.add_argument("--t-end", dest="t_end", type=float, default=None,
                        help="override scenario t_end")
-        p.add_argument("--seed", type=int, nargs="*", default=None,
+        p.add_argument("--seed", type=int, nargs="+", default=None,
                        help="override stochastic seeds (enables stochastic runs)")
 
     p_run = sub.add_parser("run", help="deterministic + stochastic runs with analysis")

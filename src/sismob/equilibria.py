@@ -43,7 +43,7 @@ import numpy as np
 from .dynamics import ModelSpec
 from .errors import ConvergenceError
 from .network import left_null_vector, network_stationary
-from .spectral import spectral_abscissa, spectral_radius
+from .spectral import spectral_abscissa, spectral_abscissas, spectral_radii
 
 MU_TIE_TOL = 1e-10
 # Newton's relative step tolerance and step cap.  Far above p* a step
@@ -153,24 +153,25 @@ def equilibrium_matrices(spec: ModelSpec) -> EquilibriumMatrices:
                                L=mats.L, M=mats.M, b=b, d=d, BF=BF, G=G)
 
 
-def threshold(mats: EquilibriumMatrices):
-    """Threshold quantities (mu, R0, classification) of a model instance.
+def threshold(points) -> list:
+    """Threshold quantities (mu, R0, classification) of each instance in
+    ``points``, EquilibriumMatrices of one n and m solved as one stack.
 
-    mu is the spectral abscissa of the DFE linearization, R0 the
-    spectral radius of V Z with (L* + D) Z = B U (None when no recovery
-    rate is positive), and the disease-free state counts as stable when
-    mu <= MU_TIE_TOL.
-    """
-    mu = float(spectral_abscissa(mats.G).mu)
-    R0 = None
-    if np.any(mats.d > 0):
-        m = len(mats.v_per_layer)
-        n = len(mats.b) // m
-        BU = np.tile(np.diag(mats.b[:n]), (m, 1))
-        Z = np.linalg.solve(mats.L + np.diag(mats.d), BU)
-        R0 = float(spectral_radius(mats.F[:n] @ Z).rho)
-    classification = DFE_UNSTABLE if mu > MU_TIE_TOL else DFE_STABLE
-    return mu, R0, classification
+    mu is the spectral abscissa of the DFE linearization, R0 the spectral
+    radius of V Z with (L* + D) Z = B U (None when no recovery rate is
+    positive), and the disease-free state counts as stable when mu <=
+    MU_TIE_TOL.  Each instance gets the bits it gets alone."""
+    mu = [res.mu for res in spectral_abscissas(np.stack([mats.G for mats in points]))]
+    R0, lanes = {}, [k for k, mats in enumerate(points) if np.any(mats.d > 0)]  # else L* singular
+    if lanes:
+        nm, n = len(points[0].b), len(points[0].v_per_layer[0])
+        LD = np.stack([points[k].L + np.diag(points[k].d) for k in lanes])
+        BU = np.zeros((len(lanes), nm, n))  # U's stacked identities times B
+        BU[:, np.arange(nm), np.arange(nm) % n] = [points[k].b for k in lanes]
+        V = np.stack([points[k].F[:n] for k in lanes])
+        R0 = dict(zip(lanes, [res.rho for res in spectral_radii(V @ np.linalg.solve(LD, BU))]))
+    return [(x, R0.get(k), DFE_UNSTABLE if x > MU_TIE_TOL else DFE_STABLE)
+            for k, x in enumerate(mu)]
 
 
 def _lambda2(b: np.ndarray, M: np.ndarray, L: np.ndarray):
@@ -305,7 +306,7 @@ def classify(spec: ModelSpec) -> EquilibriumReport:
     the disease-free state is stable exactly at the threshold).
     """
     mats = equilibrium_matrices(spec)
-    mu, R0, classification = threshold(mats)
+    mu, R0, classification = threshold([mats])[0]
 
     marginal = abs(mu) <= MU_TIE_TOL
     p_star = None

@@ -262,7 +262,10 @@ def layer_from_edge_rates(n: int, triples) -> MobilityLayer:
         for i, j, rate in triples:
             if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in (i, j)):
                 raise ValueError(f"edge ({i!r},{j!r}) needs integer node indices")
-            rates.append(float(rate))
+            try:
+                rates.append(float(rate))
+            except OverflowError:  # an integer past the float range fails as infinite
+                rates.append(np.inf if rate > 0 else -np.inf)
             pairs.append((int(i), int(j)))
     except (TypeError, ValueError):
         _checked_layer(n, pairs, rates)  # a fault in an earlier triple is named first

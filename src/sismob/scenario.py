@@ -39,6 +39,7 @@ does not know, naming its path.  Only this module edits documents:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -83,7 +84,6 @@ class Scenario:
     stochastic_enabled: bool
     h: float
     seeds: list
-    output_dir: str
     resolved: dict   # explicit form of every input, for the manifest
 
 
@@ -92,7 +92,7 @@ def read_document(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer literal past int's digit limit
             raise ScenarioError(f"scenario file: invalid JSON ({exc})") from exc
 
 
@@ -125,20 +125,24 @@ def _as_positive_int(value, field: str) -> int:
 
 def _as_number(value, field: str) -> float:
     """The one coercion of a scenario number: a finite JSON number
-    (booleans, strings and null are rejected)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise ScenarioError(f"{field}: expected a finite number, got {value!r}")
-    return float(value)
+    (booleans, strings, null and ints past the float range are rejected)."""
+    with contextlib.suppress(OverflowError):  # from math.isfinite of such an int
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    raise ScenarioError(f"{field}: expected a finite number, got {value!r}")
 
 
 def _as_vector(value, length: int, field: str) -> np.ndarray:
     """A number broadcast to ``length`` entries, or a list of exactly
-    ``length`` numbers."""
+    ``length`` numbers (finite ints and floats in one numpy pass)."""
     if not isinstance(value, list):
         return np.full(length, _as_number(value, field))
     if len(value) != length:
         raise ScenarioError(f"{field}: expected {length} values, got {len(value)}")
+    if set(map(type, value)) <= {int, float}:
+        with contextlib.suppress(OverflowError):
+            if np.isfinite(vector := np.array(value, dtype=float)).all():
+                return vector
     return np.array([_as_number(v, field) for v in value])
 
 
@@ -346,7 +350,7 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
 
     resolved = {
         "name": name, "n": n, "m": m,
-        **{key: [float(v) for v in vector] for key, vector in
+        **{key: vector.tolist() for key, vector in
            (("beta", beta), ("delta", delta), ("N", N), ("p0", p0), ("x0", x0))},
         "t_end": t_end, "dt": dt, "sample_every": sample_every,
         "stochastic": {"enabled": enabled, "h": h, "seeds": [int(s) for s in seeds]},
@@ -357,7 +361,7 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
 
     return Scenario(name=name, spec=spec, p0=p0, x0=x0, t_end=t_end, dt=dt,
                     sample_every=sample_every, stochastic_enabled=enabled, h=h,
-                    seeds=list(seeds), output_dir=output_dir, resolved=resolved)
+                    seeds=list(seeds), resolved=resolved)
 
 
 def initial_state(scenario: Scenario) -> SystemState:

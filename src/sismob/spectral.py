@@ -6,17 +6,20 @@ real part (for a nonnegative matrix that is the spectral radius).  It
 is found by Noda's iteration (Numer. Math. 17, 1971) from y = 1: with
 r = (S y) / y, solve (max r I - S) z = y and set y = z / max z.  For
 y >> 0 the Collatz-Wielandt bracket min r <= lambda <= max r is the
-certificate; it closes quadratically for irreducible S.  If a solve is
-singular, or leaves y not strictly positive (the bracket then certifies
-nothing), or the bracket is open after NODA_MAX_ITER solves (reducible
-input only: the model matrices are irreducible by construction), the
-root comes from one dense ``np.linalg.eigvals`` call and its eigenvector
-from one replaced-row solve of (S - lambda I) y = 0 instead.
+certificate; it closes quadratically for irreducible S.  The iteration
+runs on a stack of K matrices, each lane from its own y = 1, with one
+stacked matmul and one stacked solve per step.  A lane leaves the stack
+when its bracket closes, when its y is not strictly positive (the bracket
+then certifies nothing; a singular solve makes y NaN), or after
+NODA_MAX_ITER solves (reducible input only: the model matrices are
+irreducible by construction).  A lane left with an open bracket takes its
+root from one dense ``np.linalg.eigvals`` call and its eigenvector from
+one replaced-row solve of (S - lambda I) y = 0.
 """
 
 from __future__ import annotations
 
-import math
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +44,9 @@ class SpectralResult:
     positive with a residual within EIG_TOL (always for irreducible
     input), and ``residual`` the ||G y - lambda y||_inf of that
     eigenvector (NaN when the fallback's solve is singular).
-    ``iterations`` counts the Noda solves, and ``converged`` says that
-    the ``bracket`` (min r, max r) around the root closed to
-    NODA_TOL * max(1, max |g_ij|); otherwise the fallback ran.
+    ``iterations`` counts the Noda solves (a singular one included), and
+    ``converged`` says that the ``bracket`` (min r, max r) around the root
+    closed to NODA_TOL * max(1, max |g_ij|); otherwise the fallback ran.
     """
 
     mu: float | None = None
@@ -55,84 +58,98 @@ class SpectralResult:
     bracket: tuple[float, float] | None = None
 
 
-def _perron(S: np.ndarray, scale: float):
-    """(lam, result): the Perron root of a Metzler matrix S, whose
-    max(1, max |s_ij|) is ``scale``, and a SpectralResult without
-    ``mu``/``rho``.  lam is the midpoint of the closed bracket."""
-    n = S.shape[0]
-    shifted, s_diag = np.negative(S, order="C"), S.diagonal()
-    diagonal = shifted.reshape(-1)[::n + 1]  # a view (C order): hi I - S in place
-    y = np.ones(n)
-    # on reducible input y can lose positivity, underflow or overflow; the
-    # bracket certifies nothing then (a zero or non-finite y_i makes r_i
-    # infinite or NaN), so the fallback takes over at once
+def _perron(S: np.ndarray, scale: np.ndarray, root: str) -> list:
+    """One SpectralResult per lane of a (K, n, n) stack S of Metzler matrices
+    with max(1, max |s_ij|) ``scale``, its Perron root in field ``root``; numpy's
+    stacked matmul and solve make one BLAS/LAPACK call per lane, so lanes keep apart."""
+    K, n = S.shape[:2]
+    lo, hi, solves, Y = np.empty(K), np.empty(K), np.zeros(K, dtype=int), np.ones((K, n))
+    # the active lanes: their indices, matrices, hi I - S (C order), y and tolerance
+    lanes, A, shifted, y, tol = np.arange(K), S, np.negative(S, order="C"), Y, NODA_TOL * scale
+    # on reducible input y can lose positivity, underflow or overflow: a zero
+    # or non-finite y_i makes r_i infinite or NaN, and the lane stops at once
     with np.errstate(all="ignore"):
-        for solves in range(NODA_MAX_ITER + 1):
-            r = S @ y
+        for step in range(NODA_MAX_ITER + 1):
+            r = (A @ y[:, :, None])[:, :, 0]
             r /= y
-            lo, hi = float(r.min()), float(r.max())
-            if (hi - lo <= NODA_TOL * scale or solves == NODA_MAX_ITER
-                    or not y.min() > 0):
-                break
-            np.subtract(hi, s_diag, out=diagonal)
+            low, high = r.min(axis=1), r.max(axis=1)
+            stop = (high - low <= tol) | ~(y.min(axis=1) > 0) | (step == NODA_MAX_ITER)
+            if stop.any():  # compact the stack only when some lane stops
+                done, keep = lanes[stop], ~stop
+                lo[done], hi[done], solves[done], Y[done] = low[stop], high[stop], step, y[stop]
+                if not keep.any():
+                    break
+                lanes, A, shifted, y, tol, high = (
+                    v[keep] for v in (lanes, A, shifted, y, tol, high))
+            np.subtract(high[:, None], A.diagonal(axis1=1, axis2=2),
+                        out=shifted.reshape(len(lanes), -1)[:, ::n + 1])
             try:
-                z = np.linalg.solve(shifted, y)
-            except np.linalg.LinAlgError:
-                break
-            y = z / z.max()
-    converged = bool(hi - lo <= NODA_TOL * scale and y.min() > 0)
-    if converged:
-        lam = 0.5 * (lo + hi)
-    else:
-        eig = np.linalg.eigvals(S)
-        lam = float(eig[np.argmax(eig.real)].real)
+                z = np.linalg.solve(shifted, y[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:  # a singular lane gets y = NaN and stops
+                z = np.full_like(y, np.nan)
+                for k in range(len(lanes)):
+                    with contextlib.suppress(np.linalg.LinAlgError):
+                        z[k] = np.linalg.solve(shifted[k], y[k])
+            y = z / z.max(axis=1, keepdims=True)
+    converged = (hi - lo <= NODA_TOL * scale) & (Y.min(axis=1) > 0)
+    lam = 0.5 * (lo + hi)
+    for k in np.flatnonzero(~converged):  # the dense fallback, lane by lane
+        eig = np.linalg.eigvals(S[k])
+        lam[k] = eig[np.argmax(eig.real)].real
         try:
-            y = left_null_vector((S - lam * np.eye(n)).T)
+            Y[k] = left_null_vector((S[k] - lam[k] * np.eye(n)).T)
         except np.linalg.LinAlgError:
-            return lam, SpectralResult(iterations=solves)
-    y = y / np.max(np.abs(y))
-    residual = float(np.max(np.abs(S @ y - lam * y)))
-    certified = y.min() > 0 and residual <= EIG_TOL * scale
-    return lam, SpectralResult(perron_vector=y if certified else None, residual=residual,
-                               iterations=solves, converged=converged,
-                               bracket=(lo, hi) if converged else None)
+            Y[k] = np.nan  # no eigenvector: residual NaN
+    Y = Y / np.max(np.abs(Y), axis=1, keepdims=True)
+    residual = np.max(np.abs((S @ Y[:, :, None])[:, :, 0] - lam[:, None] * Y), axis=1)
+    certified = (Y.min(axis=1) > 0) & (residual <= EIG_TOL * scale)
+    return [SpectralResult(**{root: x}, perron_vector=y if ok else None, residual=res,
+                           iterations=its, converged=conv, bracket=(a, b) if conv else None)
+            for x, y, ok, res, its, conv, a, b in zip(
+                lam.tolist(), Y, certified.tolist(), residual.tolist(), solves.tolist(),
+                converged.tolist(), lo.tolist(), hi.tolist())]
 
 
-def _scale(G: np.ndarray) -> float:
-    """max(1, max |g_ij|), refusing NaN and infinite entries before they
-    can reach a solver or make numpy warn."""
-    scale = float(np.max(np.abs(G)))
-    if not math.isfinite(scale):
+def _scale(G: np.ndarray) -> np.ndarray:
+    """max(1, max |g_ij|) of each matrix of a stack, refusing NaN and
+    infinite entries before they can reach a solver or make numpy warn."""
+    scale = np.max(np.abs(G), axis=(-2, -1))
+    if not np.all(np.isfinite(scale)):
         raise ValueError("matrix has NaN or infinite entries")
-    return max(1.0, scale)
+    return np.maximum(scale, 1.0)
+
+
+def spectral_abscissas(G: np.ndarray) -> list:
+    """One SpectralResult per matrix of a (K, n, n) stack of Metzler
+    matrices: the largest real part of its spectrum, itself an eigenvalue
+    (the Perron root) with a nonnegative eigenvector."""
+    G = np.ascontiguousarray(G, dtype=float)  # the bits must not depend on memory order
+    scale = _scale(G)
+    worst = G.min(axis=(1, 2), initial=np.inf, where=~np.eye(G.shape[1], dtype=bool))
+    if np.any(worst < -METZLER_TOL * scale):
+        raise ValueError(f"matrix is not Metzler: off-diagonal entry {float(worst.min())}")
+    return _perron(G, scale, "mu")
+
+
+def spectral_radii(G: np.ndarray) -> list:
+    """One SpectralResult per matrix of a (K, n, n) stack of nonnegative
+    matrices: its Perron root, the largest real eigenvalue."""
+    G = np.ascontiguousarray(G, dtype=float)  # the bits must not depend on memory order
+    scale = _scale(G)
+    low = G.min(axis=(1, 2))
+    if np.any(low < -METZLER_TOL * scale):
+        raise ValueError(f"matrix is not nonnegative: entry {float(low.min())}")
+    return _perron(np.maximum(G, 0.0), scale, "rho")
 
 
 def spectral_abscissa(G: np.ndarray) -> SpectralResult:
-    """Largest real part of the spectrum of a Metzler matrix.
-
-    For a Metzler matrix the abscissa is itself an eigenvalue (the
-    Perron root), with a nonnegative eigenvector that is reported
-    (max-normalized) when it is strictly positive.
-    """
-    G = np.asarray(G, dtype=float)
-    scale = _scale(G)
-    worst = float((G - np.diag(np.diag(G))).min())
-    if worst < -METZLER_TOL * scale:
-        raise ValueError(f"matrix is not Metzler: off-diagonal entry {worst}")
-    mu, result = _perron(G, scale)
-    result.mu = mu
-    return result
+    """``spectral_abscissas`` of one matrix."""
+    return spectral_abscissas(np.asarray(G)[None])[0]
 
 
 def spectral_radius(G: np.ndarray) -> SpectralResult:
-    """Perron root of a nonnegative matrix: its largest real eigenvalue."""
-    G = np.asarray(G, dtype=float)
-    scale = _scale(G)
-    if float(G.min()) < -METZLER_TOL * scale:
-        raise ValueError(f"matrix is not nonnegative: entry {float(G.min())}")
-    rho, result = _perron(np.maximum(G, 0.0), scale)
-    result.rho = rho
-    return result
+    """``spectral_radii`` of one matrix."""
+    return spectral_radii(np.asarray(G)[None])[0]
 
 
 @dataclass
@@ -160,10 +177,7 @@ def mmatrix_checks(A: np.ndarray) -> MMatrixReport:
     """Evaluate the stability / inverse-positivity / semi-positivity
     characterizations of a Z-matrix independently and report agreement."""
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    scale = _scale(A)
-    off = A - np.diag(np.diag(A))
-    if float(off.max()) > METZLER_TOL * scale:
+    if float((A - np.diag(np.diag(A))).max()) > METZLER_TOL * _scale(A):
         raise ValueError("matrix is not a Z-matrix: positive off-diagonal entry")
 
     mu_neg = spectral_abscissa(-A).mu
@@ -173,17 +187,13 @@ def mmatrix_checks(A: np.ndarray) -> MMatrixReport:
     inverse_positive = None
     if not singular:
         try:
-            X = np.linalg.solve(A, np.eye(n))
-            inverse_positive = bool(X.min() >= -1e-10)
+            inverse_positive = bool(np.linalg.solve(A, np.eye(len(A))).min() >= -1e-10)
         except np.linalg.LinAlgError:
             singular = True
 
     semi_positive = _semi_positivity(A)
 
-    verdicts = [stability, semi_positive]
-    if inverse_positive is not None:
-        verdicts.append(inverse_positive)
-    agree = len(set(verdicts)) == 1
+    agree = len({stability, semi_positive, inverse_positive} - {None}) == 1
     return MMatrixReport(stability, inverse_positive, semi_positive, singular,
                          float(mu_neg), agree)
 
@@ -198,7 +208,7 @@ def _semi_positivity(A: np.ndarray) -> bool:
     for comp in graphs.strongly_connected_components(A):
         idx = np.array(comp)
         block = -A[np.ix_(idx, idx)]
-        y = _perron(block, _scale(block))[1].perron_vector
+        y = _perron(block[None], _scale(block[None]), "mu")[0].perron_vector
         if y is None:
             return False
         x[idx] = y

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 import sismob as sm
 from sismob.cli import GRID_MAX_POINTS, _parse_grid, build_parser, main
-from sismob.scenario import read_document, set_fields
+from sismob.equilibria import threshold
+from sismob.scenario import _as_number, _as_vector, read_document, set_fields
 
 from conftest import SCENARIOS
 
@@ -32,6 +34,8 @@ def two_layer_doc(**overrides):
 
 
 LAMBDA2_RULE = {"rule": "lambda2_sufficient", "s_factor": 0.8, "deficit_nodes": [0, 3]}
+HUGE = 10**400  # a JSON integer past the float range
+FLOAT_MAX_INT = int(sys.float_info.max)
 
 
 def pointwise_rows(argv):
@@ -44,7 +48,7 @@ def pointwise_rows(argv):
     for idx, value in enumerate(values):
         try:
             point = sm.parse_scenario(set_fields(doc, **{field: float(value)}))
-            mu, r0, cls = sm.equilibria.threshold(sm.equilibrium_matrices(point.spec))
+            mu, r0, cls = sm.equilibria.threshold([sm.equilibrium_matrices(point.spec)])[0]
         except (ValueError, RuntimeError) as exc:
             rows.append(f"{idx},{value:.17g},,,,\"{type(exc).__name__}: {exc}\"")
             continue
@@ -249,6 +253,23 @@ class TestScenarioParsing:
            {"n": 3, "layers": [{"preset": "ring", "rate_scale": 0.2}],
             "delta": {"rule": "lambda2_sufficient", "deficit_nodes": nodes}})
           for nodes in ([0.7, 2], [0, 2.9], [True, 2], "01")],
+        # integers past the float range (math.isfinite and float() overflow)
+        ("beta", {"beta": HUGE}),
+        ("beta", {"n": 3, "layers": [{"preset": "ring"}], "beta": [0.3, HUGE, "x"]}),
+        ("delta", {"delta": -HUGE}),
+        ("N", {"N": [HUGE]}),
+        ("t_end", {"t_end": HUGE}),
+        ("dt", {"dt": HUGE}),
+        ("p0", {"p0": [HUGE]}),
+        ("stochastic.h", {"stochastic": {"h": HUGE}}),
+        ("layers[0].rate_scale", {"n": 3, "layers": [{"preset": "ring", "rate_scale": HUGE}]}),
+        ("layers[0].mh.rate_scale", {"n": 3, "layers": [{"mh": {"graph": "ring",
+                                                                "rate_scale": HUGE}}]}),
+        ("layers[0].mh.target", {"n": 3, "layers": [{"mh": {"graph": "ring",
+                                                            "target": [0.5, 0.5, HUGE]}}]}),
+        ("layers[0]", {"n": 2, "layers": [{"edges": [[0, 1, 1.0], [1, 0, -HUGE]]}]}),
+        ("delta.s_factor", {"n": 3, "layers": [{"preset": "ring", "rate_scale": 0.2}],
+                            "delta": {"rule": "lambda2_sufficient", "s_factor": HUGE}}),
     ])
     def test_bad_numbers_name_the_field(self, field, overrides, tmp_path, capsys):
         doc = scalar_doc(**overrides)
@@ -259,6 +280,29 @@ class TestScenarioParsing:
         path.write_text(json.dumps(doc))
         assert main(["validate", "--scenario", str(path)]) == 2
         assert f"scenario error: {field}:" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(
+        st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+        st.integers(-2**64, 2**64), st.integers(2**53 - 3, 2**53 + 3),
+        st.integers(-2**53 - 3, -2**53 + 3),
+        st.integers(FLOAT_MAX_INT - 2**970, FLOAT_MAX_INT + 2**971),  # float() overflows above
+        st.sampled_from([HUGE, -HUGE, True, None, "1", np.float64(0.5)])), min_size=1, max_size=6))
+    @example(values=[2**53 + 1, -0.0])
+    @example(values=[FLOAT_MAX_INT + 2**970 - 1, FLOAT_MAX_INT + 2**970])
+    @example(values=[0.5, HUGE, float("nan")])
+    def test_vector_fast_path_equals_the_entry_loop(self, values):
+        # one numpy pass for finite ints and floats: the same bits as the
+        # per-entry loop, and the same first bad entry otherwise
+        def outcome(convert):
+            try:
+                vector = convert()
+            except sm.ScenarioError as exc:
+                return str(exc)
+            return vector.dtype, vector.shape, vector.tobytes()
+
+        loop = outcome(lambda: np.array([_as_number(v, "x") for v in values]))
+        assert outcome(lambda: _as_vector(values, len(values), "x")) == loop
 
     def test_each_layer_is_validated_once(self, monkeypatch):
         # load, classify and stationary counts share each layer's law
@@ -553,6 +597,78 @@ class TestCli:
         rows = (tmp_path / "out" / "pair_layers_sweep.csv").read_text().splitlines()[1:]
         assert rows == pointwise_rows(argv)
         assert sum("ScenarioError" in row for row in rows) == failing
+
+    @pytest.mark.parametrize("lanes", [1, 3, None], ids=["alone", "chunks_of_3", "one_chunk"])
+    @pytest.mark.parametrize("doc, grid", [
+        (two_layer_doc(), "beta=-0.1:0.5:8"),
+        (two_layer_doc(delta=LAMBDA2_RULE), "rate_scale=-0.1:0.6:8"),
+        (two_layer_doc(delta=[0.1, 0.0, 0.2, 0.0]), "beta=0.05:0.6:8"),
+        (two_layer_doc(), "delta=0:0.3:8"),
+    ], ids=["failing_rows", "rate_scale", "mixed_recovery", "lane_without_recovery"])
+    def test_sweep_rows_do_not_depend_on_chunking(self, doc, grid, lanes, tmp_path,
+                                                  monkeypatch):
+        # every row, alone, mid-chunk or next to a chunk boundary, is the row
+        # a full parse of its own point gives; each chunk is one stacked call
+        calls = []
+
+        def recording(points):
+            calls.append(len(points))
+            return threshold(points)
+
+        monkeypatch.setattr("sismob.cli.threshold", recording)
+        if lanes:
+            monkeypatch.setattr("sismob.cli.STACK_BYTES", lanes * (8 * 8**2 + 1024))  # nm = 8
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps(doc))
+        argv = ["sweep", "--scenario", str(scenario_path), "--out", str(tmp_path / "out"),
+                "--grid", grid]
+        assert main(argv) == 0
+        rows = (tmp_path / "out" / "pair_layers_sweep.csv").read_text().splitlines()[1:]
+        assert rows == pointwise_rows(argv)
+        parsed = ["Error" not in row for row in rows]
+        chunks = [sum(parsed[k:k + (lanes or 8)]) for k in range(0, 8, lanes or 8)]
+        assert calls == [count for count in chunks if count]
+
+    @pytest.mark.parametrize("lanes", [1, 2, None])
+    def test_sweep_lane_with_singular_z_solve_keeps_its_error_row(self, lanes, tmp_path,
+                                                                  monkeypatch, capsys):
+        # delta = 1e-20 vanishes in L* + D (0.2 + 1e-20 == 0.2): that point's
+        # (L* + D) Z = B U solve is exactly singular and fails its chunk's
+        # stacked solve, so each lane of the chunk is rerun alone
+        doc = {"name": "pair", "n": 2, "m": 1,
+               "layers": [{"edges": [[0, 1, 0.2], [1, 0, 0.2]]}],
+               "beta": [0.3, 0.2], "delta": 0.1, "N": [100], "t_end": 1.0, "dt": 0.01}
+        if lanes:
+            monkeypatch.setattr("sismob.cli.STACK_BYTES", lanes * (8 * 2**2 + 1024))  # nm = 2
+        scenario_path = tmp_path / "pair.json"
+        scenario_path.write_text(json.dumps(doc))
+        argv = ["sweep", "--scenario", str(scenario_path), "--out", str(tmp_path / "out"),
+                "--grid", "delta=0.3:1e-20:4"]
+        assert main(argv) == 0
+        rows = (tmp_path / "out" / "pair_sweep.csv").read_text().splitlines()[1:]
+        assert rows == pointwise_rows(argv)
+        # the rows the unstacked, point-by-point sweep wrote
+        assert rows == ["0,0.29999999999999999,-0.043844718719116951,0.85714285714285721,"
+                        "DFE_stable,",
+                        "1,0.20000000000000001,0.056155281280883006,1.2742918851774316,"
+                        "DFE_unstable_EE_exists,",
+                        "2,0.10000000000000001,0.15615528128088302,2.5246950765959593,"
+                        "DFE_unstable_EE_exists,",
+                        '3,9.9999999999999995e-21,,,,"LinAlgError: Singular matrix"']
+
+    @pytest.mark.parametrize("argv", [["validate"], ["analyze", "--out", "OUT"],
+                                      ["run", "--out", "OUT"],
+                                      ["sweep", "--out", "OUT", "--grid", "delta=0.1:0.5:3"]])
+    def test_bare_seed_is_refused(self, argv, tmp_path, capsys):
+        # --seed enables stochastic runs, so it needs at least one seed
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scalar_doc()))
+        argv = [a.replace("OUT", str(tmp_path / "out")) for a in argv]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--scenario", str(path), "--seed"])
+        assert info.value.code == 2
+        assert "--seed: expected at least one argument" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
 
     def test_set_fields_copies_only_the_edited_path(self):
         doc = every_object_doc()

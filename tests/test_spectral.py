@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sismob as sm
+from sismob.scenario import parse_point
 from sismob.spectral import NODA_MAX_ITER, NODA_TOL
 
 from conftest import SCENARIOS, random_layer
@@ -195,11 +196,11 @@ class TestNodaIteration:
 
         def recording(routine):
             def wrapper(G):
-                results.append(routine(G))
-                return results[-1]
+                results.extend(routine(G))
+                return results[-len(G):]
             return wrapper
 
-        for name in ("spectral_abscissa", "spectral_radius"):
+        for name in ("spectral_abscissas", "spectral_radii"):
             monkeypatch.setattr(sm.equilibria, name, recording(getattr(sm.spectral, name)))
         # shaped like the benchmark's inputs: complete + line layers at rate
         # 0.2, beta in [0.25, 0.35], delta across the sweep grid's range
@@ -213,11 +214,78 @@ class TestNodaIteration:
             docs += [sm.scenario.read_document(path)
                      for path in sorted(SCENARIOS.glob("*.json"))]
         for doc in docs:
-            sm.equilibria.threshold(sm.equilibrium_matrices(sm.parse_scenario(doc).spec))
+            sm.equilibria.threshold([sm.equilibrium_matrices(sm.parse_scenario(doc).spec)])
         assert len(results) > len(docs)
         for res in results:
             assert res.converged, res
             assert res.iterations <= 7  # no early stop cuts them short
+
+
+def assert_same_result(a, b):
+    """Two SpectralResults hold the same bits (repr tells -0.0 and NaN apart)."""
+    for name in ("mu", "rho", "residual", "iterations", "converged", "bracket"):
+        assert repr(getattr(a, name)) == repr(getattr(b, name)), name
+    if a.perron_vector is None:
+        assert b.perron_vector is None
+    else:
+        assert a.perron_vector.tobytes() == b.perron_vector.tobytes()
+
+
+class TestStackedNoda:
+    def test_each_lane_gets_the_bits_it_gets_alone(self):
+        rng = np.random.default_rng(22)
+        T = random_metzler(rng, 6)
+        T[3:, :3] = 0.0  # as in the triangular test: T.T falls back
+        irreducible = [random_metzler(rng, 6) + 0.01 * (1.0 - np.eye(6)) for _ in range(5)]
+        singular = np.diag(np.arange(1.0, 7.0))  # max r = 6 makes the first solve singular
+        lanes = [irreducible[0], T.T, irreducible[1], singular, *irreducible[2:]]
+        alone = [sm.spectral_abscissa(G) for G in lanes]
+        assert [res.converged for res in alone] == [True, False, True, False, True, True, True]
+        for k in (1, 3):  # the dense fallback, with its own solve count
+            assert alone[k].mu == float(np.max(np.linalg.eigvals(lanes[k]).real))
+            assert alone[k].bracket is None and alone[k].iterations < NODA_MAX_ITER
+        for order in (range(7), range(6, -1, -1), [3, 1, 0, 2, 4, 5, 6]):
+            stacked = sm.spectral.spectral_abscissas(np.stack([lanes[k] for k in order]))
+            for k, res in zip(order, stacked):
+                assert_same_result(res, alone[k])
+
+    def test_radius_lanes_get_the_bits_they_get_alone(self):
+        rng = np.random.default_rng(5)
+        reducible = np.triu(rng.uniform(0.1, 1.0, size=(5, 5)))
+        lanes = [rng.uniform(0.0, 1.0, size=(5, 5)), reducible, rng.uniform(0.0, 1.0, (5, 5))]
+        stacked = sm.spectral.spectral_radii(np.stack(lanes))
+        for G, res in zip(lanes, stacked):
+            assert_same_result(res, sm.spectral_radius(G))
+            assert res.rho == pytest.approx(np.max(np.abs(np.linalg.eigvals(G))), abs=1e-12)
+
+    def test_threshold_lanes_match_each_instance_alone(self):
+        # rate_scale points bring their own L*, another network its own L* and
+        # F*, and delta = 0 has no R0
+        rng = np.random.default_rng(7)
+        doc = {"name": "fig1_n10", "n": 10, "m": 2,
+               "layers": [{"preset": "complete", "rate_scale": 0.2},
+                          {"preset": "line", "rate_scale": 0.2}],
+               "beta": rng.uniform(0.25, 0.35, 10).tolist(), "delta": 0.1,
+               "N": [10000, 10000]}
+        other = {**doc, "layers": [{"preset": "star", "rate_scale": 0.3},
+                                   {"mh": {"graph": "ring", "target": "uniform"}}]}
+        scenario = sm.parse_scenario(doc)
+        points = ([parse_point(doc, scenario, "rate_scale", r) for r in (0.05, 0.2, 1.0)]
+                  + [parse_point(doc, scenario, "delta", d) for d in (0.0, 0.3, 0.6)]
+                  + [sm.parse_scenario(other)])
+        mats = [sm.equilibrium_matrices(point.spec) for point in points]
+        assert len({m.L.tobytes() for m in mats[:3]} | {mats[-1].L.tobytes()}) == 4
+        assert not np.array_equal(mats[0].F, mats[-1].F)
+        alone = [repr(sm.equilibria.threshold([m])[0]) for m in mats]
+        assert [repr(row) for row in sm.equilibria.threshold(mats)] == alone
+        assert [repr(row) for row in sm.equilibria.threshold(mats[::-1])] == alone[::-1]
+        for m, (mu, r0, _) in zip(mats, sm.equilibria.threshold(mats)):
+            assert mu == pytest.approx(np.max(np.linalg.eigvals(m.G).real), abs=1e-12)
+            if not np.any(m.d > 0):
+                assert r0 is None
+                continue
+            A = np.linalg.solve(m.L + np.diag(m.d), np.diag(m.b))
+            assert r0 == pytest.approx(np.max(np.abs(np.linalg.eigvals(A @ m.F))), rel=1e-12)
 
 
 class TestSpectralRadius:
