@@ -23,7 +23,7 @@ from .scenario import Scenario, initial_state, load_scenario, parse_scenario
 from .spectral import (MMatrixReport, SpectralResult, mmatrix_checks,
                        spectral_abscissa, spectral_radius)
 from .stochastic import (AgentCounts, StochasticRun, seed_infections, simulate,
-                         stationary_counts, step)
+                         simulate_seeds, stationary_counts, step)
 
 __all__ = [
     "__version__",
@@ -37,7 +37,7 @@ __all__ = [
     "initial_state", "integrate", "integrate_until_settled",
     "layer_from_edge_rates", "load_scenario", "margin_recovery_rates",
     "metropolis_hastings_rates", "mmatrix_checks", "network_stationary",
-    "parse_scenario", "preset_layer", "rhs", "seed_infections", "simulate",
+    "parse_scenario", "preset_layer", "rhs", "seed_infections", "simulate", "simulate_seeds",
     "spectral_abscissa", "spectral_radius", "stationary_counts",
     "stationary_distribution", "step", "validate_layer",
 ]

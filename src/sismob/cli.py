@@ -19,12 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import integrate, write_trajectory_csv
+from .dynamics import integrate, step_count, write_trajectory_csv
 from .equilibria import classify, equilibrium_matrices, threshold
 from .errors import ScenarioError
 from .scenario import (Scenario, initial_state, parse_point, parse_scenario, read_document,
                        set_fields)
-from .stochastic import seed_infections, simulate, stationary_counts, write_stochastic_csv
+from .stochastic import (recorded_rows, seed_infections, simulate_seeds, stationary_counts,
+                         write_stochastic_csv)
 
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))  # no indent: the C encoder
@@ -145,17 +146,22 @@ def _cmd_run(args) -> int:
     if scenario.stochastic_enabled:
         populations = stationary_counts(scenario.spec)
         initial_counts = seed_infections(populations, scenario.p0)
-        for seed in scenario.seeds:
-            run = simulate(scenario.spec, initial_counts, scenario.t_end,
-                           h=scenario.h, seed=seed)
-            sto_path = out / f"{scenario.name}_stochastic_seed{seed}.csv"
-            write_stochastic_csv(run, sto_path, stride=scenario.sample_every)
-            sidecar = out / f"{scenario.name}_stochastic_seed{seed}.json"
-            _write_json(sidecar, {"seed": seed, "h": scenario.h,
-                                  "t_end": scenario.t_end,
-                                  "scenario": scenario.name,
-                                  "version": __version__})
-            outputs += [sto_path, sidecar]
+        # a chunk's recorded rows take no more room than one seed's steps
+        steps = step_count(scenario.t_end, scenario.h)
+        lanes = max(1, (steps + 1) // len(recorded_rows(steps, scenario.sample_every)))
+        for start in range(0, len(scenario.seeds), lanes):
+            runs = simulate_seeds(scenario.spec, initial_counts, scenario.t_end, h=scenario.h,
+                                  seeds=scenario.seeds[start:start + lanes],
+                                  record_every=scenario.sample_every)
+            for run in runs:
+                sto_path = out / f"{scenario.name}_stochastic_seed{run.seed}.csv"
+                write_stochastic_csv(run, sto_path)
+                sidecar = out / f"{scenario.name}_stochastic_seed{run.seed}.json"
+                _write_json(sidecar, {"seed": run.seed, "h": scenario.h,
+                                      "t_end": scenario.t_end,
+                                      "scenario": scenario.name,
+                                      "version": __version__})
+                outputs += [sto_path, sidecar]
 
     analysis_path = out / f"{scenario.name}_analysis.json"
     _write_json(analysis_path, _analysis_payload(scenario))

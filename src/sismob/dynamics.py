@@ -22,6 +22,7 @@ pbar = sum_a y^a / sum_a x^a):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,9 +196,13 @@ def step_count(t_end: float, step: float) -> int:
     ``t_end``.
 
     Raises ValueError unless t_end is a nonnegative whole number of
-    steps, to within STEP_COUNT_RTOL relative to t_end.
+    steps, to within STEP_COUNT_RTOL relative to t_end, and that number
+    is finite as a float.
     """
-    steps = int(round(t_end / step)) if np.isfinite(t_end) and t_end >= 0 else -1
+    quotient = float(t_end) / float(step) if np.isfinite(t_end) and t_end >= 0 else -1.0
+    if not math.isfinite(quotient):
+        raise ValueError(f"t_end = {t_end} over steps of {step} is not a finite step count")
+    steps = int(round(quotient))
     if steps < 0 or abs(steps * step - t_end) > STEP_COUNT_RTOL * t_end:
         raise ValueError(f"t_end = {t_end} is not a nonnegative whole number of steps of {step}")
     return steps
@@ -289,8 +294,8 @@ def write_trajectory_csv(traj: Trajectory, path, n: int, m: int):
     cols = (["t"]
             + [f"p[{a}][{i}]" for a in range(m) for i in range(n)]
             + [f"x[{a}][{i}]" for a in range(m) for i in range(n)])
+    template = ",".join(["%.17g"] * (1 + 2 * n * m)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(len(traj.t)):
-            row = [traj.t[k], *traj.p[k], *traj.x[k]]
-            fh.write(",".join(format(val, ".17g") for val in row) + "\n")
+        for t, p, x in zip(traj.t.tolist(), traj.p, traj.x):
+            fh.write(template % (t, *p.tolist(), *x.tolist()))

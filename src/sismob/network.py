@@ -262,6 +262,8 @@ def layer_from_edge_rates(n: int, triples) -> MobilityLayer:
         for i, j, rate in triples:
             if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in (i, j)):
                 raise ValueError(f"edge ({i!r},{j!r}) needs integer node indices")
+            if not isinstance(rate, numbers.Real) or isinstance(rate, bool):
+                raise ValueError(f"edge ({i!r},{j!r}) needs a real-number rate, got {rate!r}")
             try:
                 rates.append(float(rate))
             except OverflowError:  # an integer past the float range fails as infinite

@@ -19,10 +19,17 @@ count.  The public (n, m) ``AgentCounts`` form is kept at the edges.
 Per-class totals are conserved exactly at every step.  Runs are
 bit-reproducible: the same seed and spec always produce the same sample
 path (PCG64 generator, one fixed draw order per step).
+
+``simulate_seeds`` steps the runs of several seeds in lockstep as one
+(S, 2, m, n) array: each seed keeps its own generator and its three
+calls per step, and the routing, moves and flips run once for all of
+them, so each run has the bits it has alone.  Runs keep only their
+recorded steps.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +93,13 @@ class AgentCounts:
 
 @dataclass(frozen=True, eq=False)
 class StochasticRun:
-    """Sampled stochastic run: counts at every step plus metadata."""
+    """Sampled stochastic run: counts at every recorded step plus metadata."""
 
     seed: int
     h: float
-    t: np.ndarray
-    s: np.ndarray          # (steps+1, n, m)
-    i: np.ndarray          # (steps+1, n, m)
+    t: np.ndarray          # (rows,) times of the recorded steps
+    s: np.ndarray          # (rows, n, m)
+    i: np.ndarray          # (rows, n, m)
 
     def fractions(self) -> np.ndarray:
         return _fractions(self.s, self.i)
@@ -145,6 +152,7 @@ class _Kernel:
         self.keys = np.concatenate([2.0 * (cell + k * m * n) + within for k in (0, 1)])
         self.dest = np.concatenate([dest, dest + m * n])    # stacked cell per key
         self.recover = h * spec.delta                       # (n,)
+        self.beta, self.h = spec.beta, h  # infection p = (beta * pbar) * h, in that order
 
 
 def _check_counts(spec: ModelSpec, counts: AgentCounts):
@@ -153,61 +161,116 @@ def _check_counts(spec: ModelSpec, counts: AgentCounts):
                          f"got {counts.s.shape}")
 
 
+def recorded_rows(steps: int, every: int) -> np.ndarray:
+    """Steps a ``steps``-step run records: the initial one, every
+    ``every``-th and the final one."""
+    return np.unique(np.r_[0:steps + 1:max(1, every), steps])
+
+
+def _lanes(kernel: _Kernel, rngs, x0: np.ndarray, steps: int, rows) -> np.ndarray:
+    """(S, len(rows), 2, m, n) int64 counts of S = len(rngs) lanes
+    stepped in lockstep from the (2, m, n) counts x0 for ``steps`` steps;
+    row r of a lane holds its counts after rows[r] steps.
+
+    Lane s draws from rngs[s] alone, in the order of a single-lane step:
+    binomial leavers, one uniform per leaver, binomial flips.  Everything
+    else runs once per step for all lanes.  A leaver of cell c searches
+    2c + u in ``kernel.keys`` with c its cell within its own lane, and
+    the lane's cell offset is added to the integer destination, so its
+    routing does not depend on the lane.
+    """
+    lanes, cells = len(rngs), x0.size
+    p_leave, keys, dest_of, beta, h = (kernel.p_leave, kernel.keys, kernel.dest,
+                                       kernel.beta, kernel.h)
+    series = np.empty((lanes, len(rows), *x0.shape), dtype=np.int64)
+    x = np.empty((lanes, *x0.shape), dtype=np.int64)
+    x[:] = x0
+    nxt, leavers, flips = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    by_lane = leavers.reshape(lanes, cells)
+    offsets = np.tile(kernel.offsets, lanes)
+    lane_base = cells * np.arange(lanes)
+    p_flip = np.empty((lanes, 2, 1, x0.shape[-1]))  # broadcast over classes
+    p_flip[:, 1] = kernel.recover
+    p_infect = p_flip[:, 0, 0]
+    keep = np.zeros(steps + 1, dtype=bool)
+    keep[rows] = True
+    row = 0
+    for k, kept in enumerate(keep.tolist()):
+        if k:
+            # Mobility: binomial leavers, each routed by one uniform draw.
+            # Empty cells draw no leavers, so empty nodes are safe.  A
+            # single lane needs neither the split nor the cell offsets.
+            for s, rng in enumerate(rngs):
+                leavers[s] = rng.binomial(x[s], p_leave)
+            search = np.repeat(offsets, by_lane.ravel())
+            counts = by_lane.sum(axis=1).tolist() if lanes > 1 else [search.size]
+            lo = 0
+            for rng, count in zip(rngs, counts):
+                search[lo:lo + count] += rng.random(count)
+                lo += count
+            dest = dest_of[np.searchsorted(keys, search)]
+            if lanes > 1:
+                dest += np.repeat(lane_base, counts)
+            np.subtract(x, leavers, out=nxt)
+            nxt += np.bincount(dest, minlength=x.size).reshape(x.shape)
+
+            # Epidemics at the post-move populations: row 0 draws
+            # infections among the susceptible, row 1 recoveries among the
+            # infected. An empty node has no infected, so its pbar is 0 / 1.
+            by_node = nxt.sum(axis=2)
+            pbar = by_node[:, 1] / np.maximum(by_node[:, 0] + by_node[:, 1], 1)
+            np.multiply(beta * pbar, h, out=p_infect)
+            for s, rng in enumerate(rngs):
+                flips[s] = rng.binomial(nxt[s], p_flip[s])
+            nxt -= flips  # infections leave row 0, recoveries row 1,
+            nxt += flips[:, ::-1]  # and each joins the other row
+            x, nxt = nxt, x
+        if kept:
+            series[:, row] = x
+            row += 1
+    return series
+
+
 def step(spec: ModelSpec, counts: AgentCounts, h: float,
          rng: np.random.Generator) -> AgentCounts:
     """One mobility-then-epidemics update of the counts."""
     _check_step_size(spec, h)
     _check_counts(spec, counts)
-    out = np.empty((2, spec.m, spec.n), dtype=np.int64)
-    _step(spec, np.stack((counts.s.T, counts.i.T)), h, rng, _Kernel(spec, h), out)
+    out = _lanes(_Kernel(spec, h), [rng], np.stack((counts.s.T, counts.i.T)), 1, [1])[0, 0]
     return AgentCounts(s=out[0].T, i=out[1].T)
 
 
-def _step(spec: ModelSpec, x: np.ndarray, h: float, rng: np.random.Generator,
-          kernel: _Kernel, out: np.ndarray):
-    """Write the (2, m, n) int64 counts one step after x into out."""
-    # Mobility: binomial leavers, each routed by one uniform draw. Empty
-    # cells draw no leavers, so empty nodes are safe.
-    leavers = rng.binomial(x, kernel.p_leave)
-    search = np.repeat(kernel.offsets, leavers.ravel())
-    search += rng.random(search.size)
-    arrivals = np.bincount(kernel.dest[np.searchsorted(kernel.keys, search)],
-                           minlength=x.size)
-    np.subtract(x, leavers, out=out)
-    out += arrivals.reshape(x.shape)
-
-    # Epidemics at the post-move populations: row 0 draws infections
-    # among the susceptible, row 1 recoveries among the infected. An
-    # empty node has no infected, so its pbar is 0 / 1.
-    by_node = out.sum(axis=1)
-    pbar = by_node[1] / np.maximum(by_node[0] + by_node[1], 1)
-    p_flip = np.array((spec.beta * pbar * h, kernel.recover))
-    flips = rng.binomial(out, p_flip[:, None, :])
-    change = flips[1] - flips[0]
-    out[0] += change
-    out[1] -= change
-
-
-def simulate(spec: ModelSpec, initial: AgentCounts, t_end: float,
-             h: float = DEFAULT_H, seed: int = 0) -> StochasticRun:
-    """Run ``step_count(t_end, h)`` steps from the initial counts, so
-    the run ends exactly at t_end."""
+def simulate_seeds(spec: ModelSpec, initial: AgentCounts, t_end: float,
+                   h: float = DEFAULT_H, seeds: Sequence[int] = (0,),
+                   record_every: int = 1) -> list[StochasticRun]:
+    """One run per seed of ``step_count(t_end, h)`` steps from the
+    initial counts, so each ends exactly at t_end, all stepped in
+    lockstep.  Each run records the initial step, every
+    ``record_every``-th and the final one (``recorded_rows``), and has
+    the bits of the same seed run alone: ``np.random.default_rng(seed)``
+    makes the same draws in the same order."""
     if h <= 0:
         raise StepSizeError(f"simulate needs h > 0, got {h}")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     _check_step_size(spec, h)
     _check_counts(spec, initial)
     steps = step_count(t_end, h)
-    rng = np.random.default_rng(seed)
-    kernel = _Kernel(spec, h)
+    rows = recorded_rows(steps, record_every)
+    series = _lanes(_Kernel(spec, h), [np.random.default_rng(s) for s in seeds],
+                    np.stack((initial.s.T, initial.i.T)), steps, rows)
+    t = h * rows
+    runs = []
+    for seed, lane in zip(seeds, series):
+        counts = lane.transpose(1, 0, 3, 2)
+        runs.append(StochasticRun(seed=seed, h=h, t=t, s=counts[0], i=counts[1]))
+    return runs
 
-    series = np.empty((steps + 1, 2, spec.m, spec.n), dtype=np.int64)
-    series[0] = (initial.s.T, initial.i.T)
-    for k in range(steps):
-        _step(spec, series[k], h, rng, kernel, series[k + 1])
 
-    t = h * np.arange(steps + 1)
-    counts = series.transpose(1, 0, 3, 2)
-    return StochasticRun(seed=seed, h=h, t=t, s=counts[0], i=counts[1])
+def simulate(spec: ModelSpec, initial: AgentCounts, t_end: float,
+             h: float = DEFAULT_H, seed: int = 0, record_every: int = 1) -> StochasticRun:
+    """``simulate_seeds`` with the one seed."""
+    return simulate_seeds(spec, initial, t_end, h, [seed], record_every)[0]
 
 
 def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
@@ -259,24 +322,23 @@ def seed_infections(populations: np.ndarray, p0: np.ndarray | float) -> AgentCou
 def write_stochastic_csv(run: StochasticRun, path, stride: int = 1):
     """CSV with the deterministic trajectory columns (fractions and
     populations) plus the raw integer counts, sampled every ``stride``
-    steps (the final step is always included)."""
+    rows of the run (the final row is always included)."""
     _, n, m = run.s.shape
-    last = len(run.t) - 1
-    rows = np.unique(np.r_[0:last + 1:max(1, stride), last])
+    rows = recorded_rows(len(run.t) - 1, stride)
     sus, inf = run.s[rows], run.i[rows]
 
     def by_class(block):
         return block.transpose(0, 2, 1).reshape(len(rows), n * m)
 
+    fracs = by_class(_fractions(sus, inf))
     counts = np.concatenate([by_class(sus + inf), by_class(sus), by_class(inf)], axis=1)
     cols = (["t"]
             + [f"p[{a}][{i}]" for a in range(m) for i in range(n)]
             + [f"x[{a}][{i}]" for a in range(m) for i in range(n)]
             + [f"s[{a}][{i}]" for a in range(m) for i in range(n)]
             + [f"i[{a}][{i}]" for a in range(m) for i in range(n)])
+    template = ",".join(["%.17g"] * (1 + n * m) + ["%d"] * (3 * n * m)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for t, fracs, ints in zip(run.t[rows].tolist(),
-                                  by_class(_fractions(sus, inf)).tolist(), counts.tolist()):
-            fh.write(",".join([format(t, ".17g"), *[format(v, ".17g") for v in fracs],
-                               *map(str, ints)]) + "\n")
+        for t, p, ints in zip(run.t[rows].tolist(), fracs, counts):
+            fh.write(template % (t, *p.tolist(), *ints.tolist()))

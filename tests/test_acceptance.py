@@ -11,7 +11,7 @@ import sismob as sm
 from sismob.dynamics import SystemState
 from sismob.equilibria import apply_infection_map
 from sismob.spectral import spectral_abscissa, spectral_radius
-from sismob.stochastic import seed_infections, simulate, stationary_counts
+from sismob.stochastic import seed_infections, simulate_seeds, stationary_counts
 
 from conftest import SCENARIOS, assert_trajectory_invariants, random_layer, random_spec
 
@@ -188,8 +188,8 @@ def test_criterion_08_stochastic_deterministic_agreement():
         assert_trajectory_invariants(spec, traj)
         ode_series = _node_mean_fraction_ode(traj, n, m)
 
-        runs = [_node_mean_fraction_stochastic(simulate(spec, init, t_end, h=h, seed=s))
-                for s in seeds]
+        runs = [_node_mean_fraction_stochastic(run)
+                for run in simulate_seeds(spec, init, t_end, h=h, seeds=seeds)]
         mean_series = np.mean(runs, axis=0)
         gaps[per_node] = float(np.max(np.abs(mean_series - ode_series)))
 

@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +175,17 @@ class TestLayerFromEdgeRates:
     def test_non_integer_node_index_names_the_edge(self, i):
         with pytest.raises(ValueError, match=rf"edge \({i!r},0\) needs integer node indices"):
             sm.layer_from_edge_rates(2, [(i, 0, 0.2), (0, 1, 0.2)])
+
+    @pytest.mark.parametrize("rate", [True, False, "0.5", None, [0.5], 1 + 0j])
+    def test_rate_that_is_not_a_real_number_names_the_edge(self, rate):
+        with pytest.raises(ValueError, match=rf"edge \(1,0\) needs a real-number rate, got {re.escape(repr(rate))}"):
+            sm.layer_from_edge_rates(2, [(0, 1, 0.2), (1, 0, rate)])
+
+    @pytest.mark.parametrize("rate", [1, 0.25, np.float64(0.25), np.int64(1), np.float32(0.25),
+                                      Fraction(1, 4)])
+    def test_real_number_rates_are_kept(self, rate):
+        layer = sm.layer_from_edge_rates(2, [(0, 1, rate), (1, 0, 0.5)])
+        assert layer.Q[0, 1] == float(rate) and layer.Q[0, 0] == -float(rate)
 
 
 class TestEdgeIndexRange:

@@ -15,6 +15,7 @@ import sismob as sm
 from sismob.cli import GRID_MAX_POINTS, _parse_grid, build_parser, main
 from sismob.equilibria import threshold
 from sismob.scenario import _as_number, _as_vector, read_document, set_fields
+from sismob.stochastic import seed_infections, simulate, stationary_counts, write_stochastic_csv
 
 from conftest import SCENARIOS
 
@@ -235,6 +236,9 @@ class TestScenarioParsing:
         ("t_end", {"t_end": "abc"}),
         ("t_end", {"t_end": 0.015}),
         ("t_end", {"t_end": 0.5, "stochastic": {"enabled": True, "h": 0.3}}),
+        # t_end / dt, or only t_end / h, overflows to inf
+        ("t_end", {"t_end": 1e308}),
+        ("t_end", {"t_end": 1e300, "dt": 1e290, "stochastic": {"enabled": True, "h": 1e-10}}),
         ("dt", {"dt": float("inf")}),
         ("stochastic.h", {"stochastic": {"h": float("nan")}}),
         ("N", {"N": [1.5], "stochastic": {"enabled": True}}),
@@ -268,6 +272,8 @@ class TestScenarioParsing:
         ("layers[0].mh.target", {"n": 3, "layers": [{"mh": {"graph": "ring",
                                                             "target": [0.5, 0.5, HUGE]}}]}),
         ("layers[0]", {"n": 2, "layers": [{"edges": [[0, 1, 1.0], [1, 0, -HUGE]]}]}),
+        ("layers[0]", {"n": 2, "layers": [{"edges": [[0, 1, True], [1, 0, 0.5]]}]}),
+        ("layers[0]", {"n": 2, "layers": [{"edges": [[0, 1, 0.5], [1, 0, "0.5"]]}]}),
         ("delta.s_factor", {"n": 3, "layers": [{"preset": "ring", "rate_scale": 0.2}],
                             "delta": {"rule": "lambda2_sufficient", "s_factor": HUGE}}),
     ])
@@ -463,6 +469,40 @@ class TestCli:
         assert main(["run", "--scenario", str(scenario_path), "--out", str(out2)]) == 0
         for p1 in sorted(out1.iterdir()):
             assert p1.read_bytes() == (out2 / p1.name).read_bytes(), p1.name
+
+    def test_seed_in_a_multi_seed_run_writes_its_single_seed_bytes(self, tmp_path):
+        # 20 steps recorded at 0, 3, ..., 18 and 20: (20 + 1) // 8 = 2 seeds
+        # a chunk, so the five seeds run as [4, 9], [4, 11] and [2]
+        doc = two_layer_doc(t_end=0.2, sample_every=3,
+                            stochastic={"enabled": True, "h": 0.01, "seeds": [4, 9, 4, 11, 2]})
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        chunks, lockstep = [], sm.cli.simulate_seeds
+
+        def spy(*args, **kwargs):
+            chunks.append(list(kwargs["seeds"]))
+            return lockstep(*args, **kwargs)
+
+        with mock.patch("sismob.cli.simulate_seeds", spy):
+            assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "all")]) == 0
+        assert chunks == [[4, 9], [4, 11], [2]]
+
+        scenario = sm.parse_scenario(doc)
+        init = seed_infections(stationary_counts(scenario.spec), scenario.p0)
+        for seed in (4, 9, 11, 2):
+            alone = tmp_path / f"seed{seed}"
+            assert main(["run", "--scenario", str(path), "--seed", str(seed),
+                         "--out", str(alone)]) == 0
+            # every step kept, then sampled by the writer
+            full = tmp_path / f"full{seed}.csv"
+            write_stochastic_csv(simulate(scenario.spec, init, 0.2, h=0.01, seed=seed), full,
+                                 stride=3)
+            name = f"pair_layers_stochastic_seed{seed}"
+            csv = (tmp_path / "all" / f"{name}.csv").read_bytes()
+            assert csv == (alone / f"{name}.csv").read_bytes() == full.read_bytes()
+            assert csv.count(b"\n") == 1 + 8
+            assert ((tmp_path / "all" / f"{name}.json").read_bytes()
+                    == (alone / f"{name}.json").read_bytes())
 
     def test_overrides_reach_manifest(self, tmp_path):
         scenario_path = tmp_path / "s.json"

@@ -6,8 +6,9 @@ import pytest
 
 import sismob as sm
 from sismob.dynamics import SystemState
-from sismob.stochastic import (AgentCounts, StochasticRun, seed_infections, simulate,
-                               stationary_counts, step, write_stochastic_csv)
+from sismob.stochastic import (AgentCounts, StochasticRun, _Kernel, _lanes, recorded_rows,
+                               seed_infections, simulate, simulate_seeds, stationary_counts,
+                               step, write_stochastic_csv)
 
 from conftest import random_spec
 
@@ -43,6 +44,19 @@ class PinnedUniforms:
         return np.full(size, self.u)
 
 
+def pinned_oracle(spec, rng: PinnedUniforms, u: float) -> np.ndarray:
+    """(2, m, n) counts one step after ORACLE_COUNTS with rng's leavers
+    each moved to its origin row's first (u = 0) or last destination."""
+    leavers, flips = rng.binomials
+    assert not np.any(flips)
+    expected = np.stack((ORACLE_COUNTS.s.T, ORACLE_COUNTS.i.T)) - leavers
+    for a, layer in enumerate(spec.net.layers):
+        for i in range(spec.n):
+            targets = [j for j in range(spec.n) if j != i and layer.Q[i, j] > 0]
+            expected[:, a, targets[0] if u == 0.0 else targets[-1]] += leavers[:, a, i]
+    return expected
+
+
 def node_mean_fraction(run):
     """Mean over nodes of the node-level infected fraction, per sample."""
     tot = (run.s + run.i).sum(axis=2)
@@ -70,8 +84,8 @@ class TestStep:
                                                     N=np.array([100000.0])),
                            beta=scalar_spec.beta, delta=scalar_spec.delta)
         init = seed_infections(stationary_counts(big), 0.01)
-        finals = [simulate(big, init, 100.0, h=0.01, seed=seed).fractions()[-1, 0, 0]
-                  for seed in range(10)]
+        finals = [run.fractions()[-1, 0, 0]
+                  for run in simulate_seeds(big, init, 100.0, h=0.01, seeds=range(10))]
         assert abs(np.mean(finals) - 2.0 / 3.0) < 0.01
 
     def test_oversized_probabilities_rejected(self, two_node_spec):
@@ -133,19 +147,67 @@ class TestStep:
         spec, h = oracle_spec(), 0.5
         rng = PinnedUniforms(u, seed=5)
         out = step(spec, ORACLE_COUNTS, h, rng)
-        leavers, flips = rng.binomials
-        assert not np.any(flips)
-        expected = np.stack((ORACLE_COUNTS.s.T, ORACLE_COUNTS.i.T)) - leavers
-        for a, layer in enumerate(spec.net.layers):
-            for i in range(spec.n):
-                targets = [j for j in range(spec.n) if j != i and layer.Q[i, j] > 0]
-                expected[:, a, targets[0] if u == 0.0 else targets[-1]] += leavers[:, a, i]
+        expected = pinned_oracle(spec, rng, u)
         assert np.array_equal(out.s.T, expected[0]) and np.array_equal(out.i.T, expected[1])
 
     def test_counts_of_the_wrong_shape_are_refused(self, two_node_spec):
         counts = AgentCounts(s=np.full((2, 2), 10), i=np.ones((2, 2)))
         with pytest.raises(ValueError, match=r"shape \(n, m\) = \(2, 1\), got \(2, 2\)"):
             step(two_node_spec, counts, 0.01, np.random.default_rng(0))
+
+
+def three_class_counts():
+    """m=3, n=5 random spec and stationary counts with one empty cell."""
+    spec = random_spec(np.random.default_rng(21), n=5, m=3)
+    counts = seed_infections(stationary_counts(spec), 0.1)
+    s, i = counts.s.copy(), counts.i.copy()
+    s[2, 1] = i[2, 1] = 0
+    return spec, AgentCounts(s=s, i=i)
+
+
+def assert_same_run(run, alone, rows=slice(None)):
+    assert run.seed == alone.seed and run.h == alone.h
+    assert run.t.tobytes() == alone.t[rows].tobytes()
+    assert np.array_equal(run.s, alone.s[rows]) and np.array_equal(run.i, alone.i[rows])
+
+
+class TestLockstepSeeds:
+    def test_each_lane_has_the_bits_of_its_seed_alone(self):
+        spec, init = three_class_counts()
+        seeds = [5, 3, 5, 0]
+        runs = simulate_seeds(spec, init, 2.0, h=0.01, seeds=seeds)
+        assert [run.seed for run in runs] == seeds
+        assert runs[0].s[0, 2, 1] == runs[0].i[0, 2, 1] == 0
+        for run in runs:
+            assert_same_run(run, simulate(spec, init, 2.0, h=0.01, seed=run.seed))
+
+    @pytest.mark.parametrize("every", [1, 7, 10, 203, 500])
+    def test_recorded_rows_are_rows_of_the_full_series(self, every):
+        # 203 steps: 10 does not divide them, so the final row is extra
+        spec, init = three_class_counts()
+        rows = recorded_rows(203, every)
+        assert rows[0] == 0 and rows[-1] == 203
+        assert np.array_equal(rows, np.unique([*range(0, 204, every), 203]))
+        runs = simulate_seeds(spec, init, 2.03, h=0.01, seeds=[8, 2], record_every=every)
+        for run in runs:
+            assert_same_run(run, simulate(spec, init, 2.03, h=0.01, seed=run.seed), rows)
+        assert_same_run(simulate(spec, init, 2.03, h=0.01, seed=8, record_every=every), runs[0])
+
+    def test_record_every_must_be_positive(self, two_node_spec):
+        init = AgentCounts(s=np.array([[40], [50]]), i=np.array([[5], [5]]))
+        with pytest.raises(ValueError, match="record_every must be >= 1"):
+            simulate_seeds(two_node_spec, init, 1.0, h=0.01, seeds=[1], record_every=0)
+
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0 ** -53])
+    def test_extreme_uniforms_route_every_lane_inside_its_origin_row(self, u):
+        # lanes after the first add their cell offset to the destination
+        spec, h = oracle_spec(), 0.5
+        rngs = [PinnedUniforms(u, seed=seed) for seed in (5, 6, 7)]
+        x0 = np.stack((ORACLE_COUNTS.s.T, ORACLE_COUNTS.i.T))
+        out = _lanes(_Kernel(spec, h), rngs, x0, 1, [0, 1])
+        for lane, rng in zip(out, rngs):
+            assert np.array_equal(lane[0], x0)
+            assert np.array_equal(lane[1], pinned_oracle(spec, rng, u))
 
 
 class TestSimulate:
@@ -216,8 +278,9 @@ class TestSimulate:
             inf = (traj.p * traj.x).reshape(len(traj.t), spec.m, n)
             ode_mean = (inf.sum(axis=1) / tot.sum(axis=1)).mean(axis=1)
 
-            mean_sto = np.mean([node_mean_fraction(simulate(spec, init, t_end, h=h, seed=s))
-                                for s in seeds], axis=0)
+            mean_sto = np.mean([node_mean_fraction(run)
+                                for run in simulate_seeds(spec, init, t_end, h=h, seeds=seeds)],
+                               axis=0)
             gaps.append(float(np.max(np.abs(mean_sto - ode_mean))))
 
         assert gaps[0] > gaps[1] > gaps[2], gaps
