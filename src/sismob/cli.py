@@ -19,13 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import integrate, step_count, write_trajectory_csv
+from .dynamics import integrate, recorded_rows, step_count, write_trajectory_csv
 from .equilibria import classify, equilibrium_matrices, threshold
 from .errors import ScenarioError
 from .scenario import (Scenario, initial_state, parse_point, parse_scenario, read_document,
                        set_fields)
-from .stochastic import (recorded_rows, seed_infections, simulate_seeds, stationary_counts,
-                         write_stochastic_csv)
+from .stochastic import seed_infections, simulate_seeds, stationary_counts, write_stochastic_csv
 
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))  # no indent: the C encoder

@@ -75,14 +75,6 @@ class ModelSpec:
     def nm(self) -> int:
         return self.net.nm
 
-    def B(self) -> np.ndarray:
-        """Block-diagonal infection-rate matrix (nm x nm)."""
-        return np.diag(np.tile(self.beta, self.m))
-
-    def D(self) -> np.ndarray:
-        """Block-diagonal recovery-rate matrix (nm x nm)."""
-        return np.diag(np.tile(self.delta, self.m))
-
 
 @dataclass(frozen=True, eq=False)
 class SystemState:
@@ -208,6 +200,15 @@ def step_count(t_end: float, step: float) -> int:
     return steps
 
 
+def recorded_rows(steps: int, every: int) -> np.ndarray:
+    """Steps a ``steps``-step run records: the initial one, every
+    ``every``-th and the final one, ascending."""
+    if every < 1:
+        raise ValueError("record_every must be >= 1")
+    rows = np.arange(0, steps + 1, every)
+    return rows if rows[-1] == steps else np.append(rows, steps)
+
+
 def integrate(spec: ModelSpec, initial: SystemState, t_end: float,
               dt: float = DEFAULT_DT, record_every: int = 1) -> Trajectory:
     """Fixed-step classical RK4 on the (x, y) state of the module
@@ -216,9 +217,9 @@ def integrate(spec: ModelSpec, initial: SystemState, t_end: float,
     otherwise the two differ by O(dt^4).
 
     The run takes ``step_count(t_end, dt)`` steps, so it ends exactly
-    at t_end.  Samples are recorded every ``record_every`` steps (always
-    including the initial state, as given, and the final one).  x must
-    stay positive.  When p leaves [0, 1] by at most ``CLAMP_TOL``, y is
+    at t_end, and keeps the steps of ``recorded_rows(steps,
+    record_every)`` (the initial state as given).  x must stay
+    positive.  When p leaves [0, 1] by at most ``CLAMP_TOL``, y is
     clamped into [0, x] in place and the clamped state continues; a
     larger excursion raises :class:`IntegrationError` since the
     continuous flow is invariant and only discretization error should
@@ -226,43 +227,40 @@ def integrate(spec: ModelSpec, initial: SystemState, t_end: float,
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
     steps = step_count(t_end, dt)
+    rows = recorded_rows(steps, record_every)
 
     ws = _Workspace(spec)
     Z = ws.pack(initial.p, initial.x)
     X, Y = Z[:, 0], Z[:, 1]
+    ps, xs = np.empty((len(rows), X.size)), np.empty((len(rows), X.size))
+    ps[0], xs[0] = initial.p, initial.x
+    wanted, row = rows.tolist(), 1
 
-    ts = [float(initial.t)]
-    ps = [np.array(initial.p, dtype=float)]
-    xs = [np.array(initial.x, dtype=float)]
-
-    for k in range(steps):
+    for k in range(1, steps + 1):
         k1 = ws.dz(Z)
         k2 = ws.dz(Z + 0.5 * dt * k1)
         k3 = ws.dz(Z + 0.5 * dt * k2)
         k4 = ws.dz(Z + dt * k3)
         Z += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = float(initial.t) + (k + 1) * dt
 
         if not float(X.min()) > 0.0:  # also catches NaN
-            raise IntegrationError(f"x became nonpositive at t={t:.6g}; reduce dt")
+            raise IntegrationError(
+                f"x became nonpositive at t={float(initial.t) + k * dt:.6g}; reduce dt")
         P = Y / X
         overshoot = max(-float(P.min()), float(P.max()) - 1.0, 0.0)
         if not overshoot <= CLAMP_TOL:
-            raise IntegrationError(
-                f"p left [0,1] by {overshoot:.3e} at t={t:.6g}; reduce dt")
+            raise IntegrationError(f"p left [0,1] by {overshoot:.3e} at "
+                                   f"t={float(initial.t) + k * dt:.6g}; reduce dt")
         if overshoot > 0.0:
             np.clip(Y, 0.0, X, out=Y)
             np.clip(P, 0.0, 1.0, out=P)
 
-        if (k + 1) % record_every == 0 or k + 1 == steps:
-            ts.append(t)
-            ps.append(P.ravel())
-            xs.append(X.flatten())
+        if k == wanted[row]:
+            ps[row], xs[row] = P.ravel(), X.ravel()
+            row += 1
 
-    return Trajectory(t=np.array(ts), p=np.array(ps), x=np.array(xs), dt=dt)
+    return Trajectory(t=float(initial.t) + dt * rows, p=ps, x=xs, dt=dt)
 
 
 def integrate_until_settled(spec: ModelSpec, initial: SystemState,
@@ -288,14 +286,24 @@ def integrate_until_settled(spec: ModelSpec, initial: SystemState,
     raise IntegrationError(f"state did not settle to {settle_tol} within t={t_max}")
 
 
-def write_trajectory_csv(traj: Trajectory, path, n: int, m: int):
-    """Write a trajectory as CSV: t, p[a][i]..., x[a][i]... with
-    17-significant-digit numbers for exact round trips."""
-    cols = (["t"]
-            + [f"p[{a}][{i}]" for a in range(m) for i in range(n)]
-            + [f"x[{a}][{i}]" for a in range(m) for i in range(n)])
-    template = ",".join(["%.17g"] * (1 + 2 * n * m)) + "\n"
+def write_csv(path, n: int, m: int, names, t: np.ndarray, blocks):
+    """Write CSV rows of the times t and the (rows, k n m) ``blocks`` side
+    by side.  The header is t, then name[a][i] over every class a and node
+    i for each of ``names``; times and real blocks are written with 17
+    significant digits for exact round trips, integer blocks as integers."""
+    cells = [f"[{a}][{i}]" for a in range(m) for i in range(n)]
+    formats = ["%.17g"] + ["%d" if block.dtype.kind in "iu" else "%.17g"
+                           for block in blocks for _ in range(block.shape[1])]
+    template = ",".join(formats) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for t, p, x in zip(traj.t.tolist(), traj.p, traj.x):
-            fh.write(template % (t, *p.tolist(), *x.tolist()))
+        fh.write(",".join(["t"] + [name + cell for name in names for cell in cells]) + "\n")
+        for time, *parts in zip(t.tolist(), *blocks):
+            row = [time]
+            for part in parts:
+                row += part.tolist()
+            fh.write(template % tuple(row))
+
+
+def write_trajectory_csv(traj: Trajectory, path, n: int, m: int):
+    """Write a trajectory as CSV: t, p[a][i]..., x[a][i]..."""
+    write_csv(path, n, m, ("p", "x"), traj.t, [traj.p, traj.x])

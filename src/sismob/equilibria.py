@@ -36,14 +36,14 @@ has the same positive fixed point and is kept as
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .dynamics import ModelSpec
 from .errors import ConvergenceError
 from .network import left_null_vector, network_stationary
-from .spectral import spectral_abscissa, spectral_abscissas, spectral_radii
+from .spectral import _scale, spectral_abscissa, spectral_abscissas, spectral_radii
 
 MU_TIE_TOL = 1e-10
 # Newton's relative step tolerance and step cap.  Far above p* a step
@@ -78,6 +78,14 @@ class EquilibriumMatrices:
     G: np.ndarray              # B F - D - L, the linearization at the DFE
 
 
+def _plain(value):
+    """``value`` in JSON-ready Python types: a dataclass as the dict of its
+    fields, an array as its ``tolist()``."""
+    if is_dataclass(value):
+        return {field.name: _plain(getattr(value, field.name)) for field in fields(value)}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 @dataclass
 class ConditionReport:
     """Verdicts of the recovery-vs-infection stability conditions.
@@ -100,18 +108,7 @@ class ConditionReport:
     condition_value: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "nec_per_node": [bool(b) for b in self.nec_per_node],
-            "nec_exists": bool(self.nec_exists),
-            "suf_all": bool(self.suf_all),
-            "suf_lambda2": None if self.suf_lambda2 is None else bool(self.suf_lambda2),
-            "lambda2": self.lambda2,
-            "s": self.s,
-            "s_lower": self.s_lower,
-            "w": None if self.w is None else [float(t) for t in self.w],
-            "weighted_deficit_sum": self.weighted_deficit_sum,
-            "condition_value": self.condition_value,
-        }
+        return _plain(self)
 
 
 @dataclass
@@ -127,15 +124,7 @@ class EquilibriumReport:
     conditions: ConditionReport
 
     def to_dict(self) -> dict:
-        return {
-            "v": [float(t) for t in self.v],
-            "mu": self.mu,
-            "R0": self.R0,
-            "classification": self.classification,
-            "marginal": bool(self.marginal),
-            "p_star": None if self.p_star is None else [float(t) for t in self.p_star],
-            "conditions": self.conditions.to_dict(),
-        }
+        return _plain(self)
 
 
 def equilibrium_matrices(spec: ModelSpec) -> EquilibriumMatrices:
@@ -185,9 +174,10 @@ def _lambda2(b: np.ndarray, M: np.ndarray, L: np.ndarray):
     if np.any(w <= 0):
         raise ConvergenceError("left null vector is not positive; matrix not irreducible?")
     w = w / w.max()
-    W = np.diag(w)
-    lambda2 = float(np.linalg.eigvalsh(0.5 * (W @ lap + lap.T @ W))[1])
-    return w, lambda2
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        sym = 0.5 * (w[:, None] * lap + lap.T * w)
+    _scale(sym)
+    return w, float(np.linalg.eigvalsh(sym)[1])
 
 
 def endemic_fixed_point(spec: ModelSpec, mats: EquilibriumMatrices | None = None,
@@ -334,6 +324,8 @@ def margin_recovery_rates(net, beta, s_factor: float, deficit_nodes):
     robustly in floating point.
 
     Returns (delta, info) where info carries lambda2, s_lower, s, d.
+    Raises ValueError where s < -beta_i at a deficit node i, since that
+    delta_i would be negative.
     """
     beta = np.asarray(beta, dtype=float)
     n, m, nm = net.n, net.m, net.nm
@@ -368,5 +360,8 @@ def margin_recovery_rates(net, beta, s_factor: float, deficit_nodes):
     d = (target / w_rest) * (1.0 + MARGIN_SLACK)
 
     delta = beta + s + np.where(deficit_mask, 0.0, d)
+    if np.any(delta < 0):
+        raise ValueError(f"recovery rates would be negative: the deficit s = {s:.6g} "
+                         "is below -beta at a deficit node")
     info = {"lambda2": lambda2, "s_lower": float(s_lower), "s": float(s), "d": float(d)}
     return delta, info

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelSpec, step_count
+from .dynamics import ModelSpec, recorded_rows, step_count, write_csv
 from .errors import StepSizeError
 from .network import network_stationary
 
@@ -161,16 +161,11 @@ def _check_counts(spec: ModelSpec, counts: AgentCounts):
                          f"got {counts.s.shape}")
 
 
-def recorded_rows(steps: int, every: int) -> np.ndarray:
-    """Steps a ``steps``-step run records: the initial one, every
-    ``every``-th and the final one."""
-    return np.unique(np.r_[0:steps + 1:max(1, every), steps])
-
-
 def _lanes(kernel: _Kernel, rngs, x0: np.ndarray, steps: int, rows) -> np.ndarray:
     """(S, len(rows), 2, m, n) int64 counts of S = len(rngs) lanes
     stepped in lockstep from the (2, m, n) counts x0 for ``steps`` steps;
-    row r of a lane holds its counts after rows[r] steps.
+    row r of a lane holds its counts after rows[r] steps (rows ascend
+    and end at ``steps``).
 
     Lane s draws from rngs[s] alone, in the order of a single-lane step:
     binomial leavers, one uniform per leaver, binomial flips.  Everything
@@ -192,10 +187,8 @@ def _lanes(kernel: _Kernel, rngs, x0: np.ndarray, steps: int, rows) -> np.ndarra
     p_flip = np.empty((lanes, 2, 1, x0.shape[-1]))  # broadcast over classes
     p_flip[:, 1] = kernel.recover
     p_infect = p_flip[:, 0, 0]
-    keep = np.zeros(steps + 1, dtype=bool)
-    keep[rows] = True
-    row = 0
-    for k, kept in enumerate(keep.tolist()):
+    wanted, row = np.asarray(rows).tolist(), 0
+    for k in range(steps + 1):
         if k:
             # Mobility: binomial leavers, each routed by one uniform draw.
             # Empty cells draw no leavers, so empty nodes are safe.  A
@@ -225,7 +218,7 @@ def _lanes(kernel: _Kernel, rngs, x0: np.ndarray, steps: int, rows) -> np.ndarra
             nxt -= flips  # infections leave row 0, recoveries row 1,
             nxt += flips[:, ::-1]  # and each joins the other row
             x, nxt = nxt, x
-        if kept:
+        if k == wanted[row]:
             series[:, row] = x
             row += 1
     return series
@@ -251,8 +244,6 @@ def simulate_seeds(spec: ModelSpec, initial: AgentCounts, t_end: float,
     makes the same draws in the same order."""
     if h <= 0:
         raise StepSizeError(f"simulate needs h > 0, got {h}")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
     _check_step_size(spec, h)
     _check_counts(spec, initial)
     steps = step_count(t_end, h)
@@ -319,26 +310,11 @@ def seed_infections(populations: np.ndarray, p0: np.ndarray | float) -> AgentCou
     return AgentCounts(s=populations - infected, i=infected)
 
 
-def write_stochastic_csv(run: StochasticRun, path, stride: int = 1):
-    """CSV with the deterministic trajectory columns (fractions and
-    populations) plus the raw integer counts, sampled every ``stride``
-    rows of the run (the final row is always included)."""
-    _, n, m = run.s.shape
-    rows = recorded_rows(len(run.t) - 1, stride)
-    sus, inf = run.s[rows], run.i[rows]
-
-    def by_class(block):
-        return block.transpose(0, 2, 1).reshape(len(rows), n * m)
-
-    fracs = by_class(_fractions(sus, inf))
-    counts = np.concatenate([by_class(sus + inf), by_class(sus), by_class(inf)], axis=1)
-    cols = (["t"]
-            + [f"p[{a}][{i}]" for a in range(m) for i in range(n)]
-            + [f"x[{a}][{i}]" for a in range(m) for i in range(n)]
-            + [f"s[{a}][{i}]" for a in range(m) for i in range(n)]
-            + [f"i[{a}][{i}]" for a in range(m) for i in range(n)])
-    template = ",".join(["%.17g"] * (1 + n * m) + ["%d"] * (3 * n * m)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for t, p, ints in zip(run.t[rows].tolist(), fracs, counts):
-            fh.write(template % (t, *p.tolist(), *ints.tolist()))
+def write_stochastic_csv(run: StochasticRun, path):
+    """CSV of every row of the run: the deterministic trajectory columns
+    (fractions and populations) plus the raw integer counts."""
+    rows, n, m = run.s.shape
+    sus, inf = run.s.transpose(0, 2, 1), run.i.transpose(0, 2, 1)  # (rows, m, n)
+    fractions = _fractions(sus, inf).reshape(rows, m * n)
+    counts = np.concatenate([sus + inf, sus, inf], axis=1).reshape(rows, 3 * m * n)
+    write_csv(path, n, m, ("p", "x", "s", "i"), run.t, [fractions, counts])

@@ -46,6 +46,16 @@ def random_spec(rng: np.random.Generator, n_max: int = 8, m_max: int = 3,
     return sm.ModelSpec(net=net, beta=beta, delta=delta)
 
 
+def infection_matrix(spec: sm.ModelSpec) -> np.ndarray:
+    """Block-diagonal infection-rate matrix B (nm x nm)."""
+    return np.diag(np.tile(spec.beta, spec.m))
+
+
+def recovery_matrix(spec: sm.ModelSpec) -> np.ndarray:
+    """Block-diagonal recovery-rate matrix D (nm x nm)."""
+    return np.diag(np.tile(spec.delta, spec.m))
+
+
 def assert_trajectory_invariants(spec: sm.ModelSpec, traj: sm.Trajectory):
     """Conservation and box invariance along a deterministic trajectory."""
     assert np.all(traj.p >= 0.0) and np.all(traj.p <= 1.0)

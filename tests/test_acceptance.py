@@ -13,7 +13,8 @@ from sismob.equilibria import apply_infection_map
 from sismob.spectral import spectral_abscissa, spectral_radius
 from sismob.stochastic import seed_infections, simulate_seeds, stationary_counts
 
-from conftest import SCENARIOS, assert_trajectory_invariants, random_layer, random_spec
+from conftest import (SCENARIOS, assert_trajectory_invariants, infection_matrix, random_layer,
+                      random_spec, recovery_matrix)
 
 
 def _passed(line):
@@ -25,7 +26,8 @@ def _mu_and_r0(spec):
     mu = spectral_abscissa(mats.G).mu
     r0 = None
     if np.any(spec.delta > 0):
-        r0 = spectral_radius(np.linalg.solve(mats.L + spec.D(), spec.B()) @ mats.F).rho
+        A = np.linalg.solve(mats.L + recovery_matrix(spec), infection_matrix(spec))
+        r0 = spectral_radius(A @ mats.F).rho
     return mats, mu, r0
 
 
@@ -101,7 +103,8 @@ def test_criterion_04_endemic_consistency():
         if mu < 0.05:   # the finite-horizon ODE oracle needs a real margin
             continue
         p_star = sm.endemic_fixed_point(spec, mats)
-        residual = np.max(np.abs(mats.G @ p_star - p_star * (spec.B() @ (mats.F @ p_star))))
+        BFp = infection_matrix(spec) @ (mats.F @ p_star)
+        residual = np.max(np.abs(mats.G @ p_star - p_star * BFp))
         assert residual <= 1e-8
 
         initial = SystemState(t=0.0, p=np.full(spec.nm, 0.01), x=mats.v)

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sismob as sm
-from sismob.dynamics import SystemState, write_trajectory_csv
+from sismob.dynamics import SystemState, recorded_rows, write_trajectory_csv
 
-from conftest import assert_trajectory_invariants, random_spec
+from conftest import assert_trajectory_invariants, infection_matrix, random_spec, recovery_matrix
 
 
 def componentwise_rhs(spec, p, x):
@@ -33,7 +33,7 @@ def componentwise_rhs(spec, p, x):
 def rk4_oracle(spec, p, x, dt, steps):
     """Plain classical RK4 on the (p, x) form with the assembled-matrix
     right-hand side, no clamping."""
-    B, D, n = spec.B(), spec.D(), spec.n
+    B, D, n = infection_matrix(spec), recovery_matrix(spec), spec.n
 
     def f(p, x):
         mats = sm.assemble(spec, x)
@@ -130,7 +130,7 @@ class TestRhs:
         dp, _ = sm.rhs(spec, SystemState(t=0.0, p=p, x=x))
 
         mats = sm.assemble(spec, x)
-        B, D = spec.B(), spec.D()
+        B, D = infection_matrix(spec), recovery_matrix(spec)
         dp_matrix = (B @ mats.F - D - mats.L) @ p - p * (B @ (mats.F @ p))
         assert np.max(np.abs(dp - dp_matrix)) <= 1e-14
 
@@ -239,12 +239,41 @@ class TestIntegrate:
             assert np.array_equal(traj.x[0], initial.x)
         assert len(sm.integrate(spec, initial, 0.0).t) == 1
 
+    @pytest.mark.parametrize("every", [1, 3, 7, 40, 41, 100])
+    def test_recorded_rows_are_rows_of_the_full_run(self, two_node_spec, every):
+        # 40 steps from t = 0.25: 3 and 7 do not divide them, 41 and 100 pass them
+        initial = SystemState(t=0.25, p=np.array([0.01, 0.3]), x=np.array([55.0, 45.0]))
+        full = sm.integrate(two_node_spec, initial, 0.4, dt=0.01)
+        traj = sm.integrate(two_node_spec, initial, 0.4, dt=0.01, record_every=every)
+        rows = recorded_rows(40, every)
+        assert traj.t.tobytes() == full.t[rows].tobytes()
+        assert traj.t.tolist() == [0.25 + k * 0.01 for k in rows.tolist()]
+        assert traj.p.tobytes() == full.p[rows].tobytes()
+        assert traj.x.tobytes() == full.x[rows].tobytes()
+
     def test_settle_helper_reaches_equilibrium(self, two_node_spec):
         initial = SystemState(t=0.0, p=np.full(2, 0.01), x=np.array([40.0, 60.0]))
         state = sm.integrate_until_settled(two_node_spec, initial, dt=0.01,
                                            t_max=2000.0, settle_tol=1e-10)
         dp, dx = sm.rhs(two_node_spec, state)
         assert max(np.max(np.abs(dp)), np.max(np.abs(dx))) <= 1e-10
+
+
+class TestRecordedRows:
+    def test_rows_are_the_strided_steps_and_the_last(self):
+        for steps in (0, 1, 2, 5, 9, 10, 203):
+            for every in (1, 2, 3, 7, 10, 300):
+                rows = recorded_rows(steps, every)
+                expected = np.unique(np.r_[0:steps + 1:every, steps])
+                assert rows.dtype == expected.dtype, (steps, every)
+                assert np.array_equal(rows, expected), (steps, every)
+
+    def test_every_must_be_positive(self, two_node_spec):
+        with pytest.raises(ValueError, match="record_every must be >= 1"):
+            recorded_rows(5, 0)
+        initial = SystemState(t=0.0, p=np.array([0.01, 0.3]), x=np.array([55.0, 45.0]))
+        with pytest.raises(ValueError, match="record_every must be >= 1"):
+            sm.integrate(two_node_spec, initial, 0.1, dt=0.01, record_every=0)
 
 
 class TestTrajectoryCsv:

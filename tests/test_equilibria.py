@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +10,7 @@ import sismob as sm
 from sismob.dynamics import SystemState
 from sismob.equilibria import RESIDUAL_TOL, apply_infection_map
 
-from conftest import SCENARIOS, random_spec
+from conftest import SCENARIOS, infection_matrix, random_spec, recovery_matrix
 
 
 class TestClassify:
@@ -54,7 +57,7 @@ class TestClassify:
         for _ in range(8):
             spec = random_spec(rng, n_max=7, m=m)
             mats = sm.equilibrium_matrices(spec)
-            A = np.linalg.solve(mats.L + spec.D(), spec.B())
+            A = np.linalg.solve(mats.L + recovery_matrix(spec), infection_matrix(spec))
             oracle = float(np.max(np.abs(np.linalg.eigvals(A @ mats.F))))
             assert sm.classify(spec).R0 == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
@@ -63,7 +66,7 @@ class TestClassify:
         for _ in range(8):
             spec = random_spec(rng, n_max=7)
             mats = sm.equilibrium_matrices(spec)
-            B, D = spec.B(), spec.D()
+            B, D = infection_matrix(spec), recovery_matrix(spec)
             assert np.array_equal(np.diag(mats.b), B) and np.array_equal(np.diag(mats.d), D)
             assert np.array_equal(mats.BF, B @ mats.F)
             assert np.array_equal(mats.G, B @ mats.F - D - mats.L)
@@ -73,6 +76,23 @@ class TestClassify:
         assert set(doc) == {"v", "mu", "R0", "classification", "marginal",
                             "p_star", "conditions"}
         assert isinstance(doc["conditions"]["nec_per_node"], list)
+
+    @pytest.mark.parametrize("branch", ["nm < 2", "equal deficits", "full"])
+    def test_report_survives_a_json_round_trip(self, branch, scalar_spec, two_node_spec):
+        # the three ConditionReport shapes: no lambda2, no lambda2 verdict, all fields
+        specs = {"nm < 2": scalar_spec, "full": two_node_spec,
+                 "equal deficits": sm.ModelSpec(net=two_node_spec.net, beta=np.array([0.5, 0.25]),
+                                                delta=np.array([0.75, 0.5]))}
+        report = sm.classify(specs[branch])
+        doc = report.to_dict()
+        assert json.loads(json.dumps(doc)) == doc
+        conditions = doc["conditions"]
+        assert set(conditions) == {field.name for field in fields(sm.ConditionReport)}
+        assert (conditions["lambda2"] is None) == (branch == "nm < 2")
+        assert (conditions["suf_lambda2"] is None) == (branch != "full")
+        assert conditions["w"] == (None if report.conditions.w is None
+                                   else report.conditions.w.tolist())
+        assert doc["v"] == report.v.tolist()
 
 
 class TestEndemicFixedPoint:
@@ -108,7 +128,7 @@ class TestEndemicFixedPoint:
             assert mu == pytest.approx(target, rel=1e-6)
             p = sm.endemic_fixed_point(spec, mats, mu=mu)
             assert np.min(p) > 0
-            residual = np.max(np.abs(mats.G @ p - p * (spec.B() @ (mats.F @ p))))
+            residual = np.max(np.abs(mats.G @ p - p * (infection_matrix(spec) @ (mats.F @ p))))
             assert residual <= RESIDUAL_TOL * np.max(p)
             scaled.append((mu, p / mu))
         for (mu, coarse), (_, fine) in zip(scaled, scaled[1:]):
@@ -153,7 +173,7 @@ class TestEndemicFixedPoint:
             if sm.spectral_abscissa(mats.G).mu <= 1e-3 or not np.any(spec.delta > 0):
                 continue
             p = sm.endemic_fixed_point(spec, mats)
-            residual = np.max(np.abs(mats.G @ p - p * (spec.B() @ (mats.F @ p))))
+            residual = np.max(np.abs(mats.G @ p - p * (infection_matrix(spec) @ (mats.F @ p))))
             assert residual <= RESIDUAL_TOL * np.max(p)
             assert np.min(p) > 0
             checked += 1
@@ -266,6 +286,16 @@ class TestMarginRecoveryRates:
             sm.margin_recovery_rates(net, beta, 1.5, [0])
         with pytest.raises(ValueError):
             sm.margin_recovery_rates(net, beta, 0.8, [0, 1, 2])
+
+    @pytest.mark.parametrize("scale, message", [
+        (1e30, "recovery rates would be negative"),    # the deficit s passes -beta
+        (1e308, "matrix has NaN or infinite entries"),  # refused before eigvalsh
+    ])
+    def test_rejects_rates_the_rule_cannot_use(self, scale, message):
+        layer = sm.preset_layer("ring", 3, scale)
+        net = sm.MultiLayerNetwork(layers=(layer,), N=np.array([100.0]))
+        with pytest.raises(ValueError, match=message):
+            sm.margin_recovery_rates(net, np.full(3, 0.3), 0.8, [0])
 
     @pytest.mark.parametrize("nodes", [[0.7, 2], [0, 2.9], [True, 2], "01", [0, 2.0]])
     def test_rejects_non_integral_nodes(self, nodes):

@@ -276,6 +276,9 @@ class TestScenarioParsing:
         ("layers[0]", {"n": 2, "layers": [{"edges": [[0, 1, 0.5], [1, 0, "0.5"]]}]}),
         ("delta.s_factor", {"n": 3, "layers": [{"preset": "ring", "rate_scale": 0.2}],
                             "delta": {"rule": "lambda2_sufficient", "s_factor": HUGE}}),
+        # the rule's deficit below -beta, and a symmetrized Laplacian that overflows
+        *[("delta", {"n": 3, "layers": [{"preset": "ring", "rate_scale": scale}],
+                     "delta": {"rule": "lambda2_sufficient"}}) for scale in (1e30, 1e308)],
     ])
     def test_bad_numbers_name_the_field(self, field, overrides, tmp_path, capsys):
         doc = scalar_doc(**overrides)
@@ -493,13 +496,13 @@ class TestCli:
             alone = tmp_path / f"seed{seed}"
             assert main(["run", "--scenario", str(path), "--seed", str(seed),
                          "--out", str(alone)]) == 0
-            # every step kept, then sampled by the writer
-            full = tmp_path / f"full{seed}.csv"
-            write_stochastic_csv(simulate(scenario.spec, init, 0.2, h=0.01, seed=seed), full,
-                                 stride=3)
+            # the same seed through the library
+            library = tmp_path / f"library{seed}.csv"
+            write_stochastic_csv(simulate(scenario.spec, init, 0.2, h=0.01, seed=seed,
+                                          record_every=3), library)
             name = f"pair_layers_stochastic_seed{seed}"
             csv = (tmp_path / "all" / f"{name}.csv").read_bytes()
-            assert csv == (alone / f"{name}.csv").read_bytes() == full.read_bytes()
+            assert csv == (alone / f"{name}.csv").read_bytes() == library.read_bytes()
             assert csv.count(b"\n") == 1 + 8
             assert ((tmp_path / "all" / f"{name}.json").read_bytes()
                     == (alone / f"{name}.json").read_bytes())

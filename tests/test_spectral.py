@@ -10,7 +10,7 @@ import sismob as sm
 from sismob.scenario import parse_point
 from sismob.spectral import NODA_MAX_ITER, NODA_TOL
 
-from conftest import SCENARIOS, random_layer
+from conftest import SCENARIOS, random_layer, recovery_matrix
 
 
 def random_metzler(rng, n):
@@ -317,7 +317,7 @@ class TestSpectralRadius:
 class TestMMatrixChecks:
     def test_flow_plus_recovery_is_nonsingular_m_matrix(self, two_node_spec):
         mats = sm.equilibrium_matrices(two_node_spec)
-        report = sm.mmatrix_checks(mats.L + two_node_spec.D())
+        report = sm.mmatrix_checks(mats.L + recovery_matrix(two_node_spec))
         assert report.stability and report.inverse_positive and report.semi_positive
         assert report.agree and not report.singular
 
@@ -329,7 +329,7 @@ class TestMMatrixChecks:
         spec = sm.ModelSpec(net=net, beta=np.full(4, 0.3),
                             delta=np.array([0.0, 0.2, 0.0, 0.1]))
         mats = sm.equilibrium_matrices(spec)
-        report = sm.mmatrix_checks(mats.L + spec.D())
+        report = sm.mmatrix_checks(mats.L + recovery_matrix(spec))
         assert report.stability and report.inverse_positive and report.semi_positive
 
     def test_bare_flow_matrix_is_singular(self, two_node_spec):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import sismob as sm
-from sismob.dynamics import SystemState
-from sismob.stochastic import (AgentCounts, StochasticRun, _Kernel, _lanes, recorded_rows,
-                               seed_infections, simulate, simulate_seeds, stationary_counts,
-                               step, write_stochastic_csv)
+from sismob.dynamics import SystemState, recorded_rows
+from sismob.stochastic import (AgentCounts, StochasticRun, _Kernel, _lanes, seed_infections,
+                               simulate, simulate_seeds, stationary_counts, step,
+                               write_stochastic_csv)
 
 from conftest import random_spec
 
@@ -334,15 +334,16 @@ s[0][0],s[0][1],s[1][0],s[1][1],i[0][0],i[0][1],i[1][0],i[1][1]
 
 class TestCsvExport:
     def test_bytes_are_pinned(self, tmp_path):
-        # n=2, m=2, an empty cell, and a stride that does not divide the
-        # last step (rows 0, 2, 4 and the final 5).
+        # n=2, m=2, an empty cell, and the rows that record_every = 2 keeps
+        # of 5 steps: 0, 2, 4 and the final 5
         s = np.array([[[3, 0], [0, 7]], [[2, 1], [0, 6]], [[2, 0], [1, 5]],
                       [[1, 0], [2, 5]], [[0, 0], [4, 3]], [[0, 1], [3, 3]]])
         i = np.array([[[0, 0], [1, 2]], [[1, 0], [1, 2]], [[1, 1], [0, 3]],
                       [[2, 1], [0, 3]], [[3, 0], [0, 4]], [[2, 1], [1, 4]]])
-        run = StochasticRun(seed=7, h=0.1, t=0.1 * np.arange(6), s=s, i=i)
+        rows = [0, 2, 4, 5]
+        run = StochasticRun(seed=7, h=0.1, t=0.1 * np.arange(6)[rows], s=s[rows], i=i[rows])
         path = tmp_path / "pinned.csv"
-        write_stochastic_csv(run, path, stride=2)
+        write_stochastic_csv(run, path)
         assert path.read_bytes() == PINNED_CSV.encode()
 
     def test_columns_and_missing_fractions(self, two_node_spec, tmp_path):
