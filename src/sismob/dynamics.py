@@ -169,18 +169,16 @@ class _Workspace:
         X = np.asarray(x, dtype=float).reshape(len(self.Qstack), -1)
         return np.stack((X, X * np.asarray(p, dtype=float).reshape(X.shape)), axis=1)
 
-    def rhs(self, p: np.ndarray, x: np.ndarray):
-        """(dp, dx) at (p, x), from dz via dp = (dy - p dx) / x."""
-        Z = self.pack(p, x)
-        dX, dY = self.dz(Z).transpose(1, 0, 2)
-        return ((dY - np.reshape(p, dX.shape) * dX) / Z[:, 0]).ravel(), dX.ravel()
-
 
 def rhs(spec: ModelSpec, state: SystemState):
-    """Time derivative (dp, dx) of the coupled model at a state."""
+    """Time derivative (dp, dx) of the coupled model at a state, from
+    dz via dp = (dy - p dx) / x."""
     if np.any(state.x <= 0):
         raise ValueError("rhs needs x >> 0")
-    return _Workspace(spec).rhs(np.asarray(state.p), np.asarray(state.x))
+    ws = _Workspace(spec)
+    Z = ws.pack(state.p, state.x)
+    dX, dY = ws.dz(Z).transpose(1, 0, 2)
+    return ((dY - np.reshape(state.p, dX.shape) * dX) / Z[:, 0]).ravel(), dX.ravel()
 
 
 def step_count(t_end: float, step: float) -> int:
@@ -272,7 +270,7 @@ def integrate_until_settled(spec: ModelSpec, initial: SystemState,
     Raises :class:`IntegrationError` if the horizon ``t_max`` is reached
     before the derivative settles.
     """
-    state, ws = initial, _Workspace(spec)
+    state = initial
     chunk_steps = max(1, int(round(SETTLE_CHUNK / dt)))
     while state.t < t_max:
         steps = min(chunk_steps, int(round((t_max - state.t) / dt)))
@@ -280,7 +278,7 @@ def integrate_until_settled(spec: ModelSpec, initial: SystemState,
             break
         traj = integrate(spec, state, steps * dt, dt=dt, record_every=steps)
         state = traj.state(-1)
-        dp, dx = ws.rhs(np.asarray(state.p), np.asarray(state.x))
+        dp, dx = rhs(spec, state)
         if max(np.max(np.abs(dp)), np.max(np.abs(dx))) <= settle_tol:
             return state
     raise IntegrationError(f"state did not settle to {settle_tol} within t={t_max}")

@@ -68,6 +68,10 @@ _DEFAULTS = {
 _TOP_KEYS = ("name", "n", "m", "layers", "beta", "delta", "delta_rule", "N", *_DEFAULTS)
 # layer form -> its keys
 _LAYER_KEYS = {"preset": ("preset", "rate_scale", "rates"), "edges": ("edges",), "mh": ("mh",)}
+# most expected leavers per seed and step (h * largest exit rate * sum(N))
+# a stochastic document may ask for; a step holds about 40 bytes of
+# routing scratch per leaver
+MAX_LEAVERS = 10**6
 
 
 @dataclass
@@ -329,8 +333,8 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
             or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
                        for s in seeds)):
         raise ScenarioError("stochastic.seeds: expected a nonempty list of integers >= 0")
-    if enabled and np.any(N != np.round(N)):
-        raise ScenarioError("N: class populations must be whole numbers "
+    if enabled and np.any((N != np.round(N)) | (N > 2**53)):
+        raise ScenarioError("N: class populations must be whole numbers up to 2**53 "
                             "when stochastic runs are enabled")
     try:
         step_count(t_end, dt)
@@ -340,9 +344,12 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
         raise ScenarioError(f"t_end: {exc}") from None
     if enabled:
         try:
-            _check_step_size(spec, h)
+            leavers = h * _check_step_size(spec, h) * N.sum()
         except StepSizeError as exc:
             raise ScenarioError(f"stochastic.h: {exc}") from None
+        if leavers > MAX_LEAVERS:
+            raise ScenarioError(f"N: a stochastic step expects {leavers:.4g} leavers per seed "
+                                f"(h * largest exit rate * sum(N)), above {MAX_LEAVERS}")
 
     output_dir = doc["output_dir"]
     if not isinstance(output_dir, str):

@@ -11,20 +11,20 @@ beta_i * pbar_i * h and each infected recovers with probability
 delta_i * h, where pbar_i is the realized infected fraction at node i
 after the mobility sub-step.
 
-A step works on the counts stacked as one (2, m, n) int64 array
-(compartment, class, node) and makes three generator calls, whatever
-m is: one binomial for every leaver count, one uniform per leaver for
-its destination, and one binomial for every infection and recovery
-count.  The public (n, m) ``AgentCounts`` form is kept at the edges.
-Per-class totals are conserved exactly at every step.  Runs are
-bit-reproducible: the same seed and spec always produce the same sample
-path (PCG64 generator, one fixed draw order per step).
-
-``simulate_seeds`` steps the runs of several seeds in lockstep as one
-(S, 2, m, n) array: each seed keeps its own generator and its three
-calls per step, and the routing, moves and flips run once for all of
-them, so each run has the bits it has alone.  Runs keep only their
-recorded steps.
+One routine, ``_lanes``, steps every run: it checks the step width and
+the counts' shape once, builds the routing table, and steps S lanes in
+lockstep as one (S, 2, m, n) int64 array (lane, compartment, class,
+node).  ``step`` is one step of one lane and ``simulate_seeds`` one lane
+per seed; a single lane takes the same path as many.  Each lane keeps
+its own generator and makes three calls per step, whatever m is: one
+binomial for every leaver count, one uniform per leaver for its
+destination, and one binomial for every infection and recovery count.
+The routing, moves and flips run once for all lanes, so each run has
+the bits it has alone.  The public (n, m) ``AgentCounts`` form is kept
+at the edges.  Per-class totals are conserved exactly at every step.
+Runs are bit-reproducible: the same seed and spec always produce the
+same sample path (PCG64 generator, one fixed draw order per step), and
+keep only their recorded steps.
 """
 
 from __future__ import annotations
@@ -114,7 +114,9 @@ def _moves(spec: ModelSpec):
     return rates, np.cumsum(rates, axis=2)
 
 
-def _check_step_size(spec: ModelSpec, h: float):
+def _check_step_size(spec: ModelSpec, h: float) -> float:
+    """Refuse an h whose step probabilities reach 1; return the largest
+    exit rate nu^a_i."""
     if h < 0:
         raise StepSizeError(f"h must be nonnegative, got {h}")
     max_nu = float(_moves(spec)[1][:, :, -1].max())
@@ -124,113 +126,99 @@ def _check_step_size(spec: ModelSpec, h: float):
         if h * worst >= 1.0:
             raise StepSizeError(
                 f"h = {h} times the largest {name} {worst} is not a valid probability")
+    return max_nu
 
 
-class _Kernel:
-    """Per-run constants of the step for counts stacked as (2, m, n).
+def _lanes(spec: ModelSpec, counts: AgentCounts, h: float, rngs,
+           t_end: float | None = None, record_every: int = 1):
+    """Step S = len(rngs) lanes in lockstep from the (n, m) counts: one
+    step of h when t_end is None (h may then be 0), else
+    ``step_count(t_end, h)`` steps.  Checks h, then the counts' shape,
+    then t_end, before any draw.  Returns the recorded steps
+    ``recorded_rows(steps, record_every)`` and an (S, 2, rows, n, m)
+    view: each lane's susceptible and infected counts at those steps.
 
-    Stacked cell c = (compartment * m + a) * n + i routes its leavers
-    through its own block of ``keys``: the cumulative routing weights
-    q^a_ij / nu^a_i over the positive off-diagonal entries of row i of
-    Q^a, shifted into (2c, 2c + 1] with the block's last entry exactly
-    2c + 1.  A leaver with uniform u in [0, 1) searches 2c + u on the
-    left, so it lands in its own block even where 2c + u rounds to
-    2c + 1; the gap up to the next block leaves no shared boundary.
+    Lane s draws from rngs[s] alone.  Cell c = (compartment * m + a) *
+    n + i of a lane routes its leavers through its own block of
+    ``keys``: the cumulative routing weights q^a_ij / nu^a_i over the
+    positive off-diagonal entries of row i of Q^a, shifted into
+    (2c, 2c + 1] with the block's last entry exactly 2c + 1.  A leaver
+    with uniform u in [0, 1) searches 2c + u on the left, so it lands in
+    its own block even where 2c + u rounds to 2c + 1; the gap up to the
+    next block leaves no shared boundary.  The lane's cell offset (0 for
+    the first lane) is added to the integer destination, so routing does
+    not depend on the lane.
     """
+    _check_step_size(spec, h)
+    n, m = spec.n, spec.m
+    if counts.s.shape != (n, m):
+        raise ValueError(f"counts must have shape (n, m) = ({n}, {m}), got {counts.s.shape}")
+    steps = 1 if t_end is None else step_count(t_end, h)
+    rows = recorded_rows(steps, record_every)
 
-    def __init__(self, spec: ModelSpec, h: float):
-        n, m = spec.n, spec.m
-        rates, cumulative = _moves(spec)
-        nu = cumulative[:, :, -1]
-        # Row-major nonzeros come grouped by origin (a, i), destinations
-        # ascending; x / x == 1 exactly, so each block ends at 2c + 1.
-        a, i, j = np.nonzero(rates)
-        within = cumulative[a, i, j] / nu[a, i]
-        cell, dest = a * n + i, a * n + j
-        self.p_leave = h * nu                               # (m, n)
-        self.offsets = 2.0 * np.arange(2 * m * n)           # 2c per stacked cell
-        self.keys = np.concatenate([2.0 * (cell + k * m * n) + within for k in (0, 1)])
-        self.dest = np.concatenate([dest, dest + m * n])    # stacked cell per key
-        self.recover = h * spec.delta                       # (n,)
-        self.beta, self.h = spec.beta, h  # infection p = (beta * pbar) * h, in that order
+    rates, cumulative = _moves(spec)
+    nu = cumulative[:, :, -1]
+    # Row-major nonzeros come grouped by origin (a, i), destinations
+    # ascending; x / x == 1 exactly, so each block ends at 2c + 1.
+    a, i, j = np.nonzero(rates)
+    within = cumulative[a, i, j] / nu[a, i]
+    cell, dest = a * n + i, a * n + j
+    keys = np.concatenate([2.0 * (cell + k * m * n) + within for k in (0, 1)])
+    dest_of = np.concatenate([dest, dest + m * n])  # lane cell per key
+    p_leave = h * nu
 
-
-def _check_counts(spec: ModelSpec, counts: AgentCounts):
-    if counts.s.shape != (spec.n, spec.m):
-        raise ValueError(f"counts must have shape (n, m) = ({spec.n}, {spec.m}), "
-                         f"got {counts.s.shape}")
-
-
-def _lanes(kernel: _Kernel, rngs, x0: np.ndarray, steps: int, rows) -> np.ndarray:
-    """(S, len(rows), 2, m, n) int64 counts of S = len(rngs) lanes
-    stepped in lockstep from the (2, m, n) counts x0 for ``steps`` steps;
-    row r of a lane holds its counts after rows[r] steps (rows ascend
-    and end at ``steps``).
-
-    Lane s draws from rngs[s] alone, in the order of a single-lane step:
-    binomial leavers, one uniform per leaver, binomial flips.  Everything
-    else runs once per step for all lanes.  A leaver of cell c searches
-    2c + u in ``kernel.keys`` with c its cell within its own lane, and
-    the lane's cell offset is added to the integer destination, so its
-    routing does not depend on the lane.
-    """
-    lanes, cells = len(rngs), x0.size
-    p_leave, keys, dest_of, beta, h = (kernel.p_leave, kernel.keys, kernel.dest,
-                                       kernel.beta, kernel.h)
-    series = np.empty((lanes, len(rows), *x0.shape), dtype=np.int64)
-    x = np.empty((lanes, *x0.shape), dtype=np.int64)
-    x[:] = x0
+    rngs = list(rngs)  # simulate_seeds makes its generators after the checks
+    lanes, cells = len(rngs), 2 * m * n
+    series = np.empty((lanes, len(rows), 2, m, n), dtype=np.int64)
+    series[:, 0] = (counts.s.T, counts.i.T)
+    x = series[:, 0].copy()
     nxt, leavers, flips = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     by_lane = leavers.reshape(lanes, cells)
-    offsets = np.tile(kernel.offsets, lanes)
+    offsets = np.tile(2.0 * np.arange(cells), lanes)  # 2c per cell
     lane_base = cells * np.arange(lanes)
-    p_flip = np.empty((lanes, 2, 1, x0.shape[-1]))  # broadcast over classes
-    p_flip[:, 1] = kernel.recover
+    p_flip = np.empty((lanes, 2, 1, n))  # broadcast over classes
+    p_flip[:, 1] = h * spec.delta
     p_infect = p_flip[:, 0, 0]
-    wanted, row = np.asarray(rows).tolist(), 0
-    for k in range(steps + 1):
-        if k:
-            # Mobility: binomial leavers, each routed by one uniform draw.
-            # Empty cells draw no leavers, so empty nodes are safe.  A
-            # single lane needs neither the split nor the cell offsets.
-            for s, rng in enumerate(rngs):
-                leavers[s] = rng.binomial(x[s], p_leave)
-            search = np.repeat(offsets, by_lane.ravel())
-            counts = by_lane.sum(axis=1).tolist() if lanes > 1 else [search.size]
-            lo = 0
-            for rng, count in zip(rngs, counts):
-                search[lo:lo + count] += rng.random(count)
-                lo += count
-            dest = dest_of[np.searchsorted(keys, search)]
-            if lanes > 1:
-                dest += np.repeat(lane_base, counts)
-            np.subtract(x, leavers, out=nxt)
-            nxt += np.bincount(dest, minlength=x.size).reshape(x.shape)
+    wanted, row = rows.tolist(), 1
+    for k in range(1, steps + 1):
+        # Mobility: binomial leavers, each routed by one uniform draw.
+        # Empty cells draw no leavers, so empty nodes are safe.
+        for s, rng in enumerate(rngs):
+            leavers[s] = rng.binomial(x[s], p_leave)
+        search = np.repeat(offsets, by_lane.ravel())
+        drawn = by_lane.sum(axis=1).tolist()  # leavers per lane
+        lo = 0
+        for rng, size in zip(rngs, drawn):
+            search[lo:lo + size] += rng.random(size)
+            lo += size
+        dest = dest_of[np.searchsorted(keys, search)]
+        dest += np.repeat(lane_base, drawn)
+        np.subtract(x, leavers, out=nxt)
+        nxt += np.bincount(dest, minlength=x.size).reshape(x.shape)
 
-            # Epidemics at the post-move populations: row 0 draws
-            # infections among the susceptible, row 1 recoveries among the
-            # infected. An empty node has no infected, so its pbar is 0 / 1.
-            by_node = nxt.sum(axis=2)
-            pbar = by_node[:, 1] / np.maximum(by_node[:, 0] + by_node[:, 1], 1)
-            np.multiply(beta * pbar, h, out=p_infect)
-            for s, rng in enumerate(rngs):
-                flips[s] = rng.binomial(nxt[s], p_flip[s])
-            nxt -= flips  # infections leave row 0, recoveries row 1,
-            nxt += flips[:, ::-1]  # and each joins the other row
-            x, nxt = nxt, x
+        # Epidemics at the post-move populations: row 0 draws infections
+        # among the susceptible, row 1 recoveries among the infected, with
+        # infection p = (beta * pbar) * h.  An empty node has no infected,
+        # so its pbar is 0 / 1.
+        by_node = nxt.sum(axis=2)
+        pbar = by_node[:, 1] / np.maximum(by_node[:, 0] + by_node[:, 1], 1)
+        np.multiply(spec.beta * pbar, h, out=p_infect)
+        for s, rng in enumerate(rngs):
+            flips[s] = rng.binomial(nxt[s], p_flip[s])
+        nxt -= flips  # infections leave row 0, recoveries row 1,
+        nxt += flips[:, ::-1]  # and each joins the other row
+        x, nxt = nxt, x
         if k == wanted[row]:
             series[:, row] = x
             row += 1
-    return series
+    return rows, series.transpose(0, 2, 1, 4, 3)
 
 
 def step(spec: ModelSpec, counts: AgentCounts, h: float,
          rng: np.random.Generator) -> AgentCounts:
     """One mobility-then-epidemics update of the counts."""
-    _check_step_size(spec, h)
-    _check_counts(spec, counts)
-    out = _lanes(_Kernel(spec, h), [rng], np.stack((counts.s.T, counts.i.T)), 1, [1])[0, 0]
-    return AgentCounts(s=out[0].T, i=out[1].T)
+    _, (lane,) = _lanes(spec, counts, h, [rng])
+    return AgentCounts(s=lane[0, -1], i=lane[1, -1])
 
 
 def simulate_seeds(spec: ModelSpec, initial: AgentCounts, t_end: float,
@@ -244,18 +232,10 @@ def simulate_seeds(spec: ModelSpec, initial: AgentCounts, t_end: float,
     makes the same draws in the same order."""
     if h <= 0:
         raise StepSizeError(f"simulate needs h > 0, got {h}")
-    _check_step_size(spec, h)
-    _check_counts(spec, initial)
-    steps = step_count(t_end, h)
-    rows = recorded_rows(steps, record_every)
-    series = _lanes(_Kernel(spec, h), [np.random.default_rng(s) for s in seeds],
-                    np.stack((initial.s.T, initial.i.T)), steps, rows)
+    rows, lanes = _lanes(spec, initial, h, (np.random.default_rng(s) for s in seeds),
+                         t_end, record_every)
     t = h * rows
-    runs = []
-    for seed, lane in zip(seeds, series):
-        counts = lane.transpose(1, 0, 3, 2)
-        runs.append(StochasticRun(seed=seed, h=h, t=t, s=counts[0], i=counts[1]))
-    return runs
+    return [StochasticRun(seed=seed, h=h, t=t, s=s, i=i) for seed, (s, i) in zip(seeds, lanes)]
 
 
 def simulate(spec: ModelSpec, initial: AgentCounts, t_end: float,

@@ -279,6 +279,10 @@ class TestScenarioParsing:
         # the rule's deficit below -beta, and a symmetrized Laplacian that overflows
         *[("delta", {"n": 3, "layers": [{"preset": "ring", "rate_scale": scale}],
                      "delta": {"rule": "lambda2_sufficient"}}) for scale in (1e30, 1e308)],
+        # too many leavers per step (h * exit rate * sum(N) = 2e9), or N past 2**53
+        *[("N", {"n": 3, "layers": [{"preset": "ring", "rate_scale": 0.2}], "N": [N],
+                 "t_end": 0.02, "stochastic": {"enabled": True, "h": 0.01}})
+          for N in (1e12, 1e19, 1e300, 2**53 + 2)],
     ])
     def test_bad_numbers_name_the_field(self, field, overrides, tmp_path, capsys):
         doc = scalar_doc(**overrides)

@@ -6,7 +6,7 @@ import pytest
 
 import sismob as sm
 from sismob.dynamics import SystemState, recorded_rows
-from sismob.stochastic import (AgentCounts, StochasticRun, _Kernel, _lanes, seed_infections,
+from sismob.stochastic import (AgentCounts, StochasticRun, _lanes, seed_infections,
                                simulate, simulate_seeds, stationary_counts, step,
                                write_stochastic_csv)
 
@@ -155,6 +155,25 @@ class TestStep:
         with pytest.raises(ValueError, match=r"shape \(n, m\) = \(2, 1\), got \(2, 2\)"):
             step(two_node_spec, counts, 0.01, np.random.default_rng(0))
 
+    def test_step_size_is_refused_before_the_shape_and_t_end(self, two_node_spec):
+        wrong = AgentCounts(s=np.full((2, 2), 10), i=np.ones((2, 2)))
+        right = AgentCounts(s=np.array([[40], [50]]), i=np.array([[5], [5]]))
+        with pytest.raises(sm.StepSizeError):
+            step(two_node_spec, wrong, 5.0, np.random.default_rng(0))
+        with pytest.raises(sm.StepSizeError):
+            simulate_seeds(two_node_spec, wrong, 10.0, h=5.0, seeds=[0])
+        with pytest.raises(sm.StepSizeError):
+            simulate_seeds(two_node_spec, right, 7.5, h=5.0, seeds=[0])
+        with pytest.raises(ValueError, match=r"shape \(n, m\)"):
+            simulate_seeds(two_node_spec, wrong, 0.015, h=0.01, seeds=[0])
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_step_is_the_first_step_of_simulate(self, seed):
+        spec, counts = three_class_counts()
+        out = step(spec, counts, 0.01, np.random.default_rng(seed))
+        run = simulate(spec, counts, 0.01, h=0.01, seed=seed)
+        assert np.array_equal(out.s, run.s[1]) and np.array_equal(out.i, run.i[1])
+
 
 def three_class_counts():
     """m=3, n=5 random spec and stationary counts with one empty cell."""
@@ -204,8 +223,8 @@ class TestLockstepSeeds:
         spec, h = oracle_spec(), 0.5
         rngs = [PinnedUniforms(u, seed=seed) for seed in (5, 6, 7)]
         x0 = np.stack((ORACLE_COUNTS.s.T, ORACLE_COUNTS.i.T))
-        out = _lanes(_Kernel(spec, h), rngs, x0, 1, [0, 1])
-        for lane, rng in zip(out, rngs):
+        _, out = _lanes(spec, ORACLE_COUNTS, h, rngs)
+        for lane, rng in zip(out.transpose(0, 2, 1, 4, 3), rngs):
             assert np.array_equal(lane[0], x0)
             assert np.array_equal(lane[1], pinned_oracle(spec, rng, u))
 
