@@ -137,47 +137,38 @@ def assemble(spec: ModelSpec, x: np.ndarray) -> AssembledMatrices:
 
     F = np.tile(np.eye(n), (m, m)) * shares.ravel()  # block (a, b) = diag(f^b)
 
+    W = np.multiply(spec.net.Q.transpose(0, 2, 1), X[:, None, :] / X[:, :, None], order="C")
+    diag = np.arange(n)
+    W[:, diag, diag] = 0.0  # W^a_ij = q^a_ji x^a_j / x^a_i off the diagonal
+    blocks = 0.0 - W
+    blocks[:, diag, diag] = W.sum(axis=2)
     L = np.zeros((nm, nm))
-    for a, layer in enumerate(spec.net.layers):
-        qt = layer.Q.T.copy()
-        np.fill_diagonal(qt, 0.0)
-        W = qt * (X[a][None, :] / X[a][:, None])  # W_ij = q_ji x_j / x_i
-        block = np.diag(W.sum(axis=1)) - W
-        L[a * n:(a + 1) * n, a * n:(a + 1) * n] = block
+    L.reshape(m, n, m, n)[np.arange(m), :, np.arange(m), :] = blocks  # block-diagonal
 
     M = np.eye(nm) - F
     return AssembledMatrices(F=F, L=L, M=M)
 
 
-class _Workspace:
-    """Per-spec stack of the m generators for the (x, y) right-hand side."""
+def _dz(spec: ModelSpec, Z: np.ndarray) -> np.ndarray:
+    """Time derivative of the (m, 2, n) state Z = (x^a, y^a)."""
+    dZ = Z @ spec.net.Q
+    totals = Z.sum(axis=0)  # node totals of x and of y
+    X, Y = Z[:, 0], Z[:, 1]
+    dZ[:, 1] += spec.beta * (totals[1] / totals[0]) * (X - Y) - spec.delta * Y
+    return dZ
 
-    def __init__(self, spec: ModelSpec):
-        self.Qstack = np.stack([layer.Q for layer in spec.net.layers])
-        self.beta = np.asarray(spec.beta)
-        self.delta = np.asarray(spec.delta)
 
-    def dz(self, Z: np.ndarray) -> np.ndarray:
-        """Time derivative of the (m, 2, n) state Z = (x^a, y^a)."""
-        dZ = Z @ self.Qstack
-        totals = Z.sum(axis=0)  # node totals of x and of y
-        X, Y = Z[:, 0], Z[:, 1]
-        dZ[:, 1] += self.beta * (totals[1] / totals[0]) * (X - Y) - self.delta * Y
-        return dZ
-
-    def pack(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
-        X = np.asarray(x, dtype=float).reshape(len(self.Qstack), -1)
-        return np.stack((X, X * np.asarray(p, dtype=float).reshape(X.shape)), axis=1)
+def _pack(spec: ModelSpec, p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (m, 2, n) state Z = (x^a, y^a = x^a p^a) of layer-major p and x."""
+    X = np.asarray(x, dtype=float).reshape(spec.m, spec.n)
+    return np.stack((X, X * np.asarray(p, dtype=float).reshape(X.shape)), axis=1)
 
 
 def rhs(spec: ModelSpec, state: SystemState):
     """Time derivative (dp, dx) of the coupled model at a state, from
     dz via dp = (dy - p dx) / x."""
-    if np.any(state.x <= 0):
-        raise ValueError("rhs needs x >> 0")
-    ws = _Workspace(spec)
-    Z = ws.pack(state.p, state.x)
-    dX, dY = ws.dz(Z).transpose(1, 0, 2)
+    Z = _pack(spec, state.p, state.x)
+    dX, dY = _dz(spec, Z).transpose(1, 0, 2)
     return ((dY - np.reshape(state.p, dX.shape) * dX) / Z[:, 0]).ravel(), dX.ravel()
 
 
@@ -228,18 +219,17 @@ def integrate(spec: ModelSpec, initial: SystemState, t_end: float,
     steps = step_count(t_end, dt)
     rows = recorded_rows(steps, record_every)
 
-    ws = _Workspace(spec)
-    Z = ws.pack(initial.p, initial.x)
+    Z = _pack(spec, initial.p, initial.x)
     X, Y = Z[:, 0], Z[:, 1]
     ps, xs = np.empty((len(rows), X.size)), np.empty((len(rows), X.size))
     ps[0], xs[0] = initial.p, initial.x
     wanted, row = rows.tolist(), 1
 
     for k in range(1, steps + 1):
-        k1 = ws.dz(Z)
-        k2 = ws.dz(Z + 0.5 * dt * k1)
-        k3 = ws.dz(Z + 0.5 * dt * k2)
-        k4 = ws.dz(Z + dt * k3)
+        k1 = _dz(spec, Z)
+        k2 = _dz(spec, Z + 0.5 * dt * k1)
+        k3 = _dz(spec, Z + 0.5 * dt * k2)
+        k4 = _dz(spec, Z + dt * k3)
         Z += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         if not float(X.min()) > 0.0:  # also catches NaN

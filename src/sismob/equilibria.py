@@ -259,7 +259,7 @@ def stability_conditions(spec: ModelSpec, mats: EquilibriumMatrices | None = Non
     delta = np.asarray(spec.delta)
     n, m, nm = spec.n, spec.m, spec.nm
 
-    nu = np.stack([layer.exit_rates for layer in spec.net.layers])  # (m, n)
+    nu = -np.diagonal(spec.net.Q, axis1=1, axis2=2)  # (m, n) exit rates
     nec_per_node = np.any(delta > beta - nu, axis=0).tolist()
     nec_exists = bool(np.any(delta >= beta))
     suf_all = bool(np.all(delta >= beta))

@@ -122,6 +122,12 @@ class MultiLayerNetwork:
         return self.n * self.m
 
     @cached_property
+    def Q(self) -> np.ndarray:
+        """Read-only (m, n, n) stack of the layers' generators, built once
+        per network; the models and the analysis all read this one copy."""
+        return _frozen_array([layer.Q for layer in self.layers])
+
+    @cached_property
     def stationary(self) -> StationaryDistribution:
         """Per-layer laws and stacked populations, computed once per
         network from the layers' certified laws."""

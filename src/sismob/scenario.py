@@ -43,13 +43,14 @@ import contextlib
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import graphs
 from .dynamics import ModelSpec, SystemState, step_count
-from .equilibria import margin_recovery_rates
+from .equilibria import MU_TIE_TOL, margin_recovery_rates
 from .errors import (MalformedGeneratorError, NotStronglyConnectedError, ScenarioError,
                      StepSizeError)
 from .network import (MobilityLayer, MultiLayerNetwork, layer_from_edge_rates,
@@ -298,6 +299,15 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
         delta = _as_vector(delta_doc, n, "delta")
         if np.any(delta < 0):
             raise ScenarioError("delta: recovery rates must be nonnegative")
+
+    # rounding moves the threshold by about eps times the largest exit rate,
+    # which is minus the smallest entry of a layer's generator
+    nu_max = MU_TIE_TOL / sys.float_info.epsilon
+    for k, q_min in enumerate(net.Q.min(axis=(1, 2)).tolist()):
+        if -q_min > nu_max:
+            raise ScenarioError(f"layers[{k}]: largest exit rate {-q_min:.6g} is above "
+                                f"{nu_max:.6g}, where rounding can move the threshold mu by "
+                                f"more than its tie tolerance {MU_TIE_TOL}")
 
     spec = ModelSpec(net=net, beta=beta, delta=delta)
 

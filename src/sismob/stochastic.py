@@ -109,7 +109,7 @@ def _moves(spec: ModelSpec):
     """(m, n, n) positive off-diagonal rates of every Q^a, the ones a step
     moves individuals with, and their row-wise cumulative sums, whose
     last column is the leave rate nu^a_i."""
-    Q = np.stack([layer.Q for layer in spec.net.layers])
+    Q = spec.net.Q
     rates = np.where((Q > 0) & ~np.eye(spec.n, dtype=bool), Q, 0.0)
     return rates, np.cumsum(rates, axis=2)
 
@@ -284,9 +284,7 @@ def seed_infections(populations: np.ndarray, p0: np.ndarray | float) -> AgentCou
     for a in range(m):
         expected = p[:, a] * populations[:, a]
         total = int(round(expected.sum()))
-        if total > 0:
-            infected[:, a] = np.minimum(_largest_remainder(expected, total),
-                                        populations[:, a])
+        infected[:, a] = np.minimum(_largest_remainder(expected, total), populations[:, a])
     return AgentCounts(s=populations - infected, i=infected)
 
 

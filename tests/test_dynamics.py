@@ -175,6 +175,34 @@ class TestIntegrate:
         with np.errstate(all="ignore"), pytest.raises(sm.IntegrationError):
             sm.integrate(two_node_spec, initial, 1e200, dt=1e200)  # overflows to NaN
 
+    def test_small_undershoot_is_clamped_and_the_run_continues(self):
+        # one RK4 step of the logistic p' = p (1 - p) from 0.9 undershoots 0
+        # as dt grows: bisect dt to the largest step that is not refused
+        layer = sm.MobilityLayer(n=1, edges=(), Q=np.zeros((1, 1)))
+        net = sm.MultiLayerNetwork(layers=(layer,), N=np.array([1000.0]))
+        spec = sm.ModelSpec(net=net, beta=np.array([1.0]), delta=np.array([0.0]))
+        initial = SystemState(t=0.0, p=np.array([0.9]), x=np.array([1000.0]))
+
+        def refused(dt):
+            try:
+                sm.integrate(spec, initial, dt, dt=dt)
+            except sm.IntegrationError as exc:
+                assert str(exc).startswith("p left [0,1] by ")
+                return True
+            return False
+
+        lo, hi = 1.0, 5.0
+        assert not refused(lo) and refused(hi)
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if refused(mid) else (mid, hi)
+        # the step lands within CLAMP_TOL below 0, so it is clamped to 0
+        traj = sm.integrate(spec, initial, 3 * lo, dt=lo)
+        assert len(traj.t) == 4 and np.all(traj.p[1:] == 0.0)
+        y = traj.p * traj.x
+        assert np.all((traj.p >= 0.0) & (traj.p <= 1.0))
+        assert np.all((y >= 0.0) & (y <= traj.x))
+
     def test_ends_exactly_at_t_end_or_refuses(self, two_node_spec):
         initial = SystemState(t=0.0, p=np.full(2, 0.5), x=np.array([50.0, 50.0]))
         traj = sm.integrate(two_node_spec, initial, 0.03, dt=0.01)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import sys
@@ -283,6 +284,24 @@ class TestScenarioParsing:
         *[("N", {"n": 3, "layers": [{"preset": "ring", "rate_scale": 0.2}], "N": [N],
                  "t_end": 0.02, "stochastic": {"enabled": True, "h": 0.01}})
           for N in (1e12, 1e19, 1e300, 2**53 + 2)],
+        # with an explicit delta, an exit rate above MU_TIE_TOL / eps (about
+        # 4.5e5), where rounding moves the threshold past its tie tolerance
+        *[("layers[0]", {"n": 3, "layers": [{"preset": "ring", "rate_scale": scale}]})
+          for scale in (1e6, 1e10, 1e308)],
+        # the shape of the document, of each layer form and of the run settings
+        ("n", {"n": 0}),
+        ("layers[0]", {"n": 3, "layers": [{"preset": "ring", "edges": []}]}),
+        ("layers[0].preset", {"n": 3, "layers": [{"preset": "hexagon"}]}),
+        ("layers[0].mh.graph", {"n": 3, "layers": [{"mh": {"graph": "hexagon"}}]}),
+        ("layers[0].mh.target", {"n": 3, "layers": [{"mh": {"graph": "ring", "target": "x"}}]}),
+        ("layers", {"m": 2}),
+        ("N", {"N": [0]}),
+        ("delta.rule", {"delta": {"rule": "lambda2"}}),
+        ("x0", {"x0": "x"}),
+        ("x0", {"x0": [0]}),
+        ("dt", {"dt": 0}),
+        ("stochastic.h", {"stochastic": {"h": 0}}),
+        ("layers[0]", {"n": 2, "layers": [{"edges": [[0, 2**64, 0.5], [1, 0, 0.5]]}]}),
     ])
     def test_bad_numbers_name_the_field(self, field, overrides, tmp_path, capsys):
         doc = scalar_doc(**overrides)
@@ -291,6 +310,20 @@ class TestScenarioParsing:
         assert str(info.value).startswith(field + ":"), str(info.value)
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert f"scenario error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, text", [
+        ("scenario", "[1, 2]"),
+        ("scenario file", '{"name": "scalar",'),
+        ("name", json.dumps({k: v for k, v in scalar_doc().items() if k != "name"})),
+    ], ids=["not_an_object", "invalid_json", "missing_name"])
+    def test_bad_documents_name_the_field(self, field, text, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        with pytest.raises(sm.ScenarioError) as info:
+            sm.load_scenario(path)
+        assert str(info.value).startswith(field + ":"), str(info.value)
         assert main(["validate", "--scenario", str(path)]) == 2
         assert f"scenario error: {field}:" in capsys.readouterr().err
 
@@ -438,6 +471,36 @@ class TestCli:
             assert ("scenario error: stochastic.h: h = 5.0 times the largest "
                     "infection rate 0.3" in capsys.readouterr().err)
             assert not out.exists()
+
+    @pytest.mark.parametrize("n, preset", [(3, "ring"), (20, "complete")])
+    def test_huge_exit_rate_is_refused_before_writing(self, n, preset, tmp_path, capsys):
+        # unrefused, the ring (mu = 0.2 at any rate) swept as mu = 0, DFE_stable
+        doc = scalar_doc(n=n, layers=[{"preset": preset, "rate_scale": 1e308}])
+        out = str(tmp_path / "out")
+        assert_refused_without_writing(
+            doc, "layers[0]: largest exit rate 1e+308", tmp_path, capsys,
+            (["validate"], ["analyze", "--out", out], ["run", "--out", out],
+             ["sweep", "--out", out, "--grid", "delta=0.05:0.25:3"]))
+
+    @pytest.mark.parametrize("command", [["analyze"], ["run"],
+                                         ["sweep", "--grid", "delta=0.1:0.5:3"]])
+    def test_out_naming_a_file_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scalar_doc()))
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        assert main([*command, "--scenario", str(path), "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: [Errno {errno.EEXIST}]")
+        assert taken.read_text() == "kept"
+
+    def test_integration_error_exits_1_without_writing(self, tmp_path, capsys):
+        # one RK4 step of width 5 on the logistic p' = p (1 - p) from 0.9
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scalar_doc(beta=1, delta=0, p0=0.9, t_end=5, dt=5)))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: p left [0,1] by ")
+        assert list(out.iterdir()) == []
 
     def test_validate_applies_overrides(self, tmp_path, capsys):
         scalar = tmp_path / "scalar.json"
