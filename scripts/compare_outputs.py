@@ -12,7 +12,16 @@ Each tree runs ``sismob.cli.main`` in its own subprocess, with that tree's
 - generated scenarios shaped like ``fig1_complete_line.json`` (complete +
   line layers at rate 0.2, per-node beta in [0.25, 0.35], two stochastic
   seeds) at n = 10, 40, 80 and 160;
-- the n = 80 one again with ``delta`` from the ``lambda2_sufficient`` rule.
+- the n = 80 one again with ``delta`` from the ``lambda2_sufficient`` rule;
+- ``edges_awkward`` (n = 4): an explicit ``edges`` layer whose eight rates
+  are distinct and awkward to print (``0.1 + 0.2``, the integer 3, ``1e-7``,
+  ``2**-30``, ...) next to a ``line`` preset with ``"rates": "mh_uniform"``;
+- ``mh_target`` (n = 12): an ``mh`` layer on the complete graph with a
+  non-uniform ``target``, so its rates take many distinct values, next to
+  a ``ring`` preset.
+
+Together with the bundled scenarios (one has an empty ``edges`` layer at
+n = 1) they cover every layer form the manifest lists.
 
 Each scenario gets ``analyze``, ``run --t-end 2`` and four ``sweep`` grids:
 ``beta=0.05:0.6:9``, ``rate_scale=0.05:1.5:6``, and ``beta=-0.05:0.6:9`` and
@@ -95,9 +104,28 @@ def fig1_shaped(n: int, lambda2_rule: bool = False) -> dict:
     return doc
 
 
+def layer_forms() -> list:
+    """The two documents that list explicit-edge and mh-target layers."""
+    ring = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3)]
+    rates = [0.1 + 0.2, 3, 1e-7, 2**-30, 12.345678, 1 / 3, 0.7, 5e-3]
+    common = {"m": 2, "delta": 0.1, "N": [1000, 500], "p0": 0.01, "t_end": 10.0,
+              "dt": 0.01, "sample_every": 10,
+              "stochastic": {"enabled": True, "h": 0.01, "seeds": [1]}}
+    return [
+        {"name": "edges_awkward", "n": 4, **common, "beta": [0.3, 0.25, 0.35, 0.3],
+         "layers": [{"edges": [[i, j, rate] for (i, j), rate in zip(ring, rates)]},
+                    {"preset": "line", "rate_scale": 0.3, "rates": "mh_uniform"}]},
+        {"name": "mh_target", "n": 12, **common, "beta": 0.3,
+         "layers": [{"mh": {"graph": "complete", "rate_scale": 0.4,
+                            "target": [k / 78 for k in range(1, 13)]}},
+                    {"preset": "ring", "rate_scale": 0.2}]},
+    ]
+
+
 def jobs(scenario_dir: Path) -> list:
     paths = sorted((REPO / "scenarios").glob("*.json"))
-    docs = [fig1_shaped(n) for n in SIZES] + [fig1_shaped(80, lambda2_rule=True)]
+    docs = ([fig1_shaped(n) for n in SIZES] + [fig1_shaped(80, lambda2_rule=True)]
+            + layer_forms())
     for doc in docs:
         path = scenario_dir / f"{doc['name']}.json"
         path.write_text(json.dumps(doc, indent=2))

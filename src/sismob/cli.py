@@ -11,6 +11,7 @@ are edited (overrides, sweep points) by the ``scenario`` module only.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -22,22 +23,25 @@ from . import __version__
 from .dynamics import integrate, recorded_rows, step_count, write_trajectory_csv
 from .equilibria import classify, equilibrium_matrices, threshold
 from .errors import ScenarioError
+from .network import MobilityLayer
 from .scenario import (Scenario, initial_state, parse_point, parse_scenario, read_document,
                        set_fields)
 from .stochastic import seed_infections, simulate_seeds, stationary_counts, write_stochastic_csv
 
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))  # no indent: the C encoder
-JSON_BLOCK = 128  # list items per compact encode: a long edge list streams
+JSON_BLOCK = 128  # list items per compact encode, edge rows per write
 GRID_MAX_POINTS = 10**6  # largest --grid count, refused before any allocation
 STACK_BYTES = 216 * 1024  # sweep chunk budget at 8 nm^2 bytes + 1 KiB a point: 16 at nm = 40
 
 
 def _write_json(path: Path, payload: dict):
     """Write ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``,
-    byte for byte.  With ``indent`` json runs its pure-Python encoder, so
-    lists of numbers and of number rows (the manifest's edges) are instead
-    encoded compactly in blocks of JSON_BLOCK items and re-indented."""
+    byte for byte, where a ``MobilityLayer`` stands for its listing
+    ``{"edges": [[i, j, rate], ...]}``.  With ``indent`` json runs its
+    pure-Python encoder, so lists of numbers are instead encoded compactly
+    in blocks of JSON_BLOCK items and re-indented, and a layer's rows are
+    formatted from its edge array."""
     with open(path, "w", encoding="utf-8") as fh:
         _write_value(fh, payload, "\n")
         fh.write("\n")
@@ -45,20 +49,35 @@ def _write_json(path: Path, payload: dict):
 
 def _reindented(text: str, inner: str):
     """The items of a nonempty list's compact text at indent ``inner``,
-    or None unless they are scalars or nonempty rows of scalars.  No
-    token but a string holds a quote, comma or bracket, so in a text
-    without quotes these are all structure; ``{}`` reads the same at any
-    indent."""
-    if '"' in text or "[]" in text:
+    or None unless they are all non-string scalars.  No token but a
+    string holds a quote, comma or bracket, so in a text without quotes
+    these are all structure; ``{}`` reads the same at any indent."""
+    if '"' in text or "[" in text[1:]:
         return None
-    if "[" not in text[1:]:
-        return inner + text[1:-1].replace(",", "," + inner)
-    rows, row = text[2:-2], inner + "  "
-    bare = rows.replace("],[", ",")
-    if "[" in bare or "]" in bare:
-        return None
-    rows = rows.replace(",", "," + row).replace(f"],{row}[", f"{inner}],{inner}[{row}")
-    return f"{inner}[{row}{rows}{inner}]"
+    return inner + text[1:-1].replace(",", "," + inner)
+
+
+def _write_layer(fh, layer: MobilityLayer, nl: str):
+    """Write ``{"edges": [[i, j, rate], ...]}`` for ``layer``'s edges in
+    order, as ``_write_value`` writes that dict: each node index and each
+    distinct rate (json's float text) is formatted once, and the rows go
+    out JSON_BLOCK at a time."""
+    inner = nl + "  "
+    row, item = inner + "  ", inner + "    "
+    edges = layer.edges
+    if not len(edges):
+        fh.write(f'{{{inner}"edges": []{nl}}}')
+        return
+    rates, which = np.unique(layer.Q[edges[:, 0], edges[:, 1]], return_inverse=True)
+    heads = [f"{row}[{item}{i},{item}" for i in range(layer.n)]
+    mids = [f"{j},{item}" for j in range(layer.n)]
+    tails = [f"{text}{row}]" for text in _COMPACT.encode(rates.tolist())[1:-1].split(",")]
+    rows = (f"{heads[i]}{mids[j]}{tails[k]}" for i, j, k in
+            zip(edges[:, 0].tolist(), edges[:, 1].tolist(), which.tolist()))
+    fh.write(f'{{{inner}"edges": [')
+    for start in range(0, len(edges), JSON_BLOCK):
+        fh.write(("," if start else "") + ",".join(itertools.islice(rows, JSON_BLOCK)))
+    fh.write(f"{inner}]{nl}}}")
 
 
 def _write_value(fh, obj, nl: str):
@@ -76,7 +95,7 @@ def _write_value(fh, obj, nl: str):
         for start in range(0, len(obj), JSON_BLOCK):
             block = obj[start:start + JSON_BLOCK]
             fh.write("," if start else "")
-            if not isinstance(block[0], (dict, str)):  # else the encode is wasted
+            if block[0] is None or isinstance(block[0], (int, float)):  # else the encode is wasted
                 text = _reindented(_COMPACT.encode(block), inner)
                 if text is not None:
                     fh.write(text)
@@ -85,6 +104,8 @@ def _write_value(fh, obj, nl: str):
                 fh.write(f"{',' if idx else ''}{inner}")
                 _write_value(fh, item, inner)
         fh.write(nl + "]")
+    elif isinstance(obj, MobilityLayer):
+        _write_layer(fh, obj, nl)
     else:
         fh.write(_COMPACT.encode(obj))
 
@@ -100,7 +121,7 @@ def _manifest(scenario: Scenario, command: str, outputs: list) -> dict:
         "tool": "sismob",
         "version": __version__,
         "command": command,
-        "scenario": scenario.resolved,
+        "scenario": {**scenario.explicit, "layers": scenario.spec.net.layers},
         "outputs": sorted(Path(p).name for p in outputs),
     }
 

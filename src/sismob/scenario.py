@@ -89,7 +89,16 @@ class Scenario:
     stochastic_enabled: bool
     h: float
     seeds: list
-    resolved: dict   # explicit form of every input, for the manifest
+    explicit: dict   # explicit form of every input but the layers, for the manifest
+
+    @property
+    def resolved(self) -> dict:
+        """The explicit form of every input; its ``layers`` listing of
+        ``[i, j, rate]`` rows is built from the network on each read."""
+        return {**self.explicit, "layers": [
+            {"edges": [[i, j, rate] for (i, j), rate in
+                       zip(layer.edges.tolist(), layer.Q[tuple(layer.edges.T)].tolist())]}
+            for layer in self.spec.net.layers]}
 
 
 def read_document(path):
@@ -188,14 +197,7 @@ def _build_layer(entry, n: int, idx: int) -> MobilityLayer:
 
 
 def parse_scenario(doc: dict) -> Scenario:
-    net = _parse_network(doc)
-    scenario = _parse_instance(doc, net)
-    scenario.resolved["layers"] = [
-        {"edges": [[i, j, rate] for (i, j), rate in
-                   zip(layer.edges.tolist(), layer.Q[tuple(layer.edges.T)].tolist())]}
-        for layer in net.layers
-    ]
-    return scenario
+    return _parse_instance(doc, _parse_network(doc))
 
 
 def set_fields(doc, **fields):
@@ -228,7 +230,8 @@ def set_fields(doc, **fields):
 def parse_point(doc: dict, scenario: Scenario, field: str, value) -> Scenario:
     """The sweep point of ``doc`` (parsed as ``scenario``) with ``field`` set to
     ``value``: a ``beta`` or ``delta`` point shares the parsed network, a
-    ``rate_scale`` point builds its own, and none gets the layer listing."""
+    ``rate_scale`` point builds its own, and neither lists its layers
+    until ``resolved`` is read."""
     point = set_fields(doc, **{field: value})
     net = _parse_network(point) if field == "rate_scale" else scenario.spec.net
     return _parse_instance(point, net)
@@ -266,8 +269,7 @@ def _parse_network(doc) -> MultiLayerNetwork:
 def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
     """Second stage of ``parse_scenario``: everything but the network,
     checked against ``net`` as parsed from ``doc`` (or from a document
-    that differs from it only in ``beta`` or ``delta``).  ``resolved``
-    lacks the ``layers`` listing."""
+    that differs from it only in ``beta`` or ``delta``)."""
     doc = {**_DEFAULTS, **doc}
     name = doc["name"]
     n, m, N = net.n, net.m, net.N
@@ -365,7 +367,7 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
     if not isinstance(output_dir, str):
         raise ScenarioError(f"output_dir: expected a string, got {output_dir!r}")
 
-    resolved = {
+    explicit = {
         "name": name, "n": n, "m": m,
         **{key: vector.tolist() for key, vector in
            (("beta", beta), ("delta", delta), ("N", N), ("p0", p0), ("x0", x0))},
@@ -374,11 +376,11 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
         "output_dir": output_dir,
     }
     if delta_rule is not None:
-        resolved["delta_rule"] = dict(delta_rule)
+        explicit["delta_rule"] = dict(delta_rule)
 
     return Scenario(name=name, spec=spec, p0=p0, x0=x0, t_end=t_end, dt=dt,
                     sample_every=sample_every, stochastic_enabled=enabled, h=h,
-                    seeds=list(seeds), resolved=resolved)
+                    seeds=list(seeds), explicit=explicit)
 
 
 def initial_state(scenario: Scenario) -> SystemState:

@@ -87,9 +87,38 @@ def test_bench_shaped_n160_outputs():
            "N": [10000, 10000], "p0": 0.01, "x0": "stationary"}
     scenario = sm.parse_scenario(doc)
     manifest = _manifest(scenario, "analyze", ["bench_n160_analysis.json"])
-    assert sum(len(layer["edges"]) for layer in manifest["scenario"]["layers"]) > 25 * JSON_BLOCK
-    for payload in (manifest, _analysis_payload(scenario)):
-        assert written(payload) == reference(payload)
+    assert sum(len(layer.edges) for layer in scenario.spec.net.layers) > 25 * JSON_BLOCK
+    analysis = _analysis_payload(scenario)
+    for payload, listed in ((manifest, {**manifest, "scenario": scenario.resolved}),
+                            (analysis, analysis)):
+        assert written(payload) == reference(listed)
+
+
+def cycle(count: int) -> dict:
+    """A directed cycle through ``count`` nodes: ``count`` rows, distinct rates."""
+    rates = np.random.default_rng(count).uniform(0.01, 2.0, count).tolist()
+    return {"edges": [[i, (i + 1) % count, rate] for i, rate in enumerate(rates)]}
+
+
+AWKWARD = [0.1 + 0.2, 3, 1e-7, 2**-30, 12345.678, 0.5]
+
+
+@pytest.mark.parametrize("n, layer", [
+    (3, {"edges": [[i, j, rate] for (i, j), rate in
+                   zip([(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)], AWKWARD)]}),
+    (9, {"mh": {"graph": "complete", "rate_scale": 0.7,
+                "target": [k / 45 for k in range(1, 10)]}}),
+    (7, {"preset": "star", "rate_scale": 0.3, "rates": "mh_uniform"}),
+    (1, {"edges": []}),
+    *((count, cycle(count)) for count in sorted({2, JSON_BLOCK - 1, JSON_BLOCK, JSON_BLOCK + 1,
+                                                 2 * JSON_BLOCK, 3 * JSON_BLOCK + 7})),
+], ids=lambda v: v if isinstance(v, int) else next(iter(v)))
+def test_manifest_layers_match_their_listing(n, layer):
+    doc = {"name": "layers", "n": n, "m": 2, "layers": [layer, {"preset": "ring"}],
+           "beta": 0.3, "delta": 0.1, "N": [1000, 500]}
+    scenario = sm.parse_scenario(doc)
+    manifest = _manifest(scenario, "analyze", ["layers_analysis.json"])
+    assert written(manifest) == reference({**manifest, "scenario": scenario.resolved})
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
