@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import integrate, recorded_rows, step_count, write_trajectory_csv
-from .equilibria import classify, equilibrium_matrices, threshold
+from .equilibria import classify, equilibrium_stack, threshold
 from .errors import ScenarioError
 from .network import MobilityLayer
 from .scenario import (Scenario, initial_state, parse_point, parse_scenario, read_document,
@@ -235,12 +235,13 @@ def _cmd_sweep(args) -> int:
 
     rows, lanes = [], max(1, STACK_BYTES // (8 * scenario.spec.nm ** 2 + 1024))
     for start in range(0, len(values), lanes):
-        chunk = [_attempt(lambda v: equilibrium_matrices(parse_point(doc, scenario, field, v).spec),
-                          float(value)) for value in values[start:start + lanes]]
-        parsed = [mats for mats in chunk if not isinstance(mats, Exception)]
-        found = _attempt(threshold, parsed) if parsed else []
+        chunk = [_attempt(parse_point, doc, scenario, field, float(value))
+                 for value in values[start:start + lanes]]
+        parsed = [point for point in chunk if not isinstance(point, Exception)]
+        found = _attempt(lambda: threshold(equilibrium_stack(parsed))) if parsed else []
         if isinstance(found, Exception):  # rerun each lane alone for its own outcome
-            found = [_attempt(lambda mats: threshold([mats])[0], mats) for mats in parsed]
+            found = [_attempt(lambda point: threshold(equilibrium_stack([point]))[0], point)
+                     for point in parsed]
         found = iter(found)
         for idx, outcome in enumerate(chunk, start):
             outcome = outcome if isinstance(outcome, Exception) else next(found)

@@ -42,10 +42,11 @@ import numpy as np
 
 from .dynamics import ModelSpec
 from .errors import ConvergenceError
-from .network import left_null_vector, network_stationary
+from .network import left_null_vector
 from .spectral import _scale, spectral_abscissa, spectral_abscissas, spectral_radii
 
 MU_TIE_TOL = 1e-10
+Z_SOLVE_TOL = 1e-10  # bound on the backward error of threshold's (L* + D) Z = B U solve
 # Newton's relative step tolerance and step cap.  Far above p* a step
 # roughly halves p, then convergence is quadratic: mu = 1e-8 takes
 # about 30 steps.
@@ -74,8 +75,8 @@ class EquilibriumMatrices:
     M: np.ndarray
     b: np.ndarray              # beta repeated over the m classes
     d: np.ndarray              # delta repeated over the m classes
-    BF: np.ndarray             # B F
     G: np.ndarray              # B F - D - L, the linearization at the DFE
+    BF = property(lambda self: self.b[:, None] * self.F, doc="B F, the bits G starts from")
 
 
 def _plain(value):
@@ -128,18 +129,27 @@ class EquilibriumReport:
 
 
 def equilibrium_matrices(spec: ModelSpec) -> EquilibriumMatrices:
-    """Validate all layers (through their stationary laws), then build
-    B F* and the DFE linearization from F*, L* and M, which the network
-    assembles once for all its specs."""
-    stat = network_stationary(spec.net)
-    mats = spec.net.assembled
-    b, d = np.tile(spec.beta, spec.m), np.tile(spec.delta, spec.m)
-    BF = b[:, None] * mats.F
-    G = BF.copy()
-    G[np.diag_indices_from(G)] -= d
-    G -= mats.L
-    return EquilibriumMatrices(v=stat.v, v_per_layer=stat.v_per_layer, F=mats.F,
-                               L=mats.L, M=mats.M, b=b, d=d, BF=BF, G=G)
+    """Validate all layers (through their stationary laws), then build the
+    DFE linearization from F*, L* and M, which the network assembles once
+    for all its specs."""
+    return equilibrium_stack([(spec.net, spec.beta, spec.delta)])[0]
+
+
+def equilibrium_stack(points) -> list:
+    """``equilibrium_matrices`` of each (network, beta, delta) of ``points``, of one n
+    and m: G of all lanes in one broadcast, over the F* and L* of a network all
+    share, else over their stacks.  A lane's F*, L*, M and v are its network's."""
+    nets, betas, deltas = zip(*points)
+    F, L = (getattr(nets[0].assembled, name) if len(set(nets)) == 1
+            else np.stack([getattr(net.assembled, name) for net in nets]) for name in "FL")
+    b, d = (np.tile(rates, (1, nets[0].m)) for rates in (betas, deltas))
+    G = b[:, :, None] * F  # B F*
+    diagonal = np.arange(G.shape[-1])
+    G[:, diagonal, diagonal] -= d
+    G -= L
+    return [EquilibriumMatrices(v=net.stationary.v, v_per_layer=net.stationary.v_per_layer,
+                                F=net.assembled.F, L=net.assembled.L, M=net.assembled.M,
+                                b=b[k], d=d[k], G=G[k]) for k, net in enumerate(nets)]
 
 
 def threshold(points) -> list:
@@ -149,16 +159,27 @@ def threshold(points) -> list:
     mu is the spectral abscissa of the DFE linearization, R0 the spectral
     radius of V Z with (L* + D) Z = B U (None when no recovery rate is
     positive), and the disease-free state counts as stable when mu <=
-    MU_TIE_TOL.  Each instance gets the bits it gets alone."""
+    MU_TIE_TOL.  Each instance gets the bits it gets alone.  A Z whose
+    relative backward error exceeds Z_SOLVE_TOL raises ``ConvergenceError``."""
     mu = [res.mu for res in spectral_abscissas(np.stack([mats.G for mats in points]))]
     R0, lanes = {}, [k for k, mats in enumerate(points) if np.any(mats.d > 0)]  # else L* singular
     if lanes:
         nm, n = len(points[0].b), len(points[0].v_per_layer[0])
-        LD = np.stack([points[k].L + np.diag(points[k].d) for k in lanes])
+        LD = np.stack([points[k].L for k in lanes])
+        LD[:, np.arange(nm), np.arange(nm)] += [points[k].d for k in lanes]
         BU = np.zeros((len(lanes), nm, n))  # U's stacked identities times B
         BU[:, np.arange(nm), np.arange(nm) % n] = [points[k].b for k in lanes]
         V = np.stack([points[k].F[:n] for k in lanes])
-        R0 = dict(zip(lanes, [res.rho for res in spectral_radii(V @ np.linalg.solve(LD, BU))]))
+        Z = np.linalg.solve(LD, BU)
+        VZ = V @ Z
+        R = LD @ Z
+        R -= BU  # certified by each lane's relative backward error in inf-norms, with
+        # |R|, |L* + D|, |Z| and |B U| taken in place: the chunk's peak memory is the solve's
+        r, ld, z, bu = ((np.abs(A, out=A) @ np.ones(A.shape[2])).max(1) for A in (R, LD, Z, BU))
+        if not np.all((error := r / (ld * z + bu)) <= Z_SOLVE_TOL):  # NaN fails too
+            raise ConvergenceError(f"(L* + D) Z = B U solve: relative backward error "
+                                   f"{error.max():.3e} above {Z_SOLVE_TOL}")
+        R0 = dict(zip(lanes, [res.rho for res in spectral_radii(VZ)]))
     return [(x, R0.get(k), DFE_UNSTABLE if x > MU_TIE_TOL else DFE_STABLE)
             for k, x in enumerate(mu)]
 

@@ -32,9 +32,11 @@ Layer specs come in three forms::
     {"mh": {"graph": preset, "target": "uniform"|[n values], "rate_scale": nu}}
 
 Every object but ``delta_rule`` (free-form provenance) refuses a key it
-does not know, naming its path.  Only this module edits documents:
-``set_fields`` sets the CLI overrides and a sweep point's value, and
-``parse_point`` parses a sweep point.
+does not know, naming its path.  A parse runs three stages: the network,
+the rates (``beta``, ``delta``, ``delta_rule``), then the network's own
+checks and every setting.  Only this module edits documents: ``set_fields``
+sets the CLI overrides and a sweep point's value, and ``parse_point`` parses
+a sweep point, a ``beta`` or ``delta`` one through the rates stage alone.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .errors import (MalformedGeneratorError, NotStronglyConnectedError, Scenari
                      StepSizeError)
 from .network import (MobilityLayer, MultiLayerNetwork, layer_from_edge_rates,
                       metropolis_hastings_rates, network_stationary, preset_layer)
-from .stochastic import _check_step_size
+from .stochastic import _check_step_size, _moves
 
 _DEFAULTS = {
     "t_end": 50.0,
@@ -227,14 +229,20 @@ def set_fields(doc, **fields):
     return doc
 
 
-def parse_point(doc: dict, scenario: Scenario, field: str, value) -> Scenario:
-    """The sweep point of ``doc`` (parsed as ``scenario``) with ``field`` set to
-    ``value``: a ``beta`` or ``delta`` point shares the parsed network, a
-    ``rate_scale`` point builds its own, and neither lists its layers
-    until ``resolved`` is read."""
+def parse_point(doc: dict, scenario: Scenario, field: str, value):
+    """(network, beta, delta) of ``doc`` (parsed as ``scenario``) with ``field`` set to
+    ``value``.  A ``beta`` or ``delta`` point parses only its rates, on the parsed network,
+    and checks ``stochastic.h`` against them when stochastic runs are on: the network and
+    the settings are already checked.  Any other point (``rate_scale``) is parsed in full."""
     point = set_fields(doc, **{field: value})
-    net = _parse_network(point) if field == "rate_scale" else scenario.spec.net
-    return _parse_instance(point, net)
+    if field not in ("beta", "delta"):
+        spec = parse_scenario(point).spec
+        return spec.net, spec.beta, spec.delta
+    net = scenario.spec.net
+    beta, delta, _ = _parse_rates(point, net)
+    if scenario.stochastic_enabled:
+        _step_size(scenario.h, None, beta, delta)
+    return net, beta, delta
 
 
 def _parse_network(doc) -> MultiLayerNetwork:
@@ -266,14 +274,10 @@ def _parse_network(doc) -> MultiLayerNetwork:
     return MultiLayerNetwork(layers=tuple(layers), N=N)
 
 
-def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
-    """Second stage of ``parse_scenario``: everything but the network,
-    checked against ``net`` as parsed from ``doc`` (or from a document
-    that differs from it only in ``beta`` or ``delta``)."""
-    doc = {**_DEFAULTS, **doc}
-    name = doc["name"]
-    n, m, N = net.n, net.m, net.N
-
+def _parse_rates(doc: dict, net: MultiLayerNetwork):
+    """``beta``, ``delta`` (or its rule) and ``delta_rule`` on ``net``, as beta,
+    delta and delta's provenance (or None): all a beta or delta point parses."""
+    n = net.n
     beta = _as_vector(_require(doc, "beta"), n, "beta")
     if np.any(beta <= 0):
         raise ScenarioError("beta: infection rates must be positive")
@@ -301,6 +305,24 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
         delta = _as_vector(delta_doc, n, "delta")
         if np.any(delta < 0):
             raise ScenarioError("delta: recovery rates must be nonnegative")
+    return beta, delta, delta_rule
+
+
+def _step_size(h: float, max_nu: float | None, beta, delta):
+    """``stochastic._check_step_size``, its refusal named ``stochastic.h``."""
+    try:
+        _check_step_size(h, max_nu, beta, delta)
+    except StepSizeError as exc:
+        raise ScenarioError(f"stochastic.h: {exc}") from None
+
+
+def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
+    """Second stage of ``parse_scenario``: the rates, then the network's own
+    checks and every setting, none of which a rate changes."""
+    beta, delta, delta_rule = _parse_rates(doc, net)
+    doc = {**_DEFAULTS, **doc}
+    name = doc["name"]
+    n, m, N = net.n, net.m, net.N
 
     # rounding moves the threshold by about eps times the largest exit rate,
     # which is minus the smallest entry of a layer's generator
@@ -355,11 +377,9 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"t_end: {exc}") from None
     if enabled:
-        try:
-            leavers = h * _check_step_size(spec, h) * N.sum()
-        except StepSizeError as exc:
-            raise ScenarioError(f"stochastic.h: {exc}") from None
-        if leavers > MAX_LEAVERS:
+        max_nu = float(_moves(spec)[1][:, :, -1].max())
+        _step_size(h, max_nu, beta, delta)
+        if (leavers := h * max_nu * N.sum()) > MAX_LEAVERS:
             raise ScenarioError(f"N: a stochastic step expects {leavers:.4g} leavers per seed "
                                 f"(h * largest exit rate * sum(N)), above {MAX_LEAVERS}")
 

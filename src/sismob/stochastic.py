@@ -114,19 +114,18 @@ def _moves(spec: ModelSpec):
     return rates, np.cumsum(rates, axis=2)
 
 
-def _check_step_size(spec: ModelSpec, h: float) -> float:
-    """Refuse an h whose step probabilities reach 1; return the largest
-    exit rate nu^a_i."""
+def _check_step_size(h: float, max_nu: float | None, beta, delta):
+    """Refuse an h whose step probabilities reach 1: h times the largest
+    exit rate ``max_nu`` (None on a network already checked), infection
+    rate or recovery rate, in that order."""
     if h < 0:
         raise StepSizeError(f"h must be nonnegative, got {h}")
-    max_nu = float(_moves(spec)[1][:, :, -1].max())
     for name, worst in (("exit rate", max_nu),
-                        ("infection rate", float(np.max(spec.beta))),
-                        ("recovery rate", float(np.max(spec.delta)))):
-        if h * worst >= 1.0:
+                        ("infection rate", float(np.max(beta))),
+                        ("recovery rate", float(np.max(delta)))):
+        if worst is not None and h * worst >= 1.0:
             raise StepSizeError(
                 f"h = {h} times the largest {name} {worst} is not a valid probability")
-    return max_nu
 
 
 def _lanes(spec: ModelSpec, counts: AgentCounts, h: float, rngs,
@@ -149,15 +148,15 @@ def _lanes(spec: ModelSpec, counts: AgentCounts, h: float, rngs,
     the first lane) is added to the integer destination, so routing does
     not depend on the lane.
     """
-    _check_step_size(spec, h)
+    rates, cumulative = _moves(spec)
+    nu = cumulative[:, :, -1]
+    _check_step_size(h, float(nu.max()), spec.beta, spec.delta)
     n, m = spec.n, spec.m
     if counts.s.shape != (n, m):
         raise ValueError(f"counts must have shape (n, m) = ({n}, {m}), got {counts.s.shape}")
     steps = 1 if t_end is None else step_count(t_end, h)
     rows = recorded_rows(steps, record_every)
 
-    rates, cumulative = _moves(spec)
-    nu = cumulative[:, :, -1]
     # Row-major nonzeros come grouped by origin (a, i), destinations
     # ascending; x / x == 1 exactly, so each block ends at 2c + 1.
     a, i, j = np.nonzero(rates)

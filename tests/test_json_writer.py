@@ -26,6 +26,18 @@ def written(obj) -> str:
         return path.read_text(encoding="utf-8")
 
 
+def assert_same_text(got: str, want: str):
+    """got == want.  A mismatch reports at once its first differing offset
+    with about 80 characters of each side there; pytest's own diff of two
+    multi-MB texts runs for minutes."""
+    if got == want:
+        return
+    at = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    lo = max(0, at - 40)
+    pytest.fail(f"texts differ at offset {at} (lengths {len(got)} and {len(want)}):\n"
+                f"  got  {got[lo:at + 40]!r}\n  want {want[lo:at + 40]!r}", pytrace=False)
+
+
 numbers = (st.integers() | st.floats()
            | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]))
 tricky_text = st.text() | st.sampled_from(["", "],[", ",", "[]", "{", '"', "\\", "é", "日本",
@@ -46,7 +58,7 @@ payloads = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(payloads | st.dictionaries(tricky_text, payloads, max_size=4))
 def test_writer_matches_json_dumps(payload):
-    assert written(payload) == reference(payload)
+    assert_same_text(written(payload), reference(payload))
 
 
 @pytest.mark.parametrize("payload", [
@@ -58,7 +70,7 @@ def test_writer_matches_json_dumps(payload):
     {"k],[\"\\é": ["],[", ",", '"', "\\", "é"]},
 ], ids=repr)
 def test_fixed_edge_cases(payload):
-    assert written(payload) == reference(payload)
+    assert_same_text(written(payload), reference(payload))
 
 
 @pytest.mark.parametrize("count", sorted({1, 1023, 1024, 1025, JSON_BLOCK - 1, JSON_BLOCK,
@@ -69,11 +81,11 @@ def test_edge_lists_across_block_boundaries(count):
              zip(rng.integers(0, 200, count), rng.integers(0, 200, count),
                  rng.uniform(0.0, 1.0, count))]
     payload = {"layers": [{"edges": edges}], "v": [e[2] for e in edges]}
-    assert written(payload) == reference(payload)
+    assert_same_text(written(payload), reference(payload))
     # a row that cannot take the compact path, at and after a boundary
     for at in {0, count - 1, min(count, JSON_BLOCK)}:
         odd = edges[:at] + [[], [1, "x,y"]] + edges[at:]
-        assert written({"edges": odd}) == reference({"edges": odd})
+        assert_same_text(written({"edges": odd}), reference({"edges": odd}))
 
 
 def test_bench_shaped_n160_outputs():
@@ -91,7 +103,7 @@ def test_bench_shaped_n160_outputs():
     analysis = _analysis_payload(scenario)
     for payload, listed in ((manifest, {**manifest, "scenario": scenario.resolved}),
                             (analysis, analysis)):
-        assert written(payload) == reference(listed)
+        assert_same_text(written(payload), reference(listed))
 
 
 def cycle(count: int) -> dict:
@@ -118,7 +130,7 @@ def test_manifest_layers_match_their_listing(n, layer):
            "beta": 0.3, "delta": 0.1, "N": [1000, 500]}
     scenario = sm.parse_scenario(doc)
     manifest = _manifest(scenario, "analyze", ["layers_analysis.json"])
-    assert written(manifest) == reference({**manifest, "scenario": scenario.resolved})
+    assert_same_text(written(manifest), reference({**manifest, "scenario": scenario.resolved}))
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
@@ -128,4 +140,4 @@ def test_written_manifest_parses_back_to_its_scenario(path, tmp_path):
     text = manifest_path.read_text(encoding="utf-8")
     resolved = json.loads(text)["scenario"]
     assert sm.parse_scenario(resolved).resolved == resolved
-    assert text == reference(json.loads(text))
+    assert_same_text(text, reference(json.loads(text)))

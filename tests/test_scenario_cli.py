@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import sismob as sm
 from sismob.cli import GRID_MAX_POINTS, _parse_grid, build_parser, main
-from sismob.equilibria import threshold
-from sismob.scenario import _as_number, _as_vector, read_document, set_fields
+from sismob.equilibria import equilibrium_stack, threshold
+from sismob.scenario import _as_number, _as_vector, parse_point, read_document, set_fields
 from sismob.stochastic import seed_infections, simulate, stationary_counts, write_stochastic_csv
 
 from conftest import SCENARIOS
@@ -829,6 +829,104 @@ class TestCli:
         assert len(rows) == int(grid.rsplit(":", 1)[1])
         assert all(row.endswith(",") for row in rows)
         assert len(seen) == calls
+
+    @pytest.mark.parametrize("grid, settings_calls", [
+        ("delta=0.05:0.6:50", 1),
+        ("beta=0.05:0.6:50", 1),
+        ("rate_scale=0.05:0.6:10", 1 + 10),
+    ])
+    def test_beta_or_delta_points_skip_the_network_and_settings_work(
+            self, grid, settings_calls, tmp_path, monkeypatch):
+        # a beta or delta point parses only its rates: the routing rates
+        # (stochastic._moves), the stationary laws and the settings stage
+        # (_parse_instance, which holds the exit-rate bound) run for the
+        # up-front parse alone; a rate_scale point runs all of them again
+        calls = {"_moves": 0, "network_stationary": 0, "_parse_instance": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        for module in (sm.scenario, sm.stochastic, sm.network):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        doc = two_layer_doc(stochastic={"enabled": True, "h": 0.01, "seeds": [1]})
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out),
+                     "--grid", grid]) == 0
+        rows = (out / "pair_layers_sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == int(grid.rsplit(":", 1)[1])
+        assert all(row.endswith(",") for row in rows)
+        assert calls == dict.fromkeys(calls, settings_calls)
+
+    def test_delta_point_checks_h_against_its_recovery_rate(self, tmp_path):
+        # the point's own rates meet stochastic.h, with a full parse's message
+        doc = two_layer_doc(stochastic={"enabled": True, "h": 0.01, "seeds": [1]})
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps(doc))
+        argv = ["sweep", "--scenario", str(scenario_path), "--out", str(tmp_path / "out"),
+                "--grid", "delta=0.1:150:3"]
+        assert main(argv) == 0
+        rows = (tmp_path / "out" / "pair_layers_sweep.csv").read_text().splitlines()[1:]
+        assert rows == pointwise_rows(argv)
+        assert [row.endswith(",") for row in rows] == [True, True, False]
+        assert rows[2] == ('2,150,,,,"ScenarioError: stochastic.h: h = 0.01 times the largest '
+                           'recovery rate 150.0 is not a valid probability"')
+
+    @pytest.mark.parametrize("doc, field, values", [
+        (two_layer_doc(), "beta", [0.05, 0.3, 0.6]),
+        (two_layer_doc(), "delta", [0.0, 0.3, 0.6]),
+        (two_layer_doc(delta=LAMBDA2_RULE), "beta", [0.05, 0.3, 0.6]),
+        (two_layer_doc(delta=LAMBDA2_RULE), "delta", [0.0, 0.3, 0.6]),
+        (two_layer_doc(delta=LAMBDA2_RULE), "rate_scale", [0.05, 0.2, 1.0]),
+        (two_layer_doc(delta=[0.1, 0.0, 0.2, 0.0]), "rate_scale", [0.05, 0.2, 1.0]),
+    ], ids=["beta", "delta", "beta_over_lambda2_rule", "delta_over_lambda2_rule",
+            "rate_scale_over_lambda2_rule", "rate_scale"])
+    def test_stacked_lanes_equal_a_full_parse_of_each_point(self, doc, field, values):
+        # one broadcast builds every lane's G; each lane holds the arrays
+        # equilibrium_matrices gives a full parse of its own point
+        scenario = sm.parse_scenario(doc)
+        lanes = equilibrium_stack([parse_point(doc, scenario, field, v) for v in values])
+        for value, lane in zip(values, lanes):
+            alone = sm.equilibrium_matrices(
+                sm.parse_scenario(set_fields(doc, **{field: value})).spec)
+            for name in ("G", "BF", "b", "d", "F", "L", "M", "v"):
+                assert np.array_equal(getattr(lane, name), getattr(alone, name)), name
+            assert all(np.array_equal(a, b) for a, b in zip(lane.v_per_layer, alone.v_per_layer))
+            assert np.array_equal(lane.G, np.diag(lane.b) @ lane.F - np.diag(lane.d) - lane.L)
+
+    @pytest.mark.parametrize("lanes", [1, None], ids=["alone", "one_chunk"])
+    def test_sweep_lane_failing_the_z_certificate_keeps_its_error_row(self, lanes, tmp_path,
+                                                                      monkeypatch):
+        # a (L* + D) Z = B U solve off by 1e-6 in the delta = 0.6 lane alone
+        # fails the certificate: that lane's row is the error, every other
+        # row is its own, whether the lane was stacked with them or not
+        solve = np.linalg.solve
+
+        def skewed(A, B):
+            X = solve(A, B)
+            if B.ndim == 3 and B.shape[2] > 1:  # threshold's Z stack, not a Noda step
+                X[A[:, 0].sum(axis=1) > 0.5] *= 1.0 + 1e-6  # rows of L* + D sum to delta
+            return X
+
+        monkeypatch.setattr(np.linalg, "solve", skewed)
+        if lanes:
+            monkeypatch.setattr("sismob.cli.STACK_BYTES", lanes * (8 * 8**2 + 1024))  # nm = 8
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps(two_layer_doc()))
+        argv = ["sweep", "--scenario", str(scenario_path), "--out", str(tmp_path / "out"),
+                "--grid", "delta=0:0.6:4"]
+        assert main(argv) == 0
+        rows = (tmp_path / "out" / "pair_layers_sweep.csv").read_text().splitlines()[1:]
+        assert rows == pointwise_rows(argv)
+        assert [row.endswith(",") for row in rows] == [True, True, True, False]
+        assert rows[3].startswith('3,0.59999999999999998,,,,"ConvergenceError: (L* + D) Z = B U '
+                                  'solve: relative backward error ')
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("grid", ["delta=0:inf:3", "beta=1e308:1e309:2",

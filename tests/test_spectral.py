@@ -270,10 +270,10 @@ class TestStackedNoda:
         other = {**doc, "layers": [{"preset": "star", "rate_scale": 0.3},
                                    {"mh": {"graph": "ring", "target": "uniform"}}]}
         scenario = sm.parse_scenario(doc)
-        points = ([parse_point(doc, scenario, "rate_scale", r) for r in (0.05, 0.2, 1.0)]
-                  + [parse_point(doc, scenario, "delta", d) for d in (0.0, 0.3, 0.6)]
-                  + [sm.parse_scenario(other)])
-        mats = [sm.equilibrium_matrices(point.spec) for point in points]
+        specs = ([sm.ModelSpec(*parse_point(doc, scenario, "rate_scale", r)) for r in (0.05, 0.2, 1.0)]
+                 + [sm.ModelSpec(*parse_point(doc, scenario, "delta", d)) for d in (0.0, 0.3, 0.6)]
+                 + [sm.parse_scenario(other).spec])
+        mats = [sm.equilibrium_matrices(spec) for spec in specs]
         assert len({m.L.tobytes() for m in mats[:3]} | {mats[-1].L.tobytes()}) == 4
         assert not np.array_equal(mats[0].F, mats[-1].F)
         alone = [repr(sm.equilibria.threshold([m])[0]) for m in mats]
