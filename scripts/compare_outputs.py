@@ -18,7 +18,11 @@ Each tree runs ``sismob.cli.main`` in its own subprocess, with that tree's
   ``2**-30``, ...) next to a ``line`` preset with ``"rates": "mh_uniform"``;
 - ``mh_target`` (n = 12): an ``mh`` layer on the complete graph with a
   non-uniform ``target``, so its rates take many distinct values, next to
-  a ``ring`` preset.
+  a ``ring`` preset;
+- ``three_classes`` (n = 9, m = 3): ``complete``, ``line`` and ``ring``
+  layers at ``rate_scale`` 0.15, 0.3 and 0.45 and a different N per
+  class, so the integrator's node totals and both simulators add up
+  three classes.
 
 Together with the bundled scenarios (one has an empty ``edges`` layer at
 n = 1) they cover every layer form the manifest lists.
@@ -122,10 +126,21 @@ def layer_forms() -> list:
     ]
 
 
+def three_classes() -> dict:
+    """An m = 3 document: three preset layers at distinct rates and sizes."""
+    return {"name": "three_classes", "n": 9, "m": 3,
+            "layers": [{"preset": "complete", "rate_scale": 0.15},
+                       {"preset": "line", "rate_scale": 0.3},
+                       {"preset": "ring", "rate_scale": 0.45}],
+            "beta": [round(0.2 + 0.02 * k, 6) for k in range(9)], "delta": 0.1,
+            "N": [3000, 1200, 500], "p0": 0.02, "t_end": 10.0, "dt": 0.01,
+            "sample_every": 10, "stochastic": {"enabled": True, "h": 0.01, "seeds": [1, 2]}}
+
+
 def jobs(scenario_dir: Path) -> list:
     paths = sorted((REPO / "scenarios").glob("*.json"))
     docs = ([fig1_shaped(n) for n in SIZES] + [fig1_shaped(80, lambda2_rule=True)]
-            + layer_forms())
+            + layer_forms() + [three_classes()])
     for doc in docs:
         path = scenario_dir / f"{doc['name']}.json"
         path.write_text(json.dumps(doc, indent=2))

@@ -13,9 +13,11 @@ F(x) holds the population shares f^a_i = x^a_i / sum_b x^b_i (so
 F(x) 1 = 1), and L(x) is block-diagonal with zero row sums and
 off-diagonal entries -q^a_ji x^a_j / x^a_i.  The integrator steps the
 infected counts y^a = x^a p^a next to x^a in one array Z of shape
-(m, 2, n); both rows of a class share its generator, so a derivative
-is one stacked product Z @ Q plus a node-local term (with node-level
-pbar = sum_a y^a / sum_a x^a):
+(2, m, n), whose x rows Z[0] and y rows Z[1] are contiguous (m, n)
+blocks.  Both rows of a class share its generator, so a derivative is
+one stacked product of Z's (m, 2, n) transpose with Q plus a node-local
+term (node-level pbar = sum_a y^a / sum_a x^a), each written into
+buffers made once per ``integrate`` or ``rhs`` call:
 
     dx^a/dt = x^a Q^a,  dy^a/dt = y^a Q^a + beta pbar (x^a - y^a) - delta y^a
 """
@@ -149,27 +151,46 @@ def assemble(spec: ModelSpec, x: np.ndarray) -> AssembledMatrices:
     return AssembledMatrices(F=F, L=L, M=M)
 
 
-def _dz(spec: ModelSpec, Z: np.ndarray) -> np.ndarray:
-    """Time derivative of the (m, 2, n) state Z = (x^a, y^a)."""
-    dZ = Z @ spec.net.Q
-    totals = Z.sum(axis=0)  # node totals of x and of y
-    X, Y = Z[:, 0], Z[:, 1]
-    dZ[:, 1] += spec.beta * (totals[1] / totals[0]) * (X - Y) - spec.delta * Y
-    return dZ
+def _views(A: np.ndarray):
+    """A (2, m, n) array, its (m, 2, n) transpose, its x rows and its y rows."""
+    return A, A.transpose(1, 0, 2), A[0], A[1]
+
+
+def _work(spec: ModelSpec):
+    """``_dz``'s Q, beta, delta, node totals (and rows), pbar and two (m, n) rows."""
+    totals, rows = np.empty((2, spec.n)), np.empty((2, spec.m, spec.n))
+    return (spec.net.Q, spec.beta, spec.delta, totals, *totals, np.empty(spec.n), *rows)
+
+
+def _dz(work, src, out):
+    """Write the derivative of the state ``src`` into ``out`` (both
+    ``_views``), each ufunc's output positional: ``out=`` is slower."""
+    Q, beta, delta, totals, tx, ty, pbar, u, v = work
+    Z, Zt, X, Y = src
+    np.matmul(Zt, Q, out[1])  # per class, (2, n) rows of leading dimension m n
+    np.add.reduce(Z, 1, None, totals)
+    np.divide(ty, tx, pbar)
+    np.multiply(beta, pbar, pbar)
+    np.subtract(X, Y, u)
+    np.multiply(pbar, u, u)
+    np.multiply(delta, Y, v)
+    np.subtract(u, v, u)
+    np.add(out[3], u, out[3])  # dy += beta pbar (x - y) - delta y
 
 
 def _pack(spec: ModelSpec, p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The (m, 2, n) state Z = (x^a, y^a = x^a p^a) of layer-major p and x."""
+    """The (2, m, n) state Z = (x^a, y^a = x^a p^a) of layer-major p and x."""
     X = np.asarray(x, dtype=float).reshape(spec.m, spec.n)
-    return np.stack((X, X * np.asarray(p, dtype=float).reshape(X.shape)), axis=1)
+    return np.stack((X, X * np.asarray(p, dtype=float).reshape(X.shape)))
 
 
 def rhs(spec: ModelSpec, state: SystemState):
     """Time derivative (dp, dx) of the coupled model at a state, from
     dz via dp = (dy - p dx) / x."""
     Z = _pack(spec, state.p, state.x)
-    dX, dY = _dz(spec, Z).transpose(1, 0, 2)
-    return ((dY - np.reshape(state.p, dX.shape) * dX) / Z[:, 0]).ravel(), dX.ravel()
+    dX, dY = dZ = np.empty_like(Z)
+    _dz(_work(spec), _views(Z), _views(dZ))
+    return ((dY - np.reshape(state.p, dX.shape) * dX) / Z[0]).ravel(), dX.ravel()
 
 
 def step_count(t_end: float, step: float) -> int:
@@ -212,7 +233,9 @@ def integrate(spec: ModelSpec, initial: SystemState, t_end: float,
     clamped into [0, x] in place and the clamped state continues; a
     larger excursion raises :class:`IntegrationError` since the
     continuous flow is invariant and only discretization error should
-    ever leave the box.
+    ever leave the box.  After the steps (so their errors come first),
+    a class total of a recorded row off its initial one by more than
+    1e-9 of it raises :class:`IntegrationError` naming the class and t.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -220,23 +243,32 @@ def integrate(spec: ModelSpec, initial: SystemState, t_end: float,
     rows = recorded_rows(steps, record_every)
 
     Z = _pack(spec, initial.p, initial.x)
-    X, Y = Z[:, 0], Z[:, 1]
+    S, K = np.empty_like(Z), np.empty((4,) + Z.shape)  # stage input, k1..k4
+    work, z, s, twice = _work(spec), _views(Z), _views(S), K[1:3]
+    k1, k2, k3, k4 = (_views(k) for k in K)
+    stages = ((0.5 * dt, K[0], k2), (0.5 * dt, K[1], k3), (dt, K[2], k4))
+    X, Y, P, sixth = z[2], z[3], np.empty(z[2].shape), dt / 6.0
     ps, xs = np.empty((len(rows), X.size)), np.empty((len(rows), X.size))
     ps[0], xs[0] = initial.p, initial.x
     wanted, row = rows.tolist(), 1
 
     for k in range(1, steps + 1):
-        k1 = _dz(spec, Z)
-        k2 = _dz(spec, Z + 0.5 * dt * k1)
-        k3 = _dz(spec, Z + 0.5 * dt * k2)
-        k4 = _dz(spec, Z + dt * k3)
-        Z += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _dz(work, z, k1)
+        for c, k_in, k_out in stages:  # S = Z + c k_in
+            np.multiply(c, k_in, S)
+            np.add(Z, S, S)
+            _dz(work, s, k_out)
+        np.multiply(2.0, twice, twice)
+        np.add.reduce(K, 0, None, S)  # ((k1 + 2 k2) + 2 k3) + k4
+        np.multiply(sixth, S, S)
+        np.add(Z, S, Z)
 
-        if not float(X.min()) > 0.0:  # also catches NaN
+        if not float(np.minimum.reduce(X, None)) > 0.0:  # also catches NaN
             raise IntegrationError(
                 f"x became nonpositive at t={float(initial.t) + k * dt:.6g}; reduce dt")
-        P = Y / X
-        overshoot = max(-float(P.min()), float(P.max()) - 1.0, 0.0)
+        np.divide(Y, X, P)
+        overshoot = max(-float(np.minimum.reduce(P, None)),
+                        float(np.maximum.reduce(P, None)) - 1.0, 0.0)
         if not overshoot <= CLAMP_TOL:
             raise IntegrationError(f"p left [0,1] by {overshoot:.3e} at "
                                    f"t={float(initial.t) + k * dt:.6g}; reduce dt")
@@ -248,7 +280,12 @@ def integrate(spec: ModelSpec, initial: SystemState, t_end: float,
             ps[row], xs[row] = P.ravel(), X.ravel()
             row += 1
 
-    return Trajectory(t=float(initial.t) + dt * rows, p=ps, x=xs, dt=dt)
+    t, totals = float(initial.t) + dt * rows, xs.reshape(len(rows), spec.m, -1).sum(axis=2)
+    drift = np.abs(totals - totals[0])
+    for r, a in np.argwhere(~(drift <= 1e-9 * totals[0]))[:1]:  # also catches NaN
+        raise IntegrationError(f"class {a} total drifted by {drift[r, a]:.3e} from "
+                               f"{totals[0, a]:.6g} at t={t[r]:.6g}")
+    return Trajectory(t=t, p=ps, x=xs, dt=dt)
 
 
 def integrate_until_settled(spec: ModelSpec, initial: SystemState,

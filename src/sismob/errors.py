@@ -18,8 +18,8 @@ class StepSizeError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """A trajectory left its invariant region by more than the clamp
-    tolerance, indicating the step size is too large."""
+    """A trajectory left the box by more than the clamp tolerance (the
+    step size is too large) or broke the conservation of a class total."""
 
 
 class ConvergenceError(RuntimeError):

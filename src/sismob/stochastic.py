@@ -21,7 +21,8 @@ binomial for every leaver count, one uniform per leaver for its
 destination, and one binomial for every infection and recovery count.
 The routing, moves and flips run once for all lanes, so each run has
 the bits it has alone.  The public (n, m) ``AgentCounts`` form is kept
-at the edges.  Per-class totals are conserved exactly at every step.
+at the edges.  Per-class totals are conserved exactly at every step,
+and a recorded row that breaks it raises ``IntegrationError``.
 Runs are bit-reproducible: the same seed and spec always produce the
 same sample path (PCG64 generator, one fixed draw order per step), and
 keep only their recorded steps.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ModelSpec, recorded_rows, step_count, write_csv
-from .errors import StepSizeError
+from .errors import IntegrationError, StepSizeError
 from .network import network_stationary
 
 DEFAULT_H = 0.01
@@ -210,6 +211,10 @@ def _lanes(spec: ModelSpec, counts: AgentCounts, h: float, rngs,
         if k == wanted[row]:
             series[:, row] = x
             row += 1
+    totals = series.sum(axis=(2, 4))  # (lanes, rows, m) class totals
+    for s, r, a in np.argwhere(totals != totals[:, :1])[:1]:
+        raise IntegrationError(f"lane {s} class {a} total {totals[s, r, a]} at step "
+                               f"{rows[r]} is not its initial {totals[s, 0, a]}")
     return rows, series.transpose(0, 2, 1, 4, 3)
 
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sismob as sm
-from sismob.dynamics import SystemState, recorded_rows, write_trajectory_csv
+from sismob import dynamics
+from sismob.dynamics import SystemState, recorded_rows, step_count, write_trajectory_csv
 
 from conftest import assert_trajectory_invariants, infection_matrix, random_spec, recovery_matrix
 
@@ -50,6 +51,80 @@ def rk4_oracle(spec, p, x, dt, steps):
         p = p + (dt / 6.0) * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4)
         x = x + (dt / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
     return p, x
+
+
+def pack_reference(spec, p, x):
+    """The (m, 2, n) state (x^a, y^a = x^a p^a) of layer-major p and x."""
+    X = np.asarray(x, dtype=float).reshape(spec.m, spec.n)
+    return np.stack((X, X * np.asarray(p, dtype=float).reshape(X.shape)), axis=1)
+
+
+def dz_reference(spec, Z):
+    """Derivative of the (m, 2, n) state, every result freshly allocated:
+    the bit-for-bit reference of the buffered, compartment-major path."""
+    dZ = Z @ spec.net.Q
+    totals = Z.sum(axis=0)  # node totals of x and of y
+    X, Y = Z[:, 0], Z[:, 1]
+    dZ[:, 1] += spec.beta * (totals[1] / totals[0]) * (X - Y) - spec.delta * Y
+    return dZ
+
+
+def rhs_reference(spec, state):
+    Z = pack_reference(spec, state.p, state.x)
+    dX, dY = dz_reference(spec, Z).transpose(1, 0, 2)
+    return ((dY - np.reshape(state.p, dX.shape) * dX) / Z[:, 0]).ravel(), dX.ravel()
+
+
+def integrate_reference(spec, initial, t_end, dt, record_every=1):
+    """RK4 allocating every stage on the (m, 2, n) state, with the same
+    operation order, checks and clamp as ``integrate``; returns (t, p, x)."""
+    steps = step_count(t_end, dt)
+    rows = recorded_rows(steps, record_every)
+    Z = pack_reference(spec, initial.p, initial.x)
+    X, Y = Z[:, 0], Z[:, 1]
+    ps, xs, kept = [initial.p], [initial.x], set(rows.tolist())
+    for k in range(1, steps + 1):
+        k1 = dz_reference(spec, Z)
+        k2 = dz_reference(spec, Z + 0.5 * dt * k1)
+        k3 = dz_reference(spec, Z + 0.5 * dt * k2)
+        k4 = dz_reference(spec, Z + dt * k3)
+        Z += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert X.min() > 0.0
+        P = Y / X
+        overshoot = max(-P.min(), P.max() - 1.0, 0.0)
+        assert overshoot <= dynamics.CLAMP_TOL
+        if overshoot > 0.0:
+            np.clip(Y, 0.0, X, out=Y)
+            np.clip(P, 0.0, 1.0, out=P)
+        if k in kept:
+            ps.append(P.ravel())
+            xs.append(X.flatten())  # a copy: at m = 1, X.ravel() is a view of Z
+    return float(initial.t) + dt * rows, np.array(ps), np.array(xs)
+
+
+def clamped_logistic():
+    """The logistic p' = p (1 - p) from p = 0.9 (m = n = 1) and the
+    largest dt whose single RK4 step is not refused: it undershoots 0
+    within CLAMP_TOL, so the step is clamped."""
+    layer = sm.MobilityLayer(n=1, edges=(), Q=np.zeros((1, 1)))
+    net = sm.MultiLayerNetwork(layers=(layer,), N=np.array([1000.0]))
+    spec = sm.ModelSpec(net=net, beta=np.array([1.0]), delta=np.array([0.0]))
+    initial = SystemState(t=0.0, p=np.array([0.9]), x=np.array([1000.0]))
+
+    def refused(dt):
+        try:
+            sm.integrate(spec, initial, dt, dt=dt)
+        except sm.IntegrationError as exc:
+            assert str(exc).startswith("p left [0,1] by ")
+            return True
+        return False
+
+    lo, hi = 1.0, 5.0
+    assert not refused(lo) and refused(hi)
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if refused(mid) else (mid, hi)
+    return spec, initial, lo
 
 
 class TestAssemble:
@@ -177,26 +252,9 @@ class TestIntegrate:
 
     def test_small_undershoot_is_clamped_and_the_run_continues(self):
         # one RK4 step of the logistic p' = p (1 - p) from 0.9 undershoots 0
-        # as dt grows: bisect dt to the largest step that is not refused
-        layer = sm.MobilityLayer(n=1, edges=(), Q=np.zeros((1, 1)))
-        net = sm.MultiLayerNetwork(layers=(layer,), N=np.array([1000.0]))
-        spec = sm.ModelSpec(net=net, beta=np.array([1.0]), delta=np.array([0.0]))
-        initial = SystemState(t=0.0, p=np.array([0.9]), x=np.array([1000.0]))
-
-        def refused(dt):
-            try:
-                sm.integrate(spec, initial, dt, dt=dt)
-            except sm.IntegrationError as exc:
-                assert str(exc).startswith("p left [0,1] by ")
-                return True
-            return False
-
-        lo, hi = 1.0, 5.0
-        assert not refused(lo) and refused(hi)
-        while hi - lo > 1e-12 * hi:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if refused(mid) else (mid, hi)
-        # the step lands within CLAMP_TOL below 0, so it is clamped to 0
+        # as dt grows: the largest step that is not refused lands within
+        # CLAMP_TOL below 0, so it is clamped to 0
+        spec, initial, lo = clamped_logistic()
         traj = sm.integrate(spec, initial, 3 * lo, dt=lo)
         assert len(traj.t) == 4 and np.all(traj.p[1:] == 0.0)
         y = traj.p * traj.x
@@ -285,6 +343,71 @@ class TestIntegrate:
                                            t_max=2000.0, settle_tol=1e-10)
         dp, dx = sm.rhs(two_node_spec, state)
         assert max(np.max(np.abs(dp)), np.max(np.abs(dx))) <= 1e-10
+
+
+class TestBufferedStep:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 7, 33])
+    def test_integrate_and_rhs_have_the_bits_of_the_allocating_reference(self, m, n):
+        rng = np.random.default_rng(100 * m + n)
+        spec = random_spec(rng, n=n, m=m)
+        stationary = np.asarray(sm.network_stationary(spec.net).v)
+        for x0 in (stationary, rng.uniform(1.0, 10.0, size=spec.nm)):
+            initial = SystemState(t=0.25, p=rng.uniform(0.0, 1.0, size=spec.nm), x=x0)
+            for every in (1, 7):
+                traj = sm.integrate(spec, initial, 0.6, dt=0.01, record_every=every)
+                t, p, x = integrate_reference(spec, initial, 0.6, 0.01, every)
+                assert traj.t.tobytes() == t.tobytes()
+                assert traj.p.tobytes() == p.tobytes()
+                assert traj.x.tobytes() == x.tobytes()
+            dp, dx = sm.rhs(spec, initial)
+            dp_ref, dx_ref = rhs_reference(spec, initial)
+            assert dp.tobytes() == dp_ref.tobytes() and dx.tobytes() == dx_ref.tobytes()
+
+    def test_clamped_steps_have_the_bits_of_the_allocating_reference(self):
+        spec, initial, dt = clamped_logistic()
+        traj = sm.integrate(spec, initial, 3 * dt, dt=dt)
+        t, p, x = integrate_reference(spec, initial, 3 * dt, dt)
+        assert np.all(traj.p[1:] == 0.0)  # the clamp did act
+        assert traj.t.tobytes() == t.tobytes()
+        assert traj.p.tobytes() == p.tobytes()
+        assert traj.x.tobytes() == x.tobytes()
+
+    def test_recorded_rows_share_no_memory(self, monkeypatch):
+        # every array _dz reads or writes is a buffer the step loop reuses
+        buffers, real = [], dynamics._dz
+
+        def spy(work, src, out):
+            buffers.extend([*work, *src, *out])
+            real(work, src, out)
+
+        monkeypatch.setattr(dynamics, "_dz", spy)
+        spec = random_spec(np.random.default_rng(3), n=4, m=2)
+        initial = SystemState(t=0.0, p=np.full(spec.nm, 0.2), x=np.linspace(1.0, 2.0, spec.nm))
+        traj = sm.integrate(spec, initial, 0.05, dt=0.01)
+        rows = [*traj.p, *traj.x]
+        for k, row in enumerate(rows):
+            assert not any(np.shares_memory(row, other) for other in rows[k + 1:])
+            assert not any(np.shares_memory(row, buffer) for buffer in buffers)
+        assert len({row.tobytes() for row in traj.x}) == len(traj.x)
+
+    def test_a_leaking_derivative_fails_the_conservation_certificate(self, monkeypatch):
+        # class 1 gains 4e-9 of its mass per unit time: 8e-10 at t = 0.2
+        # passes, 1.2e-9 at the next recorded row does not
+        real = dynamics._dz
+
+        def leaky(work, src, out):
+            real(work, src, out)
+            out[2][1] += 4e-9 * src[2][1]
+
+        monkeypatch.setattr(dynamics, "_dz", leaky)
+        spec = random_spec(np.random.default_rng(4), n=3, m=2)
+        initial = SystemState(t=0.0, p=np.full(spec.nm, 0.1), x=np.linspace(1.0, 2.0, spec.nm))
+        with pytest.raises(sm.IntegrationError,
+                           match=r"^class 1 total drifted by \S+ from 5\.4 at t=0\.3$"):
+            sm.integrate(spec, initial, 1.0, dt=0.01, record_every=10)
+        monkeypatch.setattr(dynamics, "_dz", real)
+        assert_trajectory_invariants(spec, sm.integrate(spec, initial, 1.0, dt=0.01))
 
 
 class TestRecordedRows:

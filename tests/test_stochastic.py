@@ -267,6 +267,27 @@ class TestSimulate:
         class_totals = (run.s + run.i).sum(axis=1)
         assert np.all(class_totals == np.round(spec.net.N).astype(np.int64))
 
+    def test_a_broken_class_total_fails_the_certificate(self, monkeypatch):
+        # the third step's arrivals gain one susceptible in lane 1, class 1, node 0
+        spec = random_spec(np.random.default_rng(5), n=3, m=2)
+        init = seed_infections(stationary_counts(spec), 0.1)
+        real, calls = np.bincount, []
+
+        def leaky(*args, **kwargs):
+            counts = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 3:
+                counts[((1 * 2 + 0) * spec.m + 1) * spec.n + 0] += 1
+            return counts
+
+        monkeypatch.setattr(np, "bincount", leaky)
+        with pytest.raises(sm.IntegrationError) as exc:
+            simulate_seeds(spec, init, 0.05, h=0.01, seeds=[1, 2], record_every=1)
+        found = re.fullmatch(r"lane 1 class 1 total (\d+) at step 3 is not its initial (\d+)",
+                             str(exc.value))
+        assert found and int(found[1]) == int(found[2]) + 1, exc.value
+        assert len(calls) == 5  # the check runs once, after the steps
+
     @pytest.mark.parametrize("shape", [(2, 2), (3, 1)])
     def test_counts_of_the_wrong_shape_are_refused(self, two_node_spec, shape):
         init = AgentCounts(s=np.full(shape, 10), i=np.ones(shape))
