@@ -55,6 +55,11 @@ NEWTON_MAX_ITER = 100
 # certificate: ||f(p*)||_inf <= RESIDUAL_TOL * max(p*)
 RESIDUAL_TOL = 1e-8
 MARGIN_SLACK = 1e-9
+# _lambda2's certificates, each relative to max(1, max |entry|) of its matrix:
+# w's residual ||w^T (B M + L*)||_inf (1.6e-13 measured at nm = 320) and the
+# smallest eigenvalue of the symmetrized matrix, 0 in exact arithmetic
+NULL_VECTOR_TOL = 1e-10
+ZERO_EIGENVALUE_TOL = 1e-10
 # Floating-point guard when deciding the lambda2 sufficient condition;
 # instances built to satisfy it with equality must not flip sign.
 CONDITION_EVAL_TOL = 1e-12
@@ -135,7 +140,15 @@ def equilibrium_matrices(spec: ModelSpec) -> EquilibriumMatrices:
     return equilibrium_stack([(spec.net, spec.beta, spec.delta)])[0]
 
 
-def equilibrium_stack(points) -> list:
+class EquilibriumStack(tuple):
+    """EquilibriumMatrices built together, whose G are the lanes of one (K, nm, nm)
+    array ``G``.  A tuple cannot be reordered in place, and a slice of it is a plain
+    tuple, so ``threshold`` may solve ``G`` itself."""
+
+    G: np.ndarray
+
+
+def equilibrium_stack(points) -> EquilibriumStack:
     """``equilibrium_matrices`` of each (network, beta, delta) of ``points``, of one n
     and m: G of all lanes in one broadcast, over the F* and L* of a network all
     share, else over their stacks.  A lane's F*, L*, M and v are its network's."""
@@ -147,29 +160,38 @@ def equilibrium_stack(points) -> list:
     diagonal = np.arange(G.shape[-1])
     G[:, diagonal, diagonal] -= d
     G -= L
-    return [EquilibriumMatrices(v=net.stationary.v, v_per_layer=net.stationary.v_per_layer,
-                                F=net.assembled.F, L=net.assembled.L, M=net.assembled.M,
-                                b=b[k], d=d[k], G=G[k]) for k, net in enumerate(nets)]
+    lanes = EquilibriumStack(
+        EquilibriumMatrices(v=net.stationary.v, v_per_layer=net.stationary.v_per_layer,
+                            F=net.assembled.F, L=net.assembled.L, M=net.assembled.M,
+                            b=b[k], d=d[k], G=G[k]) for k, net in enumerate(nets))
+    lanes.G = G
+    return lanes
 
 
 def threshold(points) -> list:
     """Threshold quantities (mu, R0, classification) of each instance in
-    ``points``, EquilibriumMatrices of one n and m solved as one stack.
+    ``points``, EquilibriumMatrices of one n and m solved as one stack: the
+    one they were built in when ``points`` is an ``EquilibriumStack``.
 
     mu is the spectral abscissa of the DFE linearization, R0 the spectral
     radius of V Z with (L* + D) Z = B U (None when no recovery rate is
     positive), and the disease-free state counts as stable when mu <=
     MU_TIE_TOL.  Each instance gets the bits it gets alone.  A Z whose
     relative backward error exceeds Z_SOLVE_TOL raises ``ConvergenceError``."""
-    mu = [res.mu for res in spectral_abscissas(np.stack([mats.G for mats in points]))]
-    R0, lanes = {}, [k for k, mats in enumerate(points) if np.any(mats.d > 0)]  # else L* singular
-    if lanes:
-        nm, n = len(points[0].b), len(points[0].v_per_layer[0])
-        LD = np.stack([points[k].L for k in lanes])
-        LD[:, np.arange(nm), np.arange(nm)] += [points[k].d for k in lanes]
-        BU = np.zeros((len(lanes), nm, n))  # U's stacked identities times B
+    G = points.G if isinstance(points, EquilibriumStack) else np.stack([m.G for m in points])
+    mu = [res.mu for res in spectral_abscissas(G)]
+    R0, d = {}, np.array([mats.d for mats in points])
+    lanes = np.flatnonzero(np.any(d > 0, axis=1))  # else L* singular
+    if lanes.size:
+        first, K = points[lanes[0]], len(lanes)
+        nm, n = d.shape[1], len(first.v_per_layer[0])
+        # lanes of one network (every beta/delta chunk) share L* and V = F*[:n]
+        one = all(points[k].L is first.L and points[k].F is first.F for k in lanes)
+        LD = np.repeat(first.L[None], K, axis=0) if one else np.stack([points[k].L for k in lanes])
+        LD[:, np.arange(nm), np.arange(nm)] += d[lanes]
+        BU = np.zeros((K, nm, n))  # U's stacked identities times B
         BU[:, np.arange(nm), np.arange(nm) % n] = [points[k].b for k in lanes]
-        V = np.stack([points[k].F[:n] for k in lanes])
+        V = first.F[:n] if one else np.stack([points[k].F[:n] for k in lanes])
         Z = np.linalg.solve(LD, BU)
         VZ = V @ Z
         R = LD @ Z
@@ -179,7 +201,7 @@ def threshold(points) -> list:
         if not np.all((error := r / (ld * z + bu)) <= Z_SOLVE_TOL):  # NaN fails too
             raise ConvergenceError(f"(L* + D) Z = B U solve: relative backward error "
                                    f"{error.max():.3e} above {Z_SOLVE_TOL}")
-        R0 = dict(zip(lanes, [res.rho for res in spectral_radii(VZ)]))
+        R0 = dict(zip(lanes.tolist(), [res.rho for res in spectral_radii(VZ)]))
     return [(x, R0.get(k), DFE_UNSTABLE if x > MU_TIE_TOL else DFE_STABLE)
             for k, x in enumerate(mu)]
 
@@ -189,16 +211,28 @@ def _lambda2(b: np.ndarray, M: np.ndarray, L: np.ndarray):
     stacked infection rates b (the diagonal of B), M and L*: w is the
     positive left null vector of B M + L* scaled to max w = 1, and lambda2
     the second smallest eigenvalue of (W (B M + L*) + (B M + L*)^T W) / 2.
+    That matrix has eigenvector 1 for the eigenvalue 0 when w is exact.  A
+    residual ||w^T (B M + L*)||_inf above NULL_VECTOR_TOL, or a smallest
+    eigenvalue off 0 by more than ZERO_EIGENVALUE_TOL, each times its matrix's
+    max(1, max |entry|), raises ``ConvergenceError``.
     """
     lap = b[:, None] * M + L
     w = left_null_vector(lap)
     if np.any(w <= 0):
         raise ConvergenceError("left null vector is not positive; matrix not irreducible?")
     w = w / w.max()
+    bound = NULL_VECTOR_TOL * _scale(lap)
+    if not (residual := float(np.max(np.abs(w @ lap)))) <= bound:  # NaN fails too
+        raise ConvergenceError(f"lambda2: left null vector residual {residual:.3e} "
+                               f"exceeds {bound:.3e}")
     with np.errstate(over="ignore"):  # an overflow is refused below
         sym = 0.5 * (w[:, None] * lap + lap.T * w)
-    _scale(sym)
-    return w, float(np.linalg.eigvalsh(sym)[1])
+    bound = ZERO_EIGENVALUE_TOL * _scale(sym)
+    eigenvalues = np.linalg.eigvalsh(sym)
+    if not abs(eigenvalues[0]) <= bound:
+        raise ConvergenceError(f"lambda2: smallest eigenvalue {eigenvalues[0]:.3e} is not 0 "
+                               f"to within {bound:.3e}")
+    return w, float(eigenvalues[1])
 
 
 def endemic_fixed_point(spec: ModelSpec, mats: EquilibriumMatrices | None = None,
@@ -316,8 +350,8 @@ def classify(spec: ModelSpec) -> EquilibriumReport:
     MU_TIE_TOL of zero is flagged marginal (and classified stable, since
     the disease-free state is stable exactly at the threshold).
     """
-    mats = equilibrium_matrices(spec)
-    mu, R0, classification = threshold([mats])[0]
+    lanes = equilibrium_stack([(spec.net, spec.beta, spec.delta)])
+    mats, (mu, R0, classification) = lanes[0], threshold(lanes)[0]
 
     marginal = abs(mu) <= MU_TIE_TOL
     p_star = None

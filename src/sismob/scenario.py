@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs
-from .dynamics import ModelSpec, SystemState, step_count
+from .dynamics import RK4_STABILITY, ModelSpec, SystemState, step_count
 from .equilibria import MU_TIE_TOL, margin_recovery_rates
 from .errors import (MalformedGeneratorError, NotStronglyConnectedError, ScenarioError,
                      StepSizeError)
@@ -327,9 +327,10 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
     # rounding moves the threshold by about eps times the largest exit rate,
     # which is minus the smallest entry of a layer's generator
     nu_max = MU_TIE_TOL / sys.float_info.epsilon
-    for k, q_min in enumerate(net.Q.min(axis=(1, 2)).tolist()):
-        if -q_min > nu_max:
-            raise ScenarioError(f"layers[{k}]: largest exit rate {-q_min:.6g} is above "
+    exit_rates = (-net.Q.min(axis=(1, 2))).tolist()
+    for k, nu in enumerate(exit_rates):
+        if nu > nu_max:
+            raise ScenarioError(f"layers[{k}]: largest exit rate {nu:.6g} is above "
                                 f"{nu_max:.6g}, where rounding can move the threshold mu by "
                                 f"more than its tie tolerance {MU_TIE_TOL}")
 
@@ -352,6 +353,9 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
     dt = _as_number(doc["dt"], "dt")
     if dt <= 0:
         raise ScenarioError(f"dt: must be positive, got {dt}")
+    if dt * 2.0 * max(exit_rates) > RK4_STABILITY:
+        raise ScenarioError(f"dt: {dt} times twice the largest exit rate {max(exit_rates):.6g} "
+                            f"is above {RK4_STABILITY}, the edge of RK4's stability region")
     sample_every = _as_positive_int(doc["sample_every"], "sample_every")
 
     sto = {**_DEFAULTS["stochastic"],

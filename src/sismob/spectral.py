@@ -112,8 +112,9 @@ def _perron(S: np.ndarray, scale: np.ndarray, root: str) -> list:
 
 def _scale(G: np.ndarray) -> np.ndarray:
     """max(1, max |g_ij|) of each matrix of a stack, refusing NaN and
-    infinite entries before they can reach a solver or make numpy warn."""
-    scale = np.max(np.abs(G), axis=(-2, -1))
+    infinite entries before they can reach a solver or make numpy warn.  max |g_ij| is
+    max(max g_ij, -min g_ij), bit for bit, without a copy of the stack."""
+    scale = np.maximum(G.max(axis=(-2, -1)), -G.min(axis=(-2, -1)))
     if not np.all(np.isfinite(scale)):
         raise ValueError("matrix has NaN or infinite entries")
     return np.maximum(scale, 1.0)

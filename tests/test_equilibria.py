@@ -254,6 +254,25 @@ class TestStabilityConditions:
         assert c.lambda2 is None and c.suf_lambda2 is None
         assert c.s == pytest.approx(-0.2)
 
+    def test_lambda2_certificates_fire_on_a_mutated_w(self, monkeypatch):
+        spec = sm.load_scenario(SCENARIOS / "fig1_complete_line.json").spec
+        assert sm.stability_conditions(spec).lambda2 > 0.0  # certified as solved
+        solve = sm.equilibria.left_null_vector
+
+        def mutated(A):
+            w = solve(A)
+            w[3] *= 1.1
+            return w
+
+        monkeypatch.setattr(sm.equilibria, "left_null_vector", mutated)
+        with pytest.raises(sm.ConvergenceError, match=r"^lambda2: left null vector residual "):
+            sm.stability_conditions(spec)
+        # past the residual check, the symmetrized matrix loses its zero eigenvalue
+        monkeypatch.setattr(sm.equilibria, "NULL_VECTOR_TOL", np.inf)
+        with pytest.raises(sm.ConvergenceError,
+                           match=r"^lambda2: smallest eigenvalue -\S+ is not 0 to within "):
+            sm.stability_conditions(spec)
+
     def test_flow_diagonal_equals_exit_rates_at_equilibrium(self):
         rng = np.random.default_rng(37)
         for _ in range(15):

@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -130,6 +131,30 @@ class TestScenarioParsing:
         for path in sorted(SCENARIOS.glob("*.json")):
             scenario = sm.load_scenario(path)
             assert scenario.spec.nm >= 1, path
+
+    @staticmethod
+    def fig1_at_rate(rate):
+        """fig1_complete_line, both layers at ``rate_scale`` rate, stochastic runs off."""
+        doc = read_document(SCENARIOS / "fig1_complete_line.json")
+        return {**doc, "layers": [{**layer, "rate_scale": rate} for layer in doc["layers"]],
+                "stochastic": {**doc["stochastic"], "enabled": False}}
+
+    def test_dt_outside_rk4_stability_is_refused(self, tmp_path, capsys):
+        # dt * 2 * 145 = 2.9 is past RK4_STABILITY: RK4 would leave [0, 1] at
+        # t = 0.87; the document is parsed here, never integrated
+        doc = self.fig1_at_rate(145)
+        with pytest.raises(sm.ScenarioError, match=r"^dt: 0\.01 times twice the largest exit "
+                                                   r"rate 145 is above 2\.785, the edge of RK4"):
+            sm.parse_scenario(doc)
+        out = ["--out", str(tmp_path / "out")]
+        assert_refused_without_writing(doc, "dt: ", tmp_path, capsys,
+                                       [["validate"], ["run", *out], ["analyze", *out]])
+        # at 138 (2.76) it parses; --dt takes the same check
+        stable = self.fig1_at_rate(138)
+        assert sm.parse_scenario(stable).dt == 0.01
+        assert_refused_without_writing(stable, "dt: 0.0102 times", tmp_path, capsys,
+                                       [["validate", "--dt", "0.0102"],
+                                        ["run", "--dt", "0.0102", *out]])
 
     def test_mismatched_beta_length_names_field(self):
         doc = scalar_doc(n=2, m=1, layers=[{"preset": "line", "rate_scale": 0.2}],
@@ -899,6 +924,38 @@ class TestCli:
                 assert np.array_equal(getattr(lane, name), getattr(alone, name)), name
             assert all(np.array_equal(a, b) for a, b in zip(lane.v_per_layer, alone.v_per_layer))
             assert np.array_equal(lane.G, np.diag(lane.b) @ lane.F - np.diag(lane.d) - lane.L)
+
+    @pytest.mark.parametrize("field, values", [("delta", [0.0, 0.1, 0.3, 0.6]),
+                                               ("rate_scale", [0.05, 0.2, 1.0])])
+    def test_threshold_solves_the_stack_its_lanes_were_built_in(self, field, values,
+                                                                monkeypatch):
+        # lanes built together reach the Noda solver as their own G stack; a
+        # reordered, partial or hand-built list is stacked afresh; each list
+        # gets the bits each lane gets alone
+        doc = two_layer_doc()
+        scenario = sm.parse_scenario(doc)
+        points = [parse_point(doc, scenario, field, v) for v in values]
+        alone = [repr(threshold(equilibrium_stack([point]))[0]) for point in points]
+        solved, abscissas = [], sm.equilibria.spectral_abscissas
+
+        def spy(G):
+            solved.append(G)
+            return abscissas(G)
+
+        monkeypatch.setattr(sm.equilibria, "spectral_abscissas", spy)
+        lanes = equilibrium_stack(points)
+        assert [repr(row) for row in threshold(lanes)] == alone
+        assert solved[-1] is lanes.G
+        assert all(np.shares_memory(solved[-1], lane.G) for lane in lanes)
+        hand_built = [sm.equilibria.EquilibriumMatrices(**{
+            f.name: getattr(lane, f.name).copy() if f.name in ("F", "L", "G") else getattr(lane, f.name)
+            for f in fields(lane)}) for lane in lanes]
+        for order, listed in ((range(len(values))[::-1], lanes[::-1]),
+                              (range(1, len(values)), lanes[1:]),
+                              (range(len(values)), list(lanes)),
+                              (range(len(values)), hand_built)):
+            assert [repr(row) for row in threshold(listed)] == [alone[k] for k in order]
+            assert not any(np.shares_memory(solved[-1], lane.G) for lane in lanes)
 
     @pytest.mark.parametrize("lanes", [1, None], ids=["alone", "one_chunk"])
     def test_sweep_lane_failing_the_z_certificate_keeps_its_error_row(self, lanes, tmp_path,

@@ -190,6 +190,16 @@ class TestNodaIteration:
             with pytest.raises(ValueError, match="NaN or infinite"):
                 routine(A)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0])),
+                    min_size=8, max_size=8))
+    def test_scale_is_the_largest_magnitude_bit_for_bit(self, entries):
+        # max(max g, -min g) per lane, without the |G| copy
+        G = np.array(entries).reshape(2, 2, 2)
+        expected = np.maximum(np.max(np.abs(G), axis=(1, 2)), 1.0)
+        assert sm.spectral._scale(G).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("n", [10, 20, 40, 80, 160])
     def test_model_thresholds_never_fall_back(self, n, monkeypatch):
         results = []

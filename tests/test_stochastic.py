@@ -40,8 +40,11 @@ class PinnedUniforms:
         self.binomials.append(self.rng.binomial(n, p))
         return self.binomials[-1]
 
-    def random(self, size):
-        return np.full(size, self.u)
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.full(size, self.u)
+        out.fill(self.u)
+        return out
 
 
 def pinned_oracle(spec, rng: PinnedUniforms, u: float) -> np.ndarray:
