@@ -24,8 +24,8 @@ from .dynamics import integrate, recorded_rows, step_count, write_trajectory_csv
 from .equilibria import classify, equilibrium_stack, threshold
 from .errors import ScenarioError
 from .network import MobilityLayer
-from .scenario import (Scenario, initial_state, parse_point, parse_scenario, read_document,
-                       set_fields)
+from .scenario import (Scenario, check_rk4_step, initial_state, parse_point, parse_scenario,
+                       read_document, set_fields)
 from .stochastic import seed_infections, simulate_seeds, stationary_counts, write_stochastic_csv
 
 
@@ -134,6 +134,7 @@ def _document(args):
 
 def _cmd_validate(args) -> int:
     scenario = parse_scenario(_document(args))
+    check_rk4_step(scenario)
     print(f"scenario {scenario.name!r} is valid "
           f"(n={scenario.spec.n}, m={scenario.spec.m})")
     return 0
@@ -153,6 +154,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_run(args) -> int:
     scenario = parse_scenario(_document(args))
+    check_rk4_step(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []

@@ -198,17 +198,6 @@ def rhs(spec: ModelSpec, state: SystemState):
     return ((dY - np.reshape(state.p, dX.shape) * dX) / Z[0]).ravel(), dX.ravel()
 
 
-def _inside(X, Y, gap, slots, lowest) -> bool:
-    """Whether x > 0 and 0 <= y <= x everywhere: x - y goes into ``gap``, then one
-    reduction over the (3, m n) ``slots`` (x, y and x - y) writes their minima into
-    ``lowest``.  Inside, every p = y / x lies in [0, 1] (IEEE division is monotone,
-    and -0.0 passes both ways), so a step needs no p to be checked.  NaN fails."""
-    np.subtract(X, Y, gap)
-    np.minimum.reduce(slots, 1, None, lowest)
-    x, y, g = lowest.tolist()
-    return x > 0.0 and y >= 0.0 and g >= 0.0
-
-
 def step_count(t_end: float, step: float) -> int:
     """Number of fixed steps of width ``step`` that end exactly at
     ``t_end``.
@@ -245,8 +234,7 @@ def integrate(spec: ModelSpec, initial: SystemState, t_end: float,
     The run takes ``step_count(t_end, dt)`` steps, so it ends exactly
     at t_end, and keeps the steps of ``recorded_rows(steps,
     record_every)`` (the initial state as given).  x must stay
-    positive.  A step that ends ``_inside`` the box forms p only when it is
-    recorded; any other is checked on p.  When p leaves [0, 1] by at most ``CLAMP_TOL``, y is
+    positive.  When p leaves [0, 1] by at most ``CLAMP_TOL``, y is
     clamped into [0, x] in place and the clamped state continues; a
     larger excursion raises :class:`IntegrationError` since the
     continuous flow is invariant and only discretization error should
@@ -259,9 +247,7 @@ def integrate(spec: ModelSpec, initial: SystemState, t_end: float,
     steps = step_count(t_end, dt)
     rows = recorded_rows(steps, record_every)
 
-    state = np.empty((3, spec.m, spec.n))  # x and y (Z), then x - y after each step
-    Z, gap, slots, lowest = state[:2], state[2], state.reshape(3, -1), np.empty(3)
-    Z[...] = _pack(spec, initial.p, initial.x)
+    Z = _pack(spec, initial.p, initial.x)
     S, K = np.empty_like(Z), np.empty((4,) + Z.shape)  # stage input, k1..k4
     work, z, s, twice = _work(spec), _views(Z), _views(S), K[1:3]
     k1, k2, k3, k4 = (_views(k) for k in K)
@@ -282,24 +268,20 @@ def integrate(spec: ModelSpec, initial: SystemState, t_end: float,
         np.multiply(sixth, S, S)
         np.add(Z, S, Z)
 
-        inside = _inside(X, Y, gap, slots, lowest)
-        if not inside:
-            if not float(lowest[0]) > 0.0:  # the smallest x; also catches NaN
-                raise IntegrationError(
-                    f"x became nonpositive at t={float(initial.t) + k * dt:.6g}; reduce dt")
-            np.divide(Y, X, P)
-            overshoot = max(-float(np.minimum.reduce(P, None)),
-                            float(np.maximum.reduce(P, None)) - 1.0, 0.0)
-            if not overshoot <= CLAMP_TOL:
-                raise IntegrationError(f"p left [0,1] by {overshoot:.3e} at "
-                                       f"t={float(initial.t) + k * dt:.6g}; reduce dt")
-            if overshoot > 0.0:
-                np.clip(Y, 0.0, X, out=Y)
-                np.clip(P, 0.0, 1.0, out=P)
+        if not float(np.minimum.reduce(X, None)) > 0.0:  # also catches NaN
+            raise IntegrationError(
+                f"x became nonpositive at t={float(initial.t) + k * dt:.6g}; reduce dt")
+        np.divide(Y, X, P)
+        overshoot = max(-float(np.minimum.reduce(P, None)),
+                        float(np.maximum.reduce(P, None)) - 1.0, 0.0)
+        if not overshoot <= CLAMP_TOL:
+            raise IntegrationError(f"p left [0,1] by {overshoot:.3e} at "
+                                   f"t={float(initial.t) + k * dt:.6g}; reduce dt")
+        if overshoot > 0.0:
+            np.clip(Y, 0.0, X, out=Y)
+            np.clip(P, 0.0, 1.0, out=P)
 
         if k == wanted[row]:
-            if inside:
-                np.divide(Y, X, P)
             ps[row], xs[row] = P.ravel(), X.ravel()
             row += 1
 

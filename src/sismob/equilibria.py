@@ -137,15 +137,18 @@ def equilibrium_matrices(spec: ModelSpec) -> EquilibriumMatrices:
     """Validate all layers (through their stationary laws), then build the
     DFE linearization from F*, L* and M, which the network assembles once
     for all its specs."""
-    return equilibrium_stack([(spec.net, spec.beta, spec.delta)])[0]
+    return equilibrium_stack([(spec.net, spec.beta, spec.delta)]).lanes[0]
 
 
-class EquilibriumStack(tuple):
-    """EquilibriumMatrices built together, whose G are the lanes of one (K, nm, nm)
-    array ``G``.  A tuple cannot be reordered in place, and a slice of it is a plain
-    tuple, so ``threshold`` may solve ``G`` itself."""
+@dataclass(frozen=True, eq=False)
+class EquilibriumStack:
+    """The EquilibriumMatrices of lanes built together: lane k's G, b and d are
+    G[k], b[k] and d[k] of one (K, nm, nm) and two (K, nm) arrays."""
 
+    lanes: tuple               # of EquilibriumMatrices
     G: np.ndarray
+    b: np.ndarray
+    d: np.ndarray
 
 
 def equilibrium_stack(points) -> EquilibriumStack:
@@ -160,38 +163,30 @@ def equilibrium_stack(points) -> EquilibriumStack:
     diagonal = np.arange(G.shape[-1])
     G[:, diagonal, diagonal] -= d
     G -= L
-    lanes = EquilibriumStack(
-        EquilibriumMatrices(v=net.stationary.v, v_per_layer=net.stationary.v_per_layer,
-                            F=net.assembled.F, L=net.assembled.L, M=net.assembled.M,
-                            b=b[k], d=d[k], G=G[k]) for k, net in enumerate(nets))
-    lanes.G = G
-    return lanes
+    lanes = tuple(EquilibriumMatrices(v=net.stationary.v, v_per_layer=net.stationary.v_per_layer,
+                                      F=net.assembled.F, L=net.assembled.L, M=net.assembled.M,
+                                      b=b[k], d=d[k], G=G[k]) for k, net in enumerate(nets))
+    return EquilibriumStack(lanes=lanes, G=G, b=b, d=d)
 
 
-def threshold(points) -> list:
-    """Threshold quantities (mu, R0, classification) of each instance in
-    ``points``, EquilibriumMatrices of one n and m solved as one stack: the
-    one they were built in when ``points`` is an ``EquilibriumStack``.
+def threshold(stack: EquilibriumStack) -> list:
+    """Threshold quantities (mu, R0, classification) of each lane of ``stack``,
+    solved on its G stack as it was built.
 
     mu is the spectral abscissa of the DFE linearization, R0 the spectral
     radius of V Z with (L* + D) Z = B U (None when no recovery rate is
     positive), and the disease-free state counts as stable when mu <=
-    MU_TIE_TOL.  Each instance gets the bits it gets alone.  A Z whose
+    MU_TIE_TOL.  Each lane gets the bits it gets alone.  A Z whose
     relative backward error exceeds Z_SOLVE_TOL raises ``ConvergenceError``."""
-    G = points.G if isinstance(points, EquilibriumStack) else np.stack([m.G for m in points])
-    mu = [res.mu for res in spectral_abscissas(G)]
-    R0, d = {}, np.array([mats.d for mats in points])
-    lanes = np.flatnonzero(np.any(d > 0, axis=1))  # else L* singular
-    if lanes.size:
-        first, K = points[lanes[0]], len(lanes)
-        nm, n = d.shape[1], len(first.v_per_layer[0])
-        # lanes of one network (every beta/delta chunk) share L* and V = F*[:n]
-        one = all(points[k].L is first.L and points[k].F is first.F for k in lanes)
-        LD = np.repeat(first.L[None], K, axis=0) if one else np.stack([points[k].L for k in lanes])
-        LD[:, np.arange(nm), np.arange(nm)] += d[lanes]
-        BU = np.zeros((K, nm, n))  # U's stacked identities times B
-        BU[:, np.arange(nm), np.arange(nm) % n] = [points[k].b for k in lanes]
-        V = first.F[:n] if one else np.stack([points[k].F[:n] for k in lanes])
+    mu = [res.mu for res in spectral_abscissas(stack.G)]
+    R0, recovering = {}, np.flatnonzero(np.any(stack.d > 0, axis=1))  # else L* singular
+    if recovering.size:
+        nm, n = stack.d.shape[1], len(stack.lanes[0].v_per_layer[0])
+        LD = np.stack([stack.lanes[k].L for k in recovering])
+        LD[:, np.arange(nm), np.arange(nm)] += stack.d[recovering]
+        BU = np.zeros((len(recovering), nm, n))  # U's stacked identities times B
+        BU[:, np.arange(nm), np.arange(nm) % n] = stack.b[recovering]
+        V = np.stack([stack.lanes[k].F[:n] for k in recovering])
         Z = np.linalg.solve(LD, BU)
         VZ = V @ Z
         R = LD @ Z
@@ -201,7 +196,7 @@ def threshold(points) -> list:
         if not np.all((error := r / (ld * z + bu)) <= Z_SOLVE_TOL):  # NaN fails too
             raise ConvergenceError(f"(L* + D) Z = B U solve: relative backward error "
                                    f"{error.max():.3e} above {Z_SOLVE_TOL}")
-        R0 = dict(zip(lanes.tolist(), [res.rho for res in spectral_radii(VZ)]))
+        R0 = dict(zip(recovering.tolist(), [res.rho for res in spectral_radii(VZ)]))
     return [(x, R0.get(k), DFE_UNSTABLE if x > MU_TIE_TOL else DFE_STABLE)
             for k, x in enumerate(mu)]
 
@@ -350,8 +345,8 @@ def classify(spec: ModelSpec) -> EquilibriumReport:
     MU_TIE_TOL of zero is flagged marginal (and classified stable, since
     the disease-free state is stable exactly at the threshold).
     """
-    lanes = equilibrium_stack([(spec.net, spec.beta, spec.delta)])
-    mats, (mu, R0, classification) = lanes[0], threshold(lanes)[0]
+    stack = equilibrium_stack([(spec.net, spec.beta, spec.delta)])
+    mats, (mu, R0, classification) = stack.lanes[0], threshold(stack)[0]
 
     marginal = abs(mu) <= MU_TIE_TOL
     p_star = None

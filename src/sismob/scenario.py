@@ -327,10 +327,9 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
     # rounding moves the threshold by about eps times the largest exit rate,
     # which is minus the smallest entry of a layer's generator
     nu_max = MU_TIE_TOL / sys.float_info.epsilon
-    exit_rates = (-net.Q.min(axis=(1, 2))).tolist()
-    for k, nu in enumerate(exit_rates):
-        if nu > nu_max:
-            raise ScenarioError(f"layers[{k}]: largest exit rate {nu:.6g} is above "
+    for k, q_min in enumerate(net.Q.min(axis=(1, 2)).tolist()):
+        if -q_min > nu_max:
+            raise ScenarioError(f"layers[{k}]: largest exit rate {-q_min:.6g} is above "
                                 f"{nu_max:.6g}, where rounding can move the threshold mu by "
                                 f"more than its tie tolerance {MU_TIE_TOL}")
 
@@ -353,9 +352,6 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
     dt = _as_number(doc["dt"], "dt")
     if dt <= 0:
         raise ScenarioError(f"dt: must be positive, got {dt}")
-    if dt * 2.0 * max(exit_rates) > RK4_STABILITY:
-        raise ScenarioError(f"dt: {dt} times twice the largest exit rate {max(exit_rates):.6g} "
-                            f"is above {RK4_STABILITY}, the edge of RK4's stability region")
     sample_every = _as_positive_int(doc["sample_every"], "sample_every")
 
     sto = {**_DEFAULTS["stochastic"],
@@ -405,6 +401,17 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
     return Scenario(name=name, spec=spec, p0=p0, x0=x0, t_end=t_end, dt=dt,
                     sample_every=sample_every, stochastic_enabled=enabled, h=h,
                     seeds=list(seeds), explicit=explicit)
+
+
+def check_rk4_step(scenario: Scenario):
+    """Refuse, naming ``dt``, a step outside RK4's stability region for the
+    mobility: dt times twice the largest exit rate above RK4_STABILITY.  Only
+    ``run`` steps RK4, and ``validate`` answers for ``run``; the threshold
+    commands (``analyze``, ``sweep``) take no step and do not check."""
+    nu = float(-scenario.spec.net.Q.min())
+    if scenario.dt * 2.0 * nu > RK4_STABILITY:
+        raise ScenarioError(f"dt: {scenario.dt} times twice the largest exit rate {nu:.6g} "
+                            f"is above {RK4_STABILITY}, the edge of RK4's stability region")
 
 
 def initial_state(scenario: Scenario) -> SystemState:

@@ -185,12 +185,12 @@ def _lanes(spec: ModelSpec, counts: AgentCounts, h: float, rngs,
         # Empty cells draw no leavers, so empty nodes are safe.
         for s, rng in enumerate(rngs):
             leavers[s] = rng.binomial(x[s], p_leave)
-        drawn = np.add.reduce(by_lane, 1).tolist()  # leavers per lane
-        search, lo = np.empty(sum(drawn)), 0
+        search = np.repeat(offsets, by_lane.ravel())
+        drawn = by_lane.sum(axis=1).tolist()  # leavers per lane
+        lo = 0
         for rng, size in zip(rngs, drawn):
-            rng.random(out=search[lo:lo + size])
+            search[lo:lo + size] += rng.random(size)
             lo += size
-        search += np.repeat(offsets, by_lane.ravel())  # u + 2c, the bits of 2c + u
         dest = dest_of[np.searchsorted(keys, search)]
         dest += np.repeat(lane_base, drawn)
         np.subtract(x, leavers, out=nxt)
@@ -200,7 +200,7 @@ def _lanes(spec: ModelSpec, counts: AgentCounts, h: float, rngs,
         # among the susceptible, row 1 recoveries among the infected, with
         # infection p = (beta * pbar) * h.  An empty node has no infected,
         # so its pbar is 0 / 1.
-        by_node = np.add.reduce(nxt, 2)
+        by_node = nxt.sum(axis=2)
         pbar = by_node[:, 1] / np.maximum(by_node[:, 0] + by_node[:, 1], 1)
         np.multiply(spec.beta * pbar, h, out=p_infect)
         for s, rng in enumerate(rngs):

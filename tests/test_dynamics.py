@@ -411,74 +411,13 @@ class TestBufferedStep:
         assert_trajectory_invariants(spec, sm.integrate(spec, initial, 1.0, dt=0.01))
 
 
-def todays_check(X, Y):
-    """The per-step check integrate runs outside the box: "refuse" when some x
-    is not positive, else the overshoot of p = y / x out of [0, 1] (NaN refuses
-    too, through ``not overshoot <= CLAMP_TOL``)."""
-    if not float(np.minimum.reduce(X, None)) > 0.0:
-        return "refuse"
-    P = Y / X
-    return max(-float(np.minimum.reduce(P, None)), float(np.maximum.reduce(P, None)) - 1.0, 0.0)
-
-
-# zeros of both signs, subnormals, the smallest normal, the neighbours of 1,
-# the largest finite, infinities and NaN
-EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0,
-               np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 0.5, 3.0, -1.0, 1e308,
-               np.inf, -np.inf, np.nan]
-cells = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_subnormal=True))
-
-
-@st.composite
-def box_states(draw):
-    """(x, y) rows of equal length: y equal to x, one ulp above or below it
-    (so y / x may round to 1), a fraction of it, or drawn on its own."""
-    size = draw(st.integers(1, 5))
-    X = np.array(draw(st.lists(cells, min_size=size, max_size=size)))
-    how = draw(st.sampled_from(["equal", "above", "below", "fraction", "free"]))
-    if how == "free":
-        Y = np.array(draw(st.lists(cells, min_size=size, max_size=size)))
-    elif how == "equal":
-        Y = X.copy()
-    else:
-        fraction = draw(st.floats(0.0, 1.0))
-        with np.errstate(all="ignore"):  # inf * 0, and the largest finite stepping to inf
-            Y = (X * fraction if how == "fraction"
-                 else np.nextafter(X, np.inf if how == "above" else -np.inf))
-    if draw(st.booleans()):  # one entry from anywhere
-        Y[draw(st.integers(0, size - 1))] = draw(cells)
-    return X, Y
-
-
 def rk4_amplification(z):
     """|R(z)| with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: RK4's growth per step
     of a mode whose eigenvalue times dt is z."""
     return np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
 
 
-class TestStepChecks:
-    @settings(max_examples=400, deadline=None)
-    @given(box_states())
-    def test_the_quick_check_skips_no_step_todays_check_clamps_or_refuses(self, xy):
-        X, Y = xy
-        state = np.stack((X, Y, np.empty_like(X)))[:, None, :]  # integrate's (3, m, n) layout
-        with np.errstate(all="ignore"):
-            inside = dynamics._inside(state[0], state[1], state[2], state.reshape(3, -1),
-                                      np.empty(3))
-            today = todays_check(X, Y)
-        if inside:
-            assert today == 0.0, (X, Y, today)  # neither clamped nor refused
-        assert state[0, 0].tobytes() == X.tobytes() and state[1, 0].tobytes() == Y.tobytes()
-
-    def test_the_quick_check_takes_the_box_with_its_edges(self):
-        X = np.array([1.0, 2.0, 5e-324, 3.0])
-        lowest = np.empty(3)
-        for Y, inside in (([0.0, -0.0, 5e-324, 3.0], True),  # y = 0, -0.0 and y = x
-                          ([0.5, np.nextafter(2.0, 3.0), 0.0, 1.0], False),  # y just above x
-                          ([0.5, 1.0, 0.0, np.nan], False), ([-5e-324, 1.0, 0.0, 1.0], False)):
-            state = np.stack((X, Y, np.empty(4)))[:, None, :]
-            assert dynamics._inside(*state, state.reshape(3, -1), lowest) is inside, Y
-
+class TestRK4Stability:
     def test_rk4_is_stable_on_the_disc_of_diameter_rk4_stability(self):
         # the disc |z + r| <= r, r = RK4_STABILITY / 2, holds dt times every
         # eigenvalue of a generator with dt * 2 * (largest exit rate) <= RK4_STABILITY
@@ -490,7 +429,7 @@ class TestStepChecks:
     @pytest.mark.parametrize("seed", range(20))
     def test_non_reversible_generators_step_stably_at_the_bound(self, seed):
         # a directed random layer's spectrum is complex; at the largest dt the
-        # parser accepts, no mode grows
+        # run accepts, no mode grows
         Q = random_layer(np.random.default_rng(seed), 2 + seed).Q
         dt = dynamics.RK4_STABILITY / (2.0 * float(-np.diag(Q).min()))
         assert rk4_amplification(dt * np.linalg.eigvals(Q)).max() <= 1.0 + 1e-12

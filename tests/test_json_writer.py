@@ -126,9 +126,8 @@ AWKWARD = [0.1 + 0.2, 3, 1e-7, 2**-30, 12345.678, 0.5]
                                                  2 * JSON_BLOCK, 3 * JSON_BLOCK + 7})),
 ], ids=lambda v: v if isinstance(v, int) else next(iter(v)))
 def test_manifest_layers_match_their_listing(n, layer):
-    # dt inside RK4's stability region at the awkward rate 12345.678
     doc = {"name": "layers", "n": n, "m": 2, "layers": [layer, {"preset": "ring"}],
-           "beta": 0.3, "delta": 0.1, "N": [1000, 500], "dt": 1e-4}
+           "beta": 0.3, "delta": 0.1, "N": [1000, 500]}
     scenario = sm.parse_scenario(doc)
     manifest = _manifest(scenario, "analyze", ["layers_analysis.json"])
     assert_same_text(written(manifest), reference({**manifest, "scenario": scenario.resolved}))

@@ -51,7 +51,8 @@ def pointwise_rows(argv):
     for idx, value in enumerate(values):
         try:
             point = sm.parse_scenario(set_fields(doc, **{field: float(value)}))
-            mu, r0, cls = sm.equilibria.threshold([sm.equilibrium_matrices(point.spec)])[0]
+            spec = point.spec
+            mu, r0, cls = threshold(equilibrium_stack([(spec.net, spec.beta, spec.delta)]))[0]
         except (ValueError, RuntimeError) as exc:
             rows.append(f"{idx},{value:.17g},,,,\"{type(exc).__name__}: {exc}\"")
             continue
@@ -139,22 +140,34 @@ class TestScenarioParsing:
         return {**doc, "layers": [{**layer, "rate_scale": rate} for layer in doc["layers"]],
                 "stochastic": {**doc["stochastic"], "enabled": False}}
 
-    def test_dt_outside_rk4_stability_is_refused(self, tmp_path, capsys):
+    def test_dt_outside_rk4_stability_is_refused_by_run_and_validate(self, tmp_path, capsys):
         # dt * 2 * 145 = 2.9 is past RK4_STABILITY: RK4 would leave [0, 1] at
         # t = 0.87; the document is parsed here, never integrated
         doc = self.fig1_at_rate(145)
+        scenario = sm.parse_scenario(doc)
         with pytest.raises(sm.ScenarioError, match=r"^dt: 0\.01 times twice the largest exit "
                                                    r"rate 145 is above 2\.785, the edge of RK4"):
-            sm.parse_scenario(doc)
+            sm.scenario.check_rk4_step(scenario)
         out = ["--out", str(tmp_path / "out")]
         assert_refused_without_writing(doc, "dt: ", tmp_path, capsys,
-                                       [["validate"], ["run", *out], ["analyze", *out]])
-        # at 138 (2.76) it parses; --dt takes the same check
+                                       [["validate"], ["run", *out]])
+        # at 138 (2.76) it passes; --dt takes the same check
         stable = self.fig1_at_rate(138)
-        assert sm.parse_scenario(stable).dt == 0.01
-        assert_refused_without_writing(stable, "dt: 0.0102 times", tmp_path, capsys,
-                                       [["validate", "--dt", "0.0102"],
-                                        ["run", "--dt", "0.0102", *out]])
+        sm.scenario.check_rk4_step(sm.parse_scenario(stable))
+        assert_refused_without_writing(stable, "dt: 0.0125 times", tmp_path, capsys,
+                                       [["validate", "--dt", "0.0125"],
+                                        ["run", "--dt", "0.0125", *out]])
+
+    def test_threshold_commands_take_no_step_and_keep_high_mobility(self, tmp_path):
+        # analyze and a rate_scale sweep past the RK4 bound still give mu and R0
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(self.fig1_at_rate(145)))
+        out = str(tmp_path / "out")
+        assert main(["analyze", "--scenario", str(path), "--out", out]) == 0
+        assert main(["sweep", "--scenario", str(path), "--out", out,
+                     "--grid", "rate_scale=100:1000:3"]) == 0
+        rows = (tmp_path / "out" / "fig1_complete_line_sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 and all(row.endswith(",") for row in rows), rows
 
     def test_mismatched_beta_length_names_field(self):
         doc = scalar_doc(n=2, m=1, layers=[{"preset": "line", "rate_scale": 0.2}],
@@ -746,9 +759,9 @@ class TestCli:
         # a full parse of its own point gives; each chunk is one stacked call
         calls = []
 
-        def recording(points):
-            calls.append(len(points))
-            return threshold(points)
+        def recording(stack):
+            calls.append(len(stack.lanes))
+            return threshold(stack)
 
         monkeypatch.setattr("sismob.cli.threshold", recording)
         if lanes:
@@ -917,7 +930,7 @@ class TestCli:
         # equilibrium_matrices gives a full parse of its own point
         scenario = sm.parse_scenario(doc)
         lanes = equilibrium_stack([parse_point(doc, scenario, field, v) for v in values])
-        for value, lane in zip(values, lanes):
+        for value, lane in zip(values, lanes.lanes):
             alone = sm.equilibrium_matrices(
                 sm.parse_scenario(set_fields(doc, **{field: value})).spec)
             for name in ("G", "BF", "b", "d", "F", "L", "M", "v"):
@@ -929,9 +942,8 @@ class TestCli:
                                                ("rate_scale", [0.05, 0.2, 1.0])])
     def test_threshold_solves_the_stack_its_lanes_were_built_in(self, field, values,
                                                                 monkeypatch):
-        # lanes built together reach the Noda solver as their own G stack; a
-        # reordered, partial or hand-built list is stacked afresh; each list
-        # gets the bits each lane gets alone
+        # a chunk's G stack reaches the Noda solver as built, not copied; lanes
+        # stacked in another order get, in that order, the bits each gets alone
         doc = two_layer_doc()
         scenario = sm.parse_scenario(doc)
         points = [parse_point(doc, scenario, field, v) for v in values]
@@ -943,19 +955,11 @@ class TestCli:
             return abscissas(G)
 
         monkeypatch.setattr(sm.equilibria, "spectral_abscissas", spy)
-        lanes = equilibrium_stack(points)
-        assert [repr(row) for row in threshold(lanes)] == alone
-        assert solved[-1] is lanes.G
-        assert all(np.shares_memory(solved[-1], lane.G) for lane in lanes)
-        hand_built = [sm.equilibria.EquilibriumMatrices(**{
-            f.name: getattr(lane, f.name).copy() if f.name in ("F", "L", "G") else getattr(lane, f.name)
-            for f in fields(lane)}) for lane in lanes]
-        for order, listed in ((range(len(values))[::-1], lanes[::-1]),
-                              (range(1, len(values)), lanes[1:]),
-                              (range(len(values)), list(lanes)),
-                              (range(len(values)), hand_built)):
-            assert [repr(row) for row in threshold(listed)] == [alone[k] for k in order]
-            assert not any(np.shares_memory(solved[-1], lane.G) for lane in lanes)
+        stack = equilibrium_stack(points)
+        assert [repr(row) for row in threshold(stack)] == alone
+        assert solved[-1] is stack.G
+        assert all(np.shares_memory(solved[-1], lane.G) for lane in stack.lanes)
+        assert [repr(row) for row in threshold(equilibrium_stack(points[::-1]))] == alone[::-1]
 
     @pytest.mark.parametrize("lanes", [1, None], ids=["alone", "one_chunk"])
     def test_sweep_lane_failing_the_z_certificate_keeps_its_error_row(self, lanes, tmp_path,

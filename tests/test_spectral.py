@@ -224,7 +224,9 @@ class TestNodaIteration:
             docs += [sm.scenario.read_document(path)
                      for path in sorted(SCENARIOS.glob("*.json"))]
         for doc in docs:
-            sm.equilibria.threshold([sm.equilibrium_matrices(sm.parse_scenario(doc).spec)])
+            spec = sm.parse_scenario(doc).spec
+            sm.equilibria.threshold(sm.equilibria.equilibrium_stack([(spec.net, spec.beta,
+                                                                      spec.delta)]))
         assert len(results) > len(docs)
         for res in results:
             assert res.converged, res
@@ -280,16 +282,19 @@ class TestStackedNoda:
         other = {**doc, "layers": [{"preset": "star", "rate_scale": 0.3},
                                    {"mh": {"graph": "ring", "target": "uniform"}}]}
         scenario = sm.parse_scenario(doc)
-        specs = ([sm.ModelSpec(*parse_point(doc, scenario, "rate_scale", r)) for r in (0.05, 0.2, 1.0)]
-                 + [sm.ModelSpec(*parse_point(doc, scenario, "delta", d)) for d in (0.0, 0.3, 0.6)]
-                 + [sm.parse_scenario(other).spec])
-        mats = [sm.equilibrium_matrices(spec) for spec in specs]
+        spec = sm.parse_scenario(other).spec
+        points = ([parse_point(doc, scenario, "rate_scale", r) for r in (0.05, 0.2, 1.0)]
+                  + [parse_point(doc, scenario, "delta", d) for d in (0.0, 0.3, 0.6)]
+                  + [(spec.net, spec.beta, spec.delta)])
+        stack = sm.equilibria.equilibrium_stack(points)
+        mats = stack.lanes
         assert len({m.L.tobytes() for m in mats[:3]} | {mats[-1].L.tobytes()}) == 4
         assert not np.array_equal(mats[0].F, mats[-1].F)
-        alone = [repr(sm.equilibria.threshold([m])[0]) for m in mats]
-        assert [repr(row) for row in sm.equilibria.threshold(mats)] == alone
-        assert [repr(row) for row in sm.equilibria.threshold(mats[::-1])] == alone[::-1]
-        for m, (mu, r0, _) in zip(mats, sm.equilibria.threshold(mats)):
+        threshold, stacked = sm.equilibria.threshold, sm.equilibria.equilibrium_stack
+        alone = [repr(threshold(stacked([point]))[0]) for point in points]
+        assert [repr(row) for row in threshold(stack)] == alone
+        assert [repr(row) for row in threshold(stacked(points[::-1]))] == alone[::-1]
+        for m, (mu, r0, _) in zip(mats, threshold(stack)):
             assert mu == pytest.approx(np.max(np.linalg.eigvals(m.G).real), abs=1e-12)
             if not np.any(m.d > 0):
                 assert r0 is None

@@ -40,11 +40,8 @@ class PinnedUniforms:
         self.binomials.append(self.rng.binomial(n, p))
         return self.binomials[-1]
 
-    def random(self, size=None, out=None):
-        if out is None:
-            return np.full(size, self.u)
-        out.fill(self.u)
-        return out
+    def random(self, size):
+        return np.full(size, self.u)
 
 
 def pinned_oracle(spec, rng: PinnedUniforms, u: float) -> np.ndarray:
