@@ -128,6 +128,14 @@ class MultiLayerNetwork:
         return _frozen_array([layer.Q for layer in self.layers])
 
     @cached_property
+    def moves(self) -> tuple:
+        """Read-only (m, n, n) positive off-diagonal rates of every Q^a, the
+        ones a stochastic step moves individuals with, and their row-wise
+        cumulative sums, whose last column is the leave rate nu^a_i."""
+        rates = np.where((self.Q > 0) & ~np.eye(self.n, dtype=bool), self.Q, 0.0)
+        return _frozen_array(rates), _frozen_array(np.cumsum(rates, axis=2))
+
+    @cached_property
     def stationary(self) -> StationaryDistribution:
         """Per-layer laws and stacked populations, computed once per
         network from the layers' certified laws."""

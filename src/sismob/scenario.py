@@ -32,11 +32,11 @@ Layer specs come in three forms::
     {"mh": {"graph": preset, "target": "uniform"|[n values], "rate_scale": nu}}
 
 Every object but ``delta_rule`` (free-form provenance) refuses a key it
-does not know, naming its path.  A parse runs three stages: the network,
-the rates (``beta``, ``delta``, ``delta_rule``), then the network's own
-checks and every setting.  Only this module edits documents: ``set_fields``
-sets the CLI overrides and a sweep point's value, and ``parse_point`` parses
-a sweep point, a ``beta`` or ``delta`` one through the rates stage alone.
+does not know, naming its path.  A parse runs three stages: the network
+(its own bounds last), the rates (``beta``, ``delta``, ``delta_rule``), then
+every setting.  Only this module edits documents: ``set_fields`` sets the
+CLI overrides and a sweep point's value, and ``parse_point`` runs a sweep
+point through the stages its field reaches.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .errors import (MalformedGeneratorError, NotStronglyConnectedError, Scenari
                      StepSizeError)
 from .network import (MobilityLayer, MultiLayerNetwork, layer_from_edge_rates,
                       metropolis_hastings_rates, network_stationary, preset_layer)
-from .stochastic import _check_step_size, _moves
+from .stochastic import _check_step_size
 
 _DEFAULTS = {
     "t_end": 50.0,
@@ -75,6 +75,13 @@ _LAYER_KEYS = {"preset": ("preset", "rate_scale", "rates"), "edges": ("edges",),
 # a stochastic document may ask for; a step holds about 40 bytes of
 # routing scratch per leaver
 MAX_LEAVERS = 10**6
+# largest n * m, refused before any layer is built: an nm x nm analysis
+# matrix is then 8 MiB, and a complete preset has under 2**20 edges
+MAX_NM = 1024
+# largest sum of N, and of an explicit x0, over every class and node:
+# about 1.07e301, so every node total stays 2**24 below the float maximum,
+# room for RK4's stage sums
+MAX_POPULATION = 2.0**1000
 
 
 @dataclass
@@ -231,24 +238,22 @@ def set_fields(doc, **fields):
 
 def parse_point(doc: dict, scenario: Scenario, field: str, value):
     """(network, beta, delta) of ``doc`` (parsed as ``scenario``) with ``field`` set to
-    ``value``.  A ``beta`` or ``delta`` point parses only its rates, on the parsed network,
-    and checks ``stochastic.h`` against them when stochastic runs are on: the network and
-    the settings are already checked.  Any other point (``rate_scale``) is parsed in full."""
+    ``value``.  A point runs the stages its field reaches: a ``rate_scale`` point builds
+    its own network, a ``beta`` or ``delta`` point shares the parsed one; each then parses
+    its rates and, when stochastic runs are on, checks the stochastic bounds.  The settings
+    were checked once, in the parse of ``doc``."""
     point = set_fields(doc, **{field: value})
-    if field not in ("beta", "delta"):
-        spec = parse_scenario(point).spec
-        return spec.net, spec.beta, spec.delta
-    net = scenario.spec.net
+    net = _parse_network(point) if field == "rate_scale" else scenario.spec.net
     beta, delta, _ = _parse_rates(point, net)
     if scenario.stochastic_enabled:
-        _step_size(scenario.h, None, beta, delta)
+        _stochastic_bounds(net, scenario.h, beta, delta)
     return net, beta, delta
 
 
 def _parse_network(doc) -> MultiLayerNetwork:
     """First stage of ``parse_scenario``: the document's fields, ``name``
     (a file-name stem, since outputs are named after it), ``n``, ``m``,
-    each layer (certified once) and ``N``."""
+    each layer (certified once), ``N``, then the exit-rate bound."""
     _object(doc, "", _TOP_KEYS)
     name = _require(doc, "name")
     if (not isinstance(name, str) or name in ("", ".", "..")
@@ -257,6 +262,8 @@ def _parse_network(doc) -> MultiLayerNetwork:
                             f"and '..', without '/', '\\' or NUL), got {name!r}")
     n = _as_positive_int(_require(doc, "n"), "n")
     m = _as_positive_int(_require(doc, "m"), "m")
+    if n * m > MAX_NM:
+        raise ScenarioError(f"n: n * m = {n * m} is above MAX_NM = {MAX_NM}")
 
     layers_doc = _require(doc, "layers")
     if not isinstance(layers_doc, list) or len(layers_doc) != m:
@@ -271,7 +278,25 @@ def _parse_network(doc) -> MultiLayerNetwork:
     N = _as_vector(_require(doc, "N"), m, "N")
     if np.any(N <= 0):
         raise ScenarioError("N: class populations must be positive")
-    return MultiLayerNetwork(layers=tuple(layers), N=N)
+    _check_total(N, "N")
+    net = MultiLayerNetwork(layers=tuple(layers), N=N)
+
+    # rounding moves the threshold by about eps times the largest exit rate,
+    # which is minus the smallest entry of a layer's generator
+    nu_max = MU_TIE_TOL / sys.float_info.epsilon
+    for k, q_min in enumerate(net.Q.min(axis=(1, 2)).tolist()):
+        if -q_min > nu_max:
+            raise ScenarioError(f"layers[{k}]: largest exit rate {-q_min:.6g} is above "
+                                f"{nu_max:.6g}, where rounding can move the threshold mu by "
+                                f"more than its tie tolerance {MU_TIE_TOL}")
+    return net
+
+
+def _check_total(populations: np.ndarray, field: str):
+    """Refuse populations summing to more than MAX_POPULATION, named ``field``."""
+    if (populations / MAX_POPULATION).sum() > 1.0:  # scaled, so the sum cannot overflow
+        raise ScenarioError(f"{field}: populations sum to more than MAX_POPULATION = 2**1000, "
+                            "where node totals leave no room for RK4's stage sums")
 
 
 def _parse_rates(doc: dict, net: MultiLayerNetwork):
@@ -308,31 +333,26 @@ def _parse_rates(doc: dict, net: MultiLayerNetwork):
     return beta, delta, delta_rule
 
 
-def _step_size(h: float, max_nu: float | None, beta, delta):
-    """``stochastic._check_step_size``, its refusal named ``stochastic.h``."""
+def _stochastic_bounds(net: MultiLayerNetwork, h: float, beta, delta):
+    """``stochastic._check_step_size`` on the largest leave, infection and recovery
+    rates, named ``stochastic.h``, then ``N`` against the MAX_LEAVERS bound."""
+    max_nu = float(net.moves[1][:, :, -1].max())
     try:
         _check_step_size(h, max_nu, beta, delta)
     except StepSizeError as exc:
         raise ScenarioError(f"stochastic.h: {exc}") from None
+    if (leavers := h * max_nu * net.N.sum()) > MAX_LEAVERS:
+        raise ScenarioError(f"N: a stochastic step expects {leavers:.4g} leavers per seed "
+                            f"(h * largest exit rate * sum(N)), above {MAX_LEAVERS}")
 
 
 def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
-    """Second stage of ``parse_scenario``: the rates, then the network's own
-    checks and every setting, none of which a rate changes."""
+    """Second stage of ``parse_scenario``: the rates, then every setting, with
+    the stochastic bounds where ``t_end`` and ``h`` are checked."""
     beta, delta, delta_rule = _parse_rates(doc, net)
     doc = {**_DEFAULTS, **doc}
     name = doc["name"]
     n, m, N = net.n, net.m, net.N
-
-    # rounding moves the threshold by about eps times the largest exit rate,
-    # which is minus the smallest entry of a layer's generator
-    nu_max = MU_TIE_TOL / sys.float_info.epsilon
-    for k, q_min in enumerate(net.Q.min(axis=(1, 2)).tolist()):
-        if -q_min > nu_max:
-            raise ScenarioError(f"layers[{k}]: largest exit rate {-q_min:.6g} is above "
-                                f"{nu_max:.6g}, where rounding can move the threshold mu by "
-                                f"more than its tie tolerance {MU_TIE_TOL}")
-
     spec = ModelSpec(net=net, beta=beta, delta=delta)
 
     p0 = _as_vector(doc["p0"], n * m, "p0")
@@ -347,6 +367,7 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
         x0 = _as_vector(doc["x0"], n * m, "x0")
         if np.any(x0 <= 0):
             raise ScenarioError("x0: populations must be positive")
+        _check_total(x0, "x0")
 
     t_end = _as_number(doc["t_end"], "t_end")
     dt = _as_number(doc["dt"], "dt")
@@ -377,11 +398,7 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"t_end: {exc}") from None
     if enabled:
-        max_nu = float(_moves(spec)[1][:, :, -1].max())
-        _step_size(h, max_nu, beta, delta)
-        if (leavers := h * max_nu * N.sum()) > MAX_LEAVERS:
-            raise ScenarioError(f"N: a stochastic step expects {leavers:.4g} leavers per seed "
-                                f"(h * largest exit rate * sum(N)), above {MAX_LEAVERS}")
+        _stochastic_bounds(net, h, beta, delta)
 
     output_dir = doc["output_dir"]
     if not isinstance(output_dir, str):

@@ -106,25 +106,15 @@ class StochasticRun:
         return _fractions(self.s, self.i)
 
 
-def _moves(spec: ModelSpec):
-    """(m, n, n) positive off-diagonal rates of every Q^a, the ones a step
-    moves individuals with, and their row-wise cumulative sums, whose
-    last column is the leave rate nu^a_i."""
-    Q = spec.net.Q
-    rates = np.where((Q > 0) & ~np.eye(spec.n, dtype=bool), Q, 0.0)
-    return rates, np.cumsum(rates, axis=2)
-
-
-def _check_step_size(h: float, max_nu: float | None, beta, delta):
+def _check_step_size(h: float, max_nu: float, beta, delta):
     """Refuse an h whose step probabilities reach 1: h times the largest
-    exit rate ``max_nu`` (None on a network already checked), infection
-    rate or recovery rate, in that order."""
+    exit rate ``max_nu``, infection rate or recovery rate, in that order."""
     if h < 0:
         raise StepSizeError(f"h must be nonnegative, got {h}")
     for name, worst in (("exit rate", max_nu),
                         ("infection rate", float(np.max(beta))),
                         ("recovery rate", float(np.max(delta)))):
-        if worst is not None and h * worst >= 1.0:
+        if h * worst >= 1.0:
             raise StepSizeError(
                 f"h = {h} times the largest {name} {worst} is not a valid probability")
 
@@ -149,7 +139,7 @@ def _lanes(spec: ModelSpec, counts: AgentCounts, h: float, rngs,
     the first lane) is added to the integer destination, so routing does
     not depend on the lane.
     """
-    rates, cumulative = _moves(spec)
+    rates, cumulative = spec.net.moves
     nu = cumulative[:, :, -1]
     _check_step_size(h, float(nu.max()), spec.beta, spec.delta)
     n, m = spec.n, spec.m

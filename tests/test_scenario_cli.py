@@ -315,9 +315,11 @@ class TestScenarioParsing:
         ("layers[0]", {"n": 2, "layers": [{"edges": [[0, 1, 0.5], [1, 0, "0.5"]]}]}),
         ("delta.s_factor", {"n": 3, "layers": [{"preset": "ring", "rate_scale": 0.2}],
                             "delta": {"rule": "lambda2_sufficient", "s_factor": HUGE}}),
-        # the rule's deficit below -beta, and a symmetrized Laplacian that overflows
-        *[("delta", {"n": 3, "layers": [{"preset": "ring", "rate_scale": scale}],
-                     "delta": {"rule": "lambda2_sufficient"}}) for scale in (1e30, 1e308)],
+        # the rule's deficit below -beta; past the exit-rate bound the layer is
+        # named first, as the network stage ends with that bound
+        *[(field, {"n": 3, "layers": [{"preset": "ring", "rate_scale": scale}],
+                   "delta": {"rule": "lambda2_sufficient"}})
+          for field, scale in (("delta", 10), ("layers[0]", 1e30), ("layers[0]", 1e308))],
         # too many leavers per step (h * exit rate * sum(N) = 2e9), or N past 2**53
         *[("N", {"n": 3, "layers": [{"preset": "ring", "rate_scale": 0.2}], "N": [N],
                  "t_end": 0.02, "stochastic": {"enabled": True, "h": 0.01}})
@@ -387,6 +389,49 @@ class TestScenarioParsing:
 
         loop = outcome(lambda: np.array([_as_number(v, "x") for v in values]))
         assert outcome(lambda: _as_vector(values, len(values), "x")) == loop
+
+    @pytest.mark.parametrize("field, overrides", [
+        # N's node totals overflow: an RK4 run dropped the infection term
+        # (pbar = y / inf) and analyze failed its null-vector solve
+        ("N", {"N": [1e308, 1e308]}),
+        ("N", {"N": [2.0**1000, 2.0**990]}),
+        ("x0", {"N": [1.0, 1.0], "x0": [1e308, 1e308]}),
+        ("x0", {"N": [1.0, 1.0], "x0": [2.0**999, 2.0**999 * (1 + 2**-50)]}),
+        (None, {"N": [1e300, 1e300]}),
+        (None, {"N": [1.0, 1.0], "x0": [2.0**999, 2.0**999]}),
+    ])
+    def test_populations_whose_node_totals_overflow_are_refused(self, field, overrides,
+                                                                tmp_path, capsys):
+        # only parsed: a sum above MAX_POPULATION = 2**1000 is refused, one at it is not
+        doc = scalar_doc(name="hugeN", m=2, layers=[{"edges": []}, {"edges": []}],
+                         p0=0.5, t_end=1, **overrides)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        if field is None:
+            assert main(["validate", "--scenario", str(path)]) == 0
+            return
+        for argv in (["validate"], ["analyze", "--out", str(out)]):
+            assert main([*argv, "--scenario", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"scenario error: {field}: populations "
+                                                      "sum to more than MAX_POPULATION")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, m, field", [(10**6, 1, "n"), (1025, 1, "n"), (1, 1025, "n"),
+                                             (1, 1024, "layers")])
+    def test_networks_past_max_nm_are_refused_before_any_layer(self, n, m, field, tmp_path,
+                                                               capsys):
+        # a complete preset at n = 10**6 would allocate 10**12 edges first
+        doc = scalar_doc(n=n, m=m, layers=[{"preset": "complete"}], N=[1000])
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        with mock.patch.object(sm.graphs, "preset_edges",
+                               side_effect=AssertionError("preset edges built")) as edges:
+            assert main(["analyze", "--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"scenario error: {field}: ")
+        assert edges.call_count == 0
+        assert not out.exists()
 
     def test_each_layer_is_validated_once(self, monkeypatch):
         # load, classify and stationary counts share each layer's law
@@ -746,6 +791,35 @@ class TestCli:
         assert rows == pointwise_rows(argv)
         assert sum("ScenarioError" in row for row in rows) == failing
 
+    # h * exit rate reaches 1 from rate_scale 100 on the complete layer; below
+    # it, h * exit rate * sum(N) passes MAX_LEAVERS from rate_scale 50; the
+    # exit-rate bound is about 4.5e5, and the lambda2 rule fails from about 1
+    BOUND_VALUES = [-1.0, 0.0, 1e-3, 0.3, 60.0, 99.0, 100.0, 150.0, 4.5e5, 1e6, 1e30, 1e300]
+
+    @settings(max_examples=60, deadline=None)
+    @given(stochastic=st.booleans(), field=st.sampled_from(["beta", "delta", "rate_scale"]),
+           ends=st.lists(st.one_of(st.sampled_from(BOUND_VALUES),
+                                   st.floats(-10, 1e6, allow_subnormal=False)),
+                         min_size=2, max_size=2),
+           count=st.integers(1, 4))
+    @example(stochastic=True, field="rate_scale", ends=[60.0, 1e6], count=4)
+    @example(stochastic=False, field="rate_scale", ends=[0.0, 1e30], count=4)
+    @example(stochastic=True, field="beta", ends=[-1.0, 150.0], count=4)
+    def test_sweep_rows_across_the_bounds_match_pointwise_full_parse(
+            self, stochastic, field, ends, count):
+        # every field's points, on both sides of every network and rate bound,
+        # get the rows a full parse of each point gives
+        doc = (two_layer_doc(N=[10**6, 10**6], stochastic={"enabled": True, "h": 0.01})
+               if stochastic else two_layer_doc(delta=LAMBDA2_RULE))
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "s.json").write_text(json.dumps(doc))
+            argv = ["sweep", "--scenario", str(Path(tmp) / "s.json"), "--out",
+                    str(Path(tmp) / "out"), "--grid", f"{field}={ends[0]!r}:{ends[1]!r}:{count}"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            rows = (Path(tmp) / "out" / "pair_layers_sweep.csv").read_text().splitlines()[1:]
+            assert rows == pointwise_rows(argv)
+
     @pytest.mark.parametrize("lanes", [1, 3, None], ids=["alone", "chunks_of_3", "one_chunk"])
     @pytest.mark.parametrize("doc, grid", [
         (two_layer_doc(), "beta=-0.1:0.5:8"),
@@ -868,18 +942,18 @@ class TestCli:
         assert all(row.endswith(",") for row in rows)
         assert len(seen) == calls
 
-    @pytest.mark.parametrize("grid, settings_calls", [
+    @pytest.mark.parametrize("grid, table_builds", [
         ("delta=0.05:0.6:50", 1),
         ("beta=0.05:0.6:50", 1),
         ("rate_scale=0.05:0.6:10", 1 + 10),
     ])
     def test_beta_or_delta_points_skip_the_network_and_settings_work(
-            self, grid, settings_calls, tmp_path, monkeypatch):
-        # a beta or delta point parses only its rates: the routing rates
-        # (stochastic._moves), the stationary laws and the settings stage
-        # (_parse_instance, which holds the exit-rate bound) run for the
-        # up-front parse alone; a rate_scale point runs all of them again
-        calls = {"_moves": 0, "network_stationary": 0, "_parse_instance": 0}
+            self, grid, table_builds, tmp_path, monkeypatch):
+        # a beta or delta point parses only its rates on the shared network,
+        # whose leave-rate table (MultiLayerNetwork.moves) is built once; a
+        # rate_scale point builds its own network and table; no point runs
+        # the stationary x0 or the settings stage (_parse_instance) again
+        calls = {"moves": 0, "network_stationary": 0, "_parse_instance": 0}
 
         def counting(name, fn):
             def counted(*args):
@@ -891,6 +965,8 @@ class TestCli:
             for name in calls:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        moves = sm.network.MultiLayerNetwork.moves
+        monkeypatch.setattr(moves, "func", counting("moves", moves.func))
         doc = two_layer_doc(stochastic={"enabled": True, "h": 0.01, "seeds": [1]})
         scenario_path = tmp_path / "s.json"
         scenario_path.write_text(json.dumps(doc))
@@ -900,7 +976,7 @@ class TestCli:
         rows = (out / "pair_layers_sweep.csv").read_text().splitlines()[1:]
         assert len(rows) == int(grid.rsplit(":", 1)[1])
         assert all(row.endswith(",") for row in rows)
-        assert calls == dict.fromkeys(calls, settings_calls)
+        assert calls == {"moves": table_builds, "network_stationary": 1, "_parse_instance": 1}
 
     def test_delta_point_checks_h_against_its_recovery_rate(self, tmp_path):
         # the point's own rates meet stochastic.h, with a full parse's message
