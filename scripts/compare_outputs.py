@@ -31,8 +31,10 @@ Each scenario gets ``analyze``, ``run --t-end 2`` and four ``sweep`` grids:
 ``beta=0.05:0.6:9``, ``rate_scale=0.05:1.5:6``, and ``beta=-0.05:0.6:9`` and
 ``delta=-0.05:0.6:9``, whose first points are failing rows.  Two more calls carry the overrides
 ``--dt 0.02 --t-end 2 --seed 3``: an ``analyze`` and a ``sweep`` over
-``beta=0.05:0.6:3``.  Every call's exit code, stdout and
-stderr are saved next to its output files.  The script then compares the
+``beta=0.05:0.6:3``.  One more call runs ``fig1_complete_line`` at full
+length (10 seeds of 4,000 steps), past ``cli.HELPER_LANE_STEPS``, so the
+seeds that a helper interpreter steps are compared too.  Every call's exit
+code, stdout and stderr are saved next to its output files.  The script then compares the
 sha256 of every file, lists each file that differs or exists on one side
 only, and exits with 1 on any difference, 0 when all files are identical.
 
@@ -155,6 +157,8 @@ def jobs(scenario_dir: Path) -> list:
         out.append((f"{path.stem}/analyze_overrides", ["analyze", *scenario, *OVERRIDES]))
         out.append((f"{path.stem}/sweep_overrides",
                     ["sweep", *scenario, *OVERRIDES, "--grid", "beta=0.05:0.6:3"]))
+    fig1 = REPO / "scenarios" / "fig1_complete_line.json"
+    out.append(("fig1_complete_line/run_full", ["run", "--scenario", str(fig1)]))
     return out
 
 

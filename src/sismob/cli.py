@@ -11,9 +11,11 @@ are edited (overrides, sweep points) by the ``scenario`` module only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -33,6 +35,16 @@ _COMPACT = json.JSONEncoder(separators=(",", ":"))  # no indent: the C encoder
 JSON_BLOCK = 128  # list items per compact encode, edge rows per write
 GRID_MAX_POINTS = 10**6  # largest --grid count, refused before any allocation
 STACK_BYTES = 216 * 1024  # sweep chunk budget at 8 nm^2 bytes + 1 KiB a point: 16 at nm = 40
+# lane-steps (one seed advanced one step) from which ``run`` hands its last
+# seeds to a helper interpreter: ``python -c "import numpy, sismob.cli"`` took
+# 0.135 s and a lane-step at n = 20 about 29 us (2-CPU machine, Python 3.11,
+# numpy 2.4), so half the lane-steps pay for that start from about 9,300
+HELPER_LANE_STEPS = 10**4
+# the helper reads its job before importing numpy, so the parent's write of
+# the job does not wait for that import
+_HELPER = ("import json, sys; job = json.load(sys.stdin); sys.path.insert(0, job['path']); "
+           "from pathlib import Path; from sismob.cli import _write_seeds, parse_scenario; "
+           "_write_seeds(parse_scenario(job['doc']), Path(job['out']), job['seeds'])")
 
 
 def _write_json(path: Path, payload: dict):
@@ -152,42 +164,82 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _seed_paths(scenario: Scenario, out: Path, seeds: list) -> list:
+    """Each seed's CSV and sidecar paths, in seed order."""
+    return [out / f"{scenario.name}_stochastic_seed{seed}.{ext}"
+            for seed in seeds for ext in ("csv", "json")]
+
+
+def _write_seeds(scenario: Scenario, out: Path, seeds: list):
+    """Step ``seeds`` in chunks whose recorded rows take no more room than
+    one seed's every step would, and write each seed's CSV and sidecar."""
+    initial_counts = seed_infections(stationary_counts(scenario.spec), scenario.p0)
+    steps = step_count(scenario.t_end, scenario.h)
+    lanes = max(1, (steps + 1) // len(recorded_rows(steps, scenario.sample_every)))
+    for start in range(0, len(seeds), lanes):
+        runs = simulate_seeds(scenario.spec, initial_counts, scenario.t_end, h=scenario.h,
+                              seeds=seeds[start:start + lanes],
+                              record_every=scenario.sample_every)
+        for run in runs:
+            sto_path, sidecar = _seed_paths(scenario, out, [run.seed])
+            write_stochastic_csv(run, sto_path)
+            _write_json(sidecar, {"seed": run.seed, "h": scenario.h, "t_end": scenario.t_end,
+                                  "scenario": scenario.name, "version": __version__})
+
+
+def _helper_seeds(scenario: Scenario, seeds: list) -> int:
+    """How many of the last ``seeds`` a helper interpreter steps: half of
+    them (rounded down) when their lane-steps reach HELPER_LANE_STEPS, this
+    process may use two CPUs and knows its interpreter, else none."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    lane_steps = len(seeds) * step_count(scenario.t_end, scenario.h) if len(seeds) > 1 else 0
+    usable = (cpus or 1) > 1 and bool(sys.executable)
+    return len(seeds) // 2 if usable and lane_steps >= HELPER_LANE_STEPS else 0
+
+
+def _start_helper(doc: dict, seeds: list, out: Path):
+    """A helper interpreter that writes ``seeds`` of ``doc`` under ``out``,
+    importing the sismob tree this process runs."""
+    import subprocess
+
+    helper = subprocess.Popen([sys.executable, "-c", _HELPER], stdin=subprocess.PIPE,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    job = {"doc": doc, "seeds": seeds, "out": str(out),
+           "path": str(Path(__file__).resolve().parents[1])}
+    # a helper that exits before reading its job says why in its exit code and stderr
+    with contextlib.suppress(BrokenPipeError), helper.stdin:
+        helper.stdin.write(json.dumps(job).encode())
+    return helper
+
+
 def _cmd_run(args) -> int:
-    scenario = parse_scenario(_document(args))
+    doc = _document(args)
+    scenario = parse_scenario(doc)
     check_rk4_step(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-
-    traj = integrate(scenario.spec, initial_state(scenario), scenario.t_end,
-                     dt=scenario.dt, record_every=scenario.sample_every)
-    det_path = out / f"{scenario.name}_deterministic.csv"
-    write_trajectory_csv(traj, det_path, scenario.spec.n, scenario.spec.m)
-    outputs.append(det_path)
-
-    if scenario.stochastic_enabled:
-        populations = stationary_counts(scenario.spec)
-        initial_counts = seed_infections(populations, scenario.p0)
-        # a chunk's recorded rows take no more room than one seed's steps
-        steps = step_count(scenario.t_end, scenario.h)
-        lanes = max(1, (steps + 1) // len(recorded_rows(steps, scenario.sample_every)))
-        for start in range(0, len(scenario.seeds), lanes):
-            runs = simulate_seeds(scenario.spec, initial_counts, scenario.t_end, h=scenario.h,
-                                  seeds=scenario.seeds[start:start + lanes],
-                                  record_every=scenario.sample_every)
-            for run in runs:
-                sto_path = out / f"{scenario.name}_stochastic_seed{run.seed}.csv"
-                write_stochastic_csv(run, sto_path)
-                sidecar = out / f"{scenario.name}_stochastic_seed{run.seed}.json"
-                _write_json(sidecar, {"seed": run.seed, "h": scenario.h,
-                                      "t_end": scenario.t_end,
-                                      "scenario": scenario.name,
-                                      "version": __version__})
-                outputs += [sto_path, sidecar]
-
-    analysis_path = out / f"{scenario.name}_analysis.json"
-    _write_json(analysis_path, _analysis_payload(scenario))
-    outputs.append(analysis_path)
+    seeds = scenario.seeds if scenario.stochastic_enabled else []
+    own = len(seeds) - _helper_seeds(scenario, seeds)
+    helper = _start_helper(doc, seeds[own:], out) if own < len(seeds) else None
+    try:  # the helper starts up while the trajectory is integrated
+        traj = integrate(scenario.spec, initial_state(scenario), scenario.t_end,
+                         dt=scenario.dt, record_every=scenario.sample_every)
+        det_path = out / f"{scenario.name}_deterministic.csv"
+        write_trajectory_csv(traj, det_path, scenario.spec.n, scenario.spec.m)
+        if seeds:
+            _write_seeds(scenario, out, seeds[:own])
+        analysis_path = out / f"{scenario.name}_analysis.json"
+        _write_json(analysis_path, _analysis_payload(scenario))
+        if helper is not None:
+            message = helper.stderr.read().decode(errors="replace").strip()
+            if helper.wait():
+                raise RuntimeError(f"seed helper exited with {helper.returncode}: "
+                                   f"{message.splitlines()[-1] if message else 'no message'}")
+    finally:
+        if helper is not None:
+            with helper:  # closes its pipes and reaps it
+                helper.kill()  # a no-op once it has exited
+    outputs = [det_path, *_seed_paths(scenario, out, seeds), analysis_path]
 
     manifest_path = out / f"{scenario.name}_manifest.json"
     _write_json(manifest_path, _manifest(scenario, "run", outputs))

@@ -35,9 +35,10 @@ from .network import MultiLayerNetwork, _frozen_array
 CLAMP_TOL = 1e-9
 DEFAULT_DT = 0.01
 # RK4 is stable on [-2.7853, 0] of the negative real axis and on the disc
-# |z + r| <= r of that diameter.  A generator's eigenvalues lie in the disc
-# |z + nu| <= nu (Gershgorin; nu its largest exit rate), so dt * 2 nu up to
-# RK4_STABILITY keeps the mobility part of a step stable.
+# |z + r| <= r of that diameter.  The linear part Q - diag(delta) of a y row
+# has its eigenvalues in the discs |z + nu_i + delta_i| <= nu_i (Gershgorin;
+# nu_i node i's exit rate), inside |z + R| <= R for R = max(nu + delta / 2),
+# so dt * max(2 nu + delta) up to RK4_STABILITY keeps that part stable.
 RK4_STABILITY = 2.785
 SETTLE_CHUNK = 50.0
 STEP_COUNT_RTOL = 1e-9

@@ -82,6 +82,10 @@ MAX_NM = 1024
 # about 1.07e301, so every node total stays 2**24 below the float maximum,
 # room for RK4's stage sums
 MAX_POPULATION = 2.0**1000
+# largest exit rate of a layer and largest infection rate, about 4.5e5:
+# rounding moves the threshold by about eps times the largest entry of its
+# matrices, and past this by more than its tie tolerance
+MAX_RATE = MU_TIE_TOL / sys.float_info.epsilon
 
 
 @dataclass
@@ -281,13 +285,10 @@ def _parse_network(doc) -> MultiLayerNetwork:
     _check_total(N, "N")
     net = MultiLayerNetwork(layers=tuple(layers), N=N)
 
-    # rounding moves the threshold by about eps times the largest exit rate,
-    # which is minus the smallest entry of a layer's generator
-    nu_max = MU_TIE_TOL / sys.float_info.epsilon
     for k, q_min in enumerate(net.Q.min(axis=(1, 2)).tolist()):
-        if -q_min > nu_max:
+        if -q_min > MAX_RATE:
             raise ScenarioError(f"layers[{k}]: largest exit rate {-q_min:.6g} is above "
-                                f"{nu_max:.6g}, where rounding can move the threshold mu by "
+                                f"{MAX_RATE:.6g}, where rounding can move the threshold mu by "
                                 f"more than its tie tolerance {MU_TIE_TOL}")
     return net
 
@@ -306,6 +307,10 @@ def _parse_rates(doc: dict, net: MultiLayerNetwork):
     beta = _as_vector(_require(doc, "beta"), n, "beta")
     if np.any(beta <= 0):
         raise ScenarioError("beta: infection rates must be positive")
+    if (beta_max := float(beta.max())) > MAX_RATE:
+        raise ScenarioError(f"beta: largest infection rate {beta_max:.6g} is above "
+                            f"{MAX_RATE:.6g}, where rounding can move the threshold mu by "
+                            f"more than its tie tolerance {MU_TIE_TOL}")
 
     delta_doc = _require(doc, "delta")
     delta_rule = doc.get("delta_rule")  # provenance of an explicit delta, as in a manifest
@@ -422,13 +427,17 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
 
 def check_rk4_step(scenario: Scenario):
     """Refuse, naming ``dt``, a step outside RK4's stability region for the
-    mobility: dt times twice the largest exit rate above RK4_STABILITY.  Only
-    ``run`` steps RK4, and ``validate`` answers for ``run``; the threshold
-    commands (``analyze``, ``sweep``) take no step and do not check."""
-    nu = float(-scenario.spec.net.Q.min())
-    if scenario.dt * 2.0 * nu > RK4_STABILITY:
-        raise ScenarioError(f"dt: {scenario.dt} times twice the largest exit rate {nu:.6g} "
-                            f"is above {RK4_STABILITY}, the edge of RK4's stability region")
+    linear part of the model: dt times the largest 2 nu + delta of a node
+    (nu its exit rate in a layer, delta its recovery rate) above
+    RK4_STABILITY.  Only ``run`` steps RK4, and ``validate`` answers for
+    ``run``; the threshold commands (``analyze``, ``sweep``) take no step
+    and do not check."""
+    spec = scenario.spec
+    worst = float((-2.0 * np.diagonal(spec.net.Q, axis1=1, axis2=2) + spec.delta).max())
+    if scenario.dt * worst > RK4_STABILITY:
+        raise ScenarioError(f"dt: {scenario.dt} times the largest 2 * exit rate + recovery "
+                            f"rate of a node, {worst:.6g}, is above {RK4_STABILITY}, the edge "
+                            "of RK4's stability region")
 
 
 def initial_state(scenario: Scenario) -> SystemState:

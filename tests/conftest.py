@@ -9,6 +9,9 @@ import sismob as sm
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
+# CI's document whose run the integrator stops (exit 1)
+LOGISTIC = {"name": "logistic", "n": 1, "m": 1, "layers": [{"edges": []}], "beta": 1,
+            "delta": 0, "N": [1000], "p0": 0.9, "t_end": 5, "dt": 5}
 
 
 def random_layer(rng: np.random.Generator, n: int) -> sm.MobilityLayer:

@@ -434,6 +434,16 @@ class TestRK4Stability:
         dt = dynamics.RK4_STABILITY / (2.0 * float(-np.diag(Q).min()))
         assert rk4_amplification(dt * np.linalg.eigvals(Q)).max() <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_recovery_joins_the_bound_of_a_y_row(self, seed):
+        # the linear part of a y row is Q - diag(delta); at the largest dt
+        # that dt * max(2 nu + delta) <= RK4_STABILITY accepts, no mode grows
+        rng = np.random.default_rng(seed)
+        Q = random_layer(rng, 2 + seed).Q
+        delta = rng.uniform(0.0, 3.0, size=len(Q)) * rng.integers(0, 2)  # also all zero
+        dt = dynamics.RK4_STABILITY / float((-2.0 * np.diag(Q) + delta).max())
+        assert rk4_amplification(dt * np.linalg.eigvals(Q - np.diag(delta))).max() <= 1.0 + 1e-12
+
     def test_a_directed_ring_past_the_bound_grows(self):
         # its spectrum nu (e^(2 pi i k / n) - 1) lies on the disc's edge and
         # reaches -2 nu at even n; here nu = 1 and dt * 2 nu = 2.80

@@ -19,7 +19,7 @@ from sismob.equilibria import equilibrium_stack, threshold
 from sismob.scenario import _as_number, _as_vector, parse_point, read_document, set_fields
 from sismob.stochastic import seed_infections, simulate, stationary_counts, write_stochastic_csv
 
-from conftest import SCENARIOS
+from conftest import LOGISTIC, SCENARIOS
 
 
 def two_layer_doc(**overrides):
@@ -141,22 +141,68 @@ class TestScenarioParsing:
                 "stochastic": {**doc["stochastic"], "enabled": False}}
 
     def test_dt_outside_rk4_stability_is_refused_by_run_and_validate(self, tmp_path, capsys):
-        # dt * 2 * 145 = 2.9 is past RK4_STABILITY: RK4 would leave [0, 1] at
-        # t = 0.87; the document is parsed here, never integrated
+        # dt * (2 * 145 + delta 0.1) = 2.901 is past RK4_STABILITY: RK4 would
+        # leave [0, 1] at t = 0.87; the document is parsed here, never integrated
         doc = self.fig1_at_rate(145)
         scenario = sm.parse_scenario(doc)
-        with pytest.raises(sm.ScenarioError, match=r"^dt: 0\.01 times twice the largest exit "
-                                                   r"rate 145 is above 2\.785, the edge of RK4"):
+        with pytest.raises(sm.ScenarioError, match=r"^dt: 0\.01 times the largest 2 \* exit "
+                                                   r"rate \+ recovery rate of a node, 290\.1, is "
+                                                   r"above 2\.785, the edge of RK4"):
             sm.scenario.check_rk4_step(scenario)
         out = ["--out", str(tmp_path / "out")]
         assert_refused_without_writing(doc, "dt: ", tmp_path, capsys,
                                        [["validate"], ["run", *out]])
-        # at 138 (2.76) it passes; --dt takes the same check
+        # at 138 (2.761) it passes; --dt takes the same check
         stable = self.fig1_at_rate(138)
         sm.scenario.check_rk4_step(sm.parse_scenario(stable))
         assert_refused_without_writing(stable, "dt: 0.0125 times", tmp_path, capsys,
                                        [["validate", "--dt", "0.0125"],
                                         ["run", "--dt", "0.0125", *out]])
+
+    def test_recovery_rate_joins_the_rk4_bound(self, tmp_path, capsys):
+        # scalar_sis has no mobility; at delta 300, dt * delta = 3 is past
+        # RK4_STABILITY and run used to stop at t = 0.15 with p left [0, 1]
+        doc = {**read_document(SCENARIOS / "scalar_sis.json"), "delta": 300}
+        out = ["--out", str(tmp_path / "out")]
+        assert_refused_without_writing(
+            doc, "dt: 0.01 times the largest 2 * exit rate + recovery rate of a node, 300, is "
+            "above 2.785", tmp_path, capsys, [["validate"], ["run", *out]])
+        # at delta 278 (2.78) it passes
+        sm.scenario.check_rk4_step(sm.parse_scenario({**doc, "delta": 278}))
+
+    def test_infection_rate_does_not_join_the_rk4_bound(self, tmp_path, capsys):
+        # the logistic document (no edges, delta 0) validates; its infection
+        # term carries p out of [0, 1] in the one step, and run stops (exit 1)
+        path = tmp_path / "logistic.json"
+        path.write_text(json.dumps(LOGISTIC))
+        assert main(["validate", "--scenario", str(path)]) == 0
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: p left [0,1] by ")
+
+    def test_infection_rate_past_the_rounding_bound_is_refused(self, tmp_path, capsys):
+        # this document used to validate; run then sent inf and NaN through
+        # the RK4 step.  analyze refuses it too, as it refuses a layer's exit
+        # rate past the same bound
+        doc = {"name": "hugebeta", "n": 1, "m": 1, "layers": [{"edges": []}], "beta": 1e305,
+               "delta": 0.1, "N": [1e10], "p0": 0.5, "t_end": 0.02, "dt": 0.01}
+        out = ["--out", str(tmp_path / "out")]
+        assert_refused_without_writing(
+            doc, f"beta: largest infection rate 1e+305 is above {sm.scenario.MAX_RATE:.6g}",
+            tmp_path, capsys, [["validate"], ["analyze", *out], ["run", *out]])
+        assert sm.scenario.MAX_RATE == pytest.approx(4.5036e5, rel=1e-4)
+        sm.parse_scenario({**doc, "beta": [sm.scenario.MAX_RATE]})  # the bound itself passes
+
+    def test_sweep_point_past_the_infection_rate_bound_is_a_failing_row(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(two_layer_doc()))
+        argv = ["sweep", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                "--grid", "beta=0.3:1e6:2"]
+        assert main(argv) == 0
+        rows = (tmp_path / "out" / "pair_layers_sweep.csv").read_text().splitlines()[1:]
+        assert rows[0].endswith(",")
+        assert rows[1].startswith('1,1000000,,,,"ScenarioError: beta: largest infection rate '
+                                  '1e+06 is above 450360')
+        assert rows == pointwise_rows(argv)
 
     def test_threshold_commands_take_no_step_and_keep_high_mobility(self, tmp_path):
         # analyze and a rate_scale sweep past the RK4 bound still give mu and R0
