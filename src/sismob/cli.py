@@ -26,7 +26,7 @@ from .dynamics import integrate, recorded_rows, step_count, write_trajectory_csv
 from .equilibria import classify, equilibrium_stack, threshold
 from .errors import ScenarioError
 from .network import MobilityLayer
-from .scenario import (Scenario, check_rk4_step, initial_state, parse_point, parse_scenario,
+from .scenario import (Scenario, check_run, initial_state, parse_point, parse_scenario,
                        read_document, set_fields)
 from .stochastic import seed_infections, simulate_seeds, stationary_counts, write_stochastic_csv
 
@@ -146,7 +146,7 @@ def _document(args):
 
 def _cmd_validate(args) -> int:
     scenario = parse_scenario(_document(args))
-    check_rk4_step(scenario)
+    check_run(scenario)
     print(f"scenario {scenario.name!r} is valid "
           f"(n={scenario.spec.n}, m={scenario.spec.m})")
     return 0
@@ -215,7 +215,7 @@ def _start_helper(doc: dict, seeds: list, out: Path):
 def _cmd_run(args) -> int:
     doc = _document(args)
     scenario = parse_scenario(doc)
-    check_rk4_step(scenario)
+    check_run(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seeds = scenario.seeds if scenario.stochastic_enabled else []

@@ -145,9 +145,10 @@ def assemble(spec: ModelSpec, x: np.ndarray) -> AssembledMatrices:
 
     F = np.tile(np.eye(n), (m, m)) * shares.ravel()  # block (a, b) = diag(f^b)
 
-    W = np.multiply(spec.net.Q.transpose(0, 2, 1), X[:, None, :] / X[:, :, None], order="C")
+    Qt = spec.net.Q.transpose(0, 2, 1)
+    W = np.divide(X[:, None, :], X[:, :, None], out=np.zeros((m, n, n)), where=Qt > 0)
+    W *= Qt  # W^a_ij = q^a_ji x^a_j / x^a_i on the edges, and no ratio off them
     diag = np.arange(n)
-    W[:, diag, diag] = 0.0  # W^a_ij = q^a_ji x^a_j / x^a_i off the diagonal
     blocks = 0.0 - W
     blocks[:, diag, diag] = W.sum(axis=2)
     L = np.zeros((nm, nm))

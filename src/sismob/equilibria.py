@@ -213,8 +213,10 @@ def _lambda2(b: np.ndarray, M: np.ndarray, L: np.ndarray):
     """
     lap = b[:, None] * M + L
     w = left_null_vector(lap)
-    if np.any(w <= 0):
-        raise ConvergenceError("left null vector is not positive; matrix not irreducible?")
+    if np.any(w <= 0):  # B M + L* is irreducible, so w is positive
+        raise ConvergenceError(f"lambda2: left null vector has nonpositive entries (smallest "
+                               f"{w.min():.3e}, largest {w.max():.3e}): the weights span more "
+                               "orders of magnitude than double precision resolves")
     w = w / w.max()
     bound = NULL_VECTOR_TOL * _scale(lap)
     if not (residual := float(np.max(np.abs(w @ lap)))) <= bound:  # NaN fails too

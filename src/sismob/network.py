@@ -69,11 +69,6 @@ class MobilityLayer:
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "edges", _edge_array(self.n, self.edges))
 
-    @property
-    def exit_rates(self) -> np.ndarray:
-        """Total rate of leaving each patch (nu_i = -q_ii)."""
-        return -np.diag(self.Q)
-
     @cached_property
     def stationary(self) -> np.ndarray:
         """Read-only certified stationary law, computed once per layer by
@@ -257,9 +252,10 @@ def stationary_distribution(layer: MobilityLayer) -> np.ndarray:
         raise MalformedGeneratorError(
             f"stationary solve residual {residual:.3e} exceeds tolerance; "
             "generator may have multiple null vectors")
-    if np.any(v <= 0):
-        raise NotStronglyConnectedError(
-            "stationary vector has nonpositive entries; generator is not irreducible")
+    if np.any(v <= 0):  # the layer is irreducible, so its law is positive
+        raise ValueError(f"stationary vector has nonpositive entries (smallest {v.min():.3e}, "
+                         f"largest {v.max():.3e}): the law spans more orders of magnitude "
+                         "than double precision resolves")
     return v
 
 
@@ -367,6 +363,8 @@ def metropolis_hastings_rates(n: int, edges, target: np.ndarray,
         raise ValueError(f"target must have length {n}, got shape {target.shape}")
     if np.any(target <= 0):
         raise ValueError("target distribution must be strictly positive")
+    if np.any(target > 1):  # so the sum below cannot overflow
+        raise ValueError("target distribution entries must be at most one")
     if abs(target.sum() - 1.0) > 1e-9:
         raise ValueError("target distribution must sum to one")
     if rate_scale <= 0:

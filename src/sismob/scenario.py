@@ -53,10 +53,9 @@ import numpy as np
 from . import graphs
 from .dynamics import RK4_STABILITY, ModelSpec, SystemState, step_count
 from .equilibria import MU_TIE_TOL, margin_recovery_rates
-from .errors import (MalformedGeneratorError, NotStronglyConnectedError, ScenarioError,
-                     StepSizeError)
+from .errors import ScenarioError
 from .network import (MobilityLayer, MultiLayerNetwork, layer_from_edge_rates,
-                      metropolis_hastings_rates, network_stationary, preset_layer)
+                      metropolis_hastings_rates, preset_layer)
 from .stochastic import _check_step_size
 
 _DEFAULTS = {
@@ -86,6 +85,15 @@ MAX_POPULATION = 2.0**1000
 # rounding moves the threshold by about eps times the largest entry of its
 # matrices, and past this by more than its tie tolerance
 MAX_RATE = MU_TIE_TOL / sys.float_info.epsilon
+# largest work of a run in cell-steps (one of nm cells advanced one step):
+# an RK4 cell-step took about 0.45 us (36 us a step at nm = 80) and a
+# stochastic one about 0.7 us (29 us a lane-step at nm = 40), so a run at
+# the bound steps for about 8 to 12 minutes
+MAX_CELL_STEPS = 10**9
+# largest memory of a run's recorded rows, 16 bytes a cell: integrate
+# allocates its p and x rows before the first step, and each seed's counts
+# take as much
+MAX_RECORD_BYTES = 2**28
 
 
 @dataclass
@@ -103,15 +111,6 @@ class Scenario:
     h: float
     seeds: list
     explicit: dict   # explicit form of every input but the layers, for the manifest
-
-    @property
-    def resolved(self) -> dict:
-        """The explicit form of every input; its ``layers`` listing of
-        ``[i, j, rate]`` rows is built from the network on each read."""
-        return {**self.explicit, "layers": [
-            {"edges": [[i, j, rate] for (i, j), rate in
-                       zip(layer.edges.tolist(), layer.Q[tuple(layer.edges.T)].tolist())]}
-            for layer in self.spec.net.layers]}
 
 
 def read_document(path):
@@ -142,6 +141,26 @@ def _require(doc: dict, key: str):
     if key not in doc:
         raise ScenarioError(f"{key}: required field is missing")
     return doc[key]
+
+
+@contextlib.contextmanager
+def _naming(field: str):
+    """Turn a ValueError, TypeError or KeyError raised inside into a
+    ScenarioError naming ``field``; a ScenarioError passes unchanged."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ScenarioError(f"{field}: {exc}") from exc
+
+
+def _check_rate(rate: float, field: str, kind: str):
+    """Refuse, naming ``field``, a largest ``kind`` rate above MAX_RATE."""
+    if rate > MAX_RATE:
+        raise ScenarioError(f"{field}: largest {kind} rate {rate:.6g} is above "
+                            f"{MAX_RATE:.6g}, where rounding can move the threshold mu by "
+                            f"more than its tie tolerance {MU_TIE_TOL}")
 
 
 def _as_positive_int(value, field: str) -> int:
@@ -180,7 +199,7 @@ def _build_layer(entry, n: int, idx: int) -> MobilityLayer:
     if len(forms) != 1:
         raise ScenarioError(f"{field}: expected exactly one of 'preset', 'edges', 'mh'")
     _object(entry, field, _LAYER_KEYS[forms[0]])
-    try:
+    with _naming(field):
         if "preset" in entry:
             name = entry["preset"]
             if name not in graphs.PRESET_NAMES:
@@ -203,10 +222,6 @@ def _build_layer(entry, n: int, idx: int) -> MobilityLayer:
         rate_scale = _as_number(mh.get("rate_scale", 1.0), f"{field}.mh.rate_scale")
         return metropolis_hastings_rates(n, graphs.preset_edges(name, n), target,
                                          rate_scale)
-    except ScenarioError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ScenarioError(f"{field}: {exc}") from exc
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -274,10 +289,8 @@ def _parse_network(doc) -> MultiLayerNetwork:
         raise ScenarioError(f"layers: expected a list of m={m} layer specs")
     layers = [_build_layer(entry, n, k) for k, entry in enumerate(layers_doc)]
     for k, layer in enumerate(layers):
-        try:
+        with _naming(f"layers[{k}]"):
             layer.stationary  # validates and certifies the layer once
-        except (MalformedGeneratorError, NotStronglyConnectedError) as exc:
-            raise ScenarioError(f"layers[{k}]: {exc}") from exc
 
     N = _as_vector(_require(doc, "N"), m, "N")
     if np.any(N <= 0):
@@ -286,10 +299,7 @@ def _parse_network(doc) -> MultiLayerNetwork:
     net = MultiLayerNetwork(layers=tuple(layers), N=N)
 
     for k, q_min in enumerate(net.Q.min(axis=(1, 2)).tolist()):
-        if -q_min > MAX_RATE:
-            raise ScenarioError(f"layers[{k}]: largest exit rate {-q_min:.6g} is above "
-                                f"{MAX_RATE:.6g}, where rounding can move the threshold mu by "
-                                f"more than its tie tolerance {MU_TIE_TOL}")
+        _check_rate(-q_min, f"layers[{k}]", "exit")
     return net
 
 
@@ -307,10 +317,7 @@ def _parse_rates(doc: dict, net: MultiLayerNetwork):
     beta = _as_vector(_require(doc, "beta"), n, "beta")
     if np.any(beta <= 0):
         raise ScenarioError("beta: infection rates must be positive")
-    if (beta_max := float(beta.max())) > MAX_RATE:
-        raise ScenarioError(f"beta: largest infection rate {beta_max:.6g} is above "
-                            f"{MAX_RATE:.6g}, where rounding can move the threshold mu by "
-                            f"more than its tie tolerance {MU_TIE_TOL}")
+    _check_rate(float(beta.max()), "beta", "infection")
 
     delta_doc = _require(doc, "delta")
     delta_rule = doc.get("delta_rule")  # provenance of an explicit delta, as in a manifest
@@ -326,11 +333,9 @@ def _parse_rates(doc: dict, net: MultiLayerNetwork):
                 and all(isinstance(i, int) and not isinstance(i, bool) for i in deficit_nodes)):
             raise ScenarioError("delta.deficit_nodes: expected a list of integer node indices, "
                                 f"got {deficit_nodes!r}")
-        try:
+        with _naming("delta"):
             delta, delta_info = margin_recovery_rates(net, beta, s_factor, deficit_nodes)
-            delta_rule = {"rule": "lambda2_sufficient", **delta_info}
-        except (ValueError, TypeError) as exc:
-            raise ScenarioError(f"delta: {exc}") from exc
+        delta_rule = {"rule": "lambda2_sufficient", **delta_info}
     else:
         delta = _as_vector(delta_doc, n, "delta")
         if np.any(delta < 0):
@@ -342,10 +347,8 @@ def _stochastic_bounds(net: MultiLayerNetwork, h: float, beta, delta):
     """``stochastic._check_step_size`` on the largest leave, infection and recovery
     rates, named ``stochastic.h``, then ``N`` against the MAX_LEAVERS bound."""
     max_nu = float(net.moves[1][:, :, -1].max())
-    try:
+    with _naming("stochastic.h"):
         _check_step_size(h, max_nu, beta, delta)
-    except StepSizeError as exc:
-        raise ScenarioError(f"stochastic.h: {exc}") from None
     if (leavers := h * max_nu * net.N.sum()) > MAX_LEAVERS:
         raise ScenarioError(f"N: a stochastic step expects {leavers:.4g} leavers per seed "
                             f"(h * largest exit rate * sum(N)), above {MAX_LEAVERS}")
@@ -367,7 +370,7 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
     if isinstance(doc["x0"], str):
         if doc["x0"] != "stationary":
             raise ScenarioError("x0: expected 'stationary' or a list of nm values")
-        x0 = np.asarray(network_stationary(net).v)
+        x0 = np.asarray(net.stationary.v)
     else:
         x0 = _as_vector(doc["x0"], n * m, "x0")
         if np.any(x0 <= 0):
@@ -396,12 +399,10 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
     if enabled and np.any((N != np.round(N)) | (N > 2**53)):
         raise ScenarioError("N: class populations must be whole numbers up to 2**53 "
                             "when stochastic runs are enabled")
-    try:
+    with _naming("t_end"):
         step_count(t_end, dt)
         if enabled:
             step_count(t_end, h)
-    except ValueError as exc:
-        raise ScenarioError(f"t_end: {exc}") from None
     if enabled:
         _stochastic_bounds(net, h, beta, delta)
 
@@ -425,19 +426,35 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
                     seeds=list(seeds), explicit=explicit)
 
 
-def check_rk4_step(scenario: Scenario):
-    """Refuse, naming ``dt``, a step outside RK4's stability region for the
-    linear part of the model: dt times the largest 2 nu + delta of a node
-    (nu its exit rate in a layer, delta its recovery rate) above
-    RK4_STABILITY.  Only ``run`` steps RK4, and ``validate`` answers for
-    ``run``; the threshold commands (``analyze``, ``sweep``) take no step
-    and do not check."""
-    spec = scenario.spec
+def check_run(scenario: Scenario):
+    """Refuse, before any step, a run outside its bounds: naming ``dt``, a
+    step outside RK4's stability region for the linear part of the model
+    (dt times the largest 2 nu + delta of a node, nu its exit rate in a layer
+    and delta its recovery rate, above RK4_STABILITY); naming ``t_end``, RK4
+    steps times nm, or stochastic steps times nm times seeds, above
+    MAX_CELL_STEPS; naming ``sample_every``, the rows of every recorded step,
+    RK4's and each seed's, above MAX_RECORD_BYTES at 16 bytes a cell.  Only
+    ``run`` steps, and ``validate`` answers for ``run``; the threshold
+    commands (``analyze``, ``sweep``) take no step and do not check."""
+    spec, nm = scenario.spec, scenario.spec.nm
     worst = float((-2.0 * np.diagonal(spec.net.Q, axis1=1, axis2=2) + spec.delta).max())
     if scenario.dt * worst > RK4_STABILITY:
         raise ScenarioError(f"dt: {scenario.dt} times the largest 2 * exit rate + recovery "
                             f"rate of a node, {worst:.6g}, is above {RK4_STABILITY}, the edge "
                             "of RK4's stability region")
+    runs = [("RK4", step_count(scenario.t_end, scenario.dt), 1)]
+    if scenario.stochastic_enabled:
+        runs.append(("stochastic", step_count(scenario.t_end, scenario.h), len(scenario.seeds)))
+    for kind, steps, lanes in runs:
+        if (work := steps * nm * lanes) > MAX_CELL_STEPS:
+            seeds = f" times {lanes} seeds" if kind == "stochastic" else ""
+            raise ScenarioError(f"t_end: {steps:.4g} {kind} steps times n * m = {nm}{seeds} "
+                                f"is {work:.4g} cell-steps, above MAX_CELL_STEPS = 10**9")
+    every = scenario.sample_every
+    rows = sum(lanes * (steps // every + 1 + (steps % every > 0)) for _, steps, lanes in runs)
+    if (size := 16 * rows * nm) > MAX_RECORD_BYTES:
+        raise ScenarioError(f"sample_every: {rows} recorded rows of n * m = {nm} cells take "
+                            f"{size:.4g} bytes, above MAX_RECORD_BYTES = 2**28")
 
 
 def initial_state(scenario: Scenario) -> SystemState:

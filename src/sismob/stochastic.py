@@ -37,7 +37,6 @@ import numpy as np
 
 from .dynamics import ModelSpec, recorded_rows, step_count, write_csv
 from .errors import IntegrationError, StepSizeError
-from .network import network_stationary
 
 DEFAULT_H = 0.01
 
@@ -256,7 +255,7 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
 def stationary_counts(spec: ModelSpec) -> np.ndarray:
     """Integer (n, m) populations matching the stationary distribution,
     exact per-class totals."""
-    stat = network_stationary(spec.net)
+    stat = spec.net.stationary
     x = np.zeros((spec.n, spec.m), dtype=np.int64)
     for a in range(spec.m):
         x[:, a] = _largest_remainder(stat.v_per_layer[a], int(round(spec.net.N[a])))

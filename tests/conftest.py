@@ -82,3 +82,13 @@ def scalar_spec() -> sm.ModelSpec:
     layer = sm.MobilityLayer(n=1, edges=(), Q=np.zeros((1, 1)))
     net = sm.MultiLayerNetwork(layers=(layer,), N=np.array([1000.0]))
     return sm.ModelSpec(net=net, beta=np.array([0.3]), delta=np.array([0.1]))
+
+
+def resolved(scenario: sm.Scenario) -> dict:
+    """The reference listing of a parsed scenario, as its manifest's
+    ``scenario`` object: every explicit input plus each layer's
+    ``{"edges": [[i, j, rate], ...]}`` rows in edge order."""
+    return {**scenario.explicit, "layers": [
+        {"edges": [[i, j, rate] for (i, j), rate in
+                   zip(layer.edges.tolist(), layer.Q[tuple(layer.edges.T)].tolist())]}
+        for layer in scenario.spec.net.layers]}

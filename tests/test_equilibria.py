@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sismob as sm
+from sismob.cli import main
 from sismob.dynamics import SystemState
 from sismob.equilibria import RESIDUAL_TOL, apply_infection_map
 
@@ -204,6 +205,47 @@ class TestEndemicFixedPoint:
         assert np.max(np.abs(p - h)) <= 1e-9
 
 
+class TestEndemicCertificates:
+    """Each refusal of ``endemic_fixed_point``, fired by a tighter tolerance
+    or cap, or by a patched solve; mu is passed, so only Newton runs."""
+
+    @staticmethod
+    def prepared(spec):
+        mats = sm.equilibrium_matrices(spec)
+        return mats, sm.spectral_abscissa(mats.G).mu
+
+    def test_iterate_leaving_the_box_is_refused(self, two_node_spec, monkeypatch):
+        mats, mu = self.prepared(two_node_spec)
+        # a Newton step from p = 1 to p = -1
+        monkeypatch.setattr(np.linalg, "solve", lambda J, r: np.full(len(r), -2.0))
+        with pytest.raises(sm.ConvergenceError, match=r"^Newton iterate left \(0, 1\]$"):
+            sm.endemic_fixed_point(two_node_spec, mats, mu=mu)
+
+    def test_step_cap_is_refused(self, two_node_spec, monkeypatch):
+        mats, mu = self.prepared(two_node_spec)
+        # the first step from p = 1 to p* = (0.43, 0.28) is not the last
+        monkeypatch.setattr(sm.equilibria, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(sm.ConvergenceError,
+                           match=r"^Newton iteration did not converge in 1 steps$"):
+            sm.endemic_fixed_point(two_node_spec, mats, mu=mu)
+
+    def test_residual_past_its_tolerance_is_refused(self, two_node_spec, monkeypatch):
+        mats, mu = self.prepared(two_node_spec)
+        # the residual at p* is 2.08e-17; a tolerance of 0 leaves it no rounding
+        monkeypatch.setattr(sm.equilibria, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(sm.ConvergenceError,
+                           match=r"^endemic point residual 2\.082e-17 exceeds 0\.000e\+00$"):
+            sm.endemic_fixed_point(two_node_spec, mats, mu=mu)
+
+    def test_refused_endemic_point_exits_1(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(sm.equilibria, "RESIDUAL_TOL", 0.0)
+        out = tmp_path / "out"
+        assert main(["analyze", "--scenario", str(SCENARIOS / "fig1_complete_line.json"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: endemic point residual ")
+        assert list(out.iterdir()) == []
+
+
 class TestMonotoneMap:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**9))
@@ -281,7 +323,7 @@ class TestStabilityConditions:
             n = spec.n
             for a, layer in enumerate(spec.net.layers):
                 block = mats.L[a * n:(a + 1) * n, a * n:(a + 1) * n]
-                assert np.max(np.abs(np.diag(block) - layer.exit_rates)) <= 1e-10
+                assert np.max(np.abs(np.diag(block) + np.diag(layer.Q))) <= 1e-10
 
 
 class TestMarginRecoveryRates:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import sismob as sm
 from sismob.cli import JSON_BLOCK, _analysis_payload, _manifest, _write_json, main
 
-from conftest import SCENARIOS
+from conftest import SCENARIOS, resolved
 
 
 def reference(obj) -> str:
@@ -101,7 +101,7 @@ def test_bench_shaped_n160_outputs():
     manifest = _manifest(scenario, "analyze", ["bench_n160_analysis.json"])
     assert sum(len(layer.edges) for layer in scenario.spec.net.layers) > 25 * JSON_BLOCK
     analysis = _analysis_payload(scenario)
-    for payload, listed in ((manifest, {**manifest, "scenario": scenario.resolved}),
+    for payload, listed in ((manifest, {**manifest, "scenario": resolved(scenario)}),
                             (analysis, analysis)):
         assert_same_text(written(payload), reference(listed))
 
@@ -130,7 +130,7 @@ def test_manifest_layers_match_their_listing(n, layer):
            "beta": 0.3, "delta": 0.1, "N": [1000, 500]}
     scenario = sm.parse_scenario(doc)
     manifest = _manifest(scenario, "analyze", ["layers_analysis.json"])
-    assert_same_text(written(manifest), reference({**manifest, "scenario": scenario.resolved}))
+    assert_same_text(written(manifest), reference({**manifest, "scenario": resolved(scenario)}))
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
@@ -138,6 +138,6 @@ def test_written_manifest_parses_back_to_its_scenario(path, tmp_path):
     assert main(["analyze", "--scenario", str(path), "--out", str(tmp_path)]) == 0
     (manifest_path,) = tmp_path.glob("*_manifest.json")
     text = manifest_path.read_text(encoding="utf-8")
-    resolved = json.loads(text)["scenario"]
-    assert sm.parse_scenario(resolved).resolved == resolved
+    listed = json.loads(text)["scenario"]
+    assert resolved(sm.parse_scenario(listed)) == listed
     assert_same_text(text, reference(json.loads(text)))

@@ -34,7 +34,7 @@ class TestValidateLayer:
         assert sm.validate_layer(layer).ok
         off = layer.Q[~np.eye(n, dtype=bool)]
         assert np.allclose(off, nu / (n - 1))
-        assert np.allclose(layer.exit_rates, nu)
+        assert np.allclose(-np.diag(layer.Q), nu)
 
     def test_nonzero_row_sum_is_malformed(self):
         layer = sm.MobilityLayer(n=2, edges=((0, 1), (1, 0)),
@@ -122,6 +122,16 @@ class TestStationaryDistribution:
             assert np.min(v) > 0
             assert abs(v.sum() - 1.0) < 1e-12
             assert np.max(np.abs(layer.Q.T @ v)) <= 1e-12 * max(1.0, np.max(np.abs(layer.Q)))
+
+    def test_residual_past_its_tolerance_is_refused(self, monkeypatch):
+        # a tolerance of 0 leaves the solve no rounding
+        layer = sm.layer_from_edge_rates(3, [(0, 1, 0.1), (1, 2, 0.7), (2, 0, 0.3), (1, 0, 0.2)])
+        assert np.max(np.abs(layer.Q.T @ sm.stationary_distribution(layer))) > 0.0
+        monkeypatch.setattr(sm.network, "STATIONARY_RESIDUAL_TOL", 0.0)
+        with pytest.raises(sm.MalformedGeneratorError,
+                           match=r"^stationary solve residual 1\.737e-17 exceeds tolerance; "
+                                 r"generator may have multiple null vectors$"):
+            sm.stationary_distribution(layer)
 
     def test_invalid_layer_rejected(self):
         layer = sm.MobilityLayer(n=2, edges=((0, 1),),
@@ -284,7 +294,7 @@ class TestPresets:
         layer = sm.preset_layer("line", 4, 0.2)
         assert layer.Q[0, 1] == pytest.approx(0.2)      # endpoint: single neighbor
         assert layer.Q[1, 0] == pytest.approx(0.1)      # interior: split two ways
-        assert np.allclose(layer.exit_rates, 0.2)
+        assert np.allclose(-np.diag(layer.Q), 0.2)
 
     def test_ring_is_regular(self):
         layer = sm.preset_layer("ring", 6, 0.3)

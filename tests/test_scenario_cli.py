@@ -1,9 +1,13 @@
 import contextlib
+import copy
 import errno
 import io
 import json
+import math
+import re
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -19,7 +23,7 @@ from sismob.equilibria import equilibrium_stack, threshold
 from sismob.scenario import _as_number, _as_vector, parse_point, read_document, set_fields
 from sismob.stochastic import seed_infections, simulate, stationary_counts, write_stochastic_csv
 
-from conftest import LOGISTIC, SCENARIOS
+from conftest import LOGISTIC, SCENARIOS, resolved
 
 
 def two_layer_doc(**overrides):
@@ -148,13 +152,13 @@ class TestScenarioParsing:
         with pytest.raises(sm.ScenarioError, match=r"^dt: 0\.01 times the largest 2 \* exit "
                                                    r"rate \+ recovery rate of a node, 290\.1, is "
                                                    r"above 2\.785, the edge of RK4"):
-            sm.scenario.check_rk4_step(scenario)
+            sm.scenario.check_run(scenario)
         out = ["--out", str(tmp_path / "out")]
         assert_refused_without_writing(doc, "dt: ", tmp_path, capsys,
                                        [["validate"], ["run", *out]])
         # at 138 (2.761) it passes; --dt takes the same check
         stable = self.fig1_at_rate(138)
-        sm.scenario.check_rk4_step(sm.parse_scenario(stable))
+        sm.scenario.check_run(sm.parse_scenario(stable))
         assert_refused_without_writing(stable, "dt: 0.0125 times", tmp_path, capsys,
                                        [["validate", "--dt", "0.0125"],
                                         ["run", "--dt", "0.0125", *out]])
@@ -168,7 +172,7 @@ class TestScenarioParsing:
             doc, "dt: 0.01 times the largest 2 * exit rate + recovery rate of a node, 300, is "
             "above 2.785", tmp_path, capsys, [["validate"], ["run", *out]])
         # at delta 278 (2.78) it passes
-        sm.scenario.check_rk4_step(sm.parse_scenario({**doc, "delta": 278}))
+        sm.scenario.check_run(sm.parse_scenario({**doc, "delta": 278}))
 
     def test_infection_rate_does_not_join_the_rk4_bound(self, tmp_path, capsys):
         # the logistic document (no edges, delta 0) validates; its infection
@@ -287,13 +291,13 @@ class TestScenarioParsing:
 
     def test_defaults_are_resolved_into_manifest_form(self):
         scenario = sm.parse_scenario(scalar_doc())
-        resolved = scenario.resolved
+        listed = resolved(scenario)
         # silent defaults must be visible
-        assert resolved["p0"] == [0.01]
-        assert resolved["x0"] == [1000.0]
-        assert resolved["sample_every"] == 1
-        assert resolved["stochastic"] == {"enabled": False, "h": 0.01, "seeds": [0]}
-        assert resolved["output_dir"] == "out"
+        assert listed["p0"] == [0.01]
+        assert listed["x0"] == [1000.0]
+        assert listed["sample_every"] == 1
+        assert listed["stochastic"] == {"enabled": False, "h": 0.01, "seeds": [0]}
+        assert listed["output_dir"] == "out"
 
     def test_stationary_x0_resolved(self):
         doc = scalar_doc(n=2, layers=[{"edges": [[0, 1, 0.1], [1, 0, 0.3]]}],
@@ -517,14 +521,14 @@ class TestScenarioParsing:
 
     def test_delta_rule_resolves_to_explicit_vector(self):
         scenario = sm.load_scenario(SCENARIOS / "fig3_lambda2.json")
-        assert scenario.resolved["delta_rule"]["rule"] == "lambda2_sufficient"
-        assert len(scenario.resolved["delta"]) == 20
+        assert resolved(scenario)["delta_rule"]["rule"] == "lambda2_sufficient"
+        assert len(resolved(scenario)["delta"]) == 20
 
 
     @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
     def test_resolved_form_parses_back_to_itself(self, path):
-        resolved = sm.load_scenario(path).resolved
-        assert sm.parse_scenario(resolved).resolved == resolved
+        listed = resolved(sm.load_scenario(path))
+        assert resolved(sm.parse_scenario(listed)) == listed
 
     @pytest.mark.parametrize("delta, delta_rule", [
         (0.1, 5),
@@ -534,6 +538,140 @@ class TestScenarioParsing:
     def test_delta_rule_is_provenance_of_an_explicit_delta(self, delta, delta_rule):
         with pytest.raises(sm.ScenarioError, match="^delta_rule:"):
             sm.parse_scenario(scalar_doc(delta=delta, delta_rule=delta_rule))
+
+
+
+def skewed_chain(rate):
+    """A three-node chain whose backward rates are ``rate``: its stationary
+    law is proportional to (rate**2, rate, 1)."""
+    return {"name": "u", "n": 3, "m": 1,
+            "layers": [{"edges": [[0, 1, 1], [1, 0, rate], [1, 2, 1], [2, 1, rate]]}],
+            "beta": 0.3, "delta": 0.1, "N": [100]}
+
+
+DELETE = object()
+# every mutation value of the scenario fuzz: scalars, the float range's
+# edges, non-finite floats, containers, big integers and deletion
+FUZZ_VALUES = [None, True, False, 0, 1, -1, 0.5, 1e308, -1e308, math.nan, math.inf, -math.inf,
+               "text", [], [1], [0.5, 0.5], {}, {"k": 1}, 10**30, 2**53 + 1, DELETE]
+TOP_FIELD = re.compile(r"(name|n|m|layers|beta|delta|delta_rule|N|p0|x0|t_end|dt|sample_every|"
+                       r"stochastic|output_dir)[\[.:]")
+
+
+def value_paths(value, path=()):
+    """The path of every value inside a document, depth first."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,)
+        yield from value_paths(item, path + (key,))
+
+
+BUNDLED = {path.stem: read_document(path) for path in sorted(SCENARIOS.glob("*.json"))}
+MUTATION_SITES = [(stem, path) for stem, doc in BUNDLED.items() for path in value_paths(doc)]
+
+
+class TestBoundsAndRefusals:
+    def test_bundled_scenarios_are_within_the_run_bounds(self):
+        for stem, doc in BUNDLED.items():
+            sm.scenario.check_run(sm.parse_scenario(doc))
+
+    @pytest.mark.parametrize("overrides, message", [
+        # 1e11 RK4 steps; run would first ask for 1e10 recorded-row indices
+        ({"t_end": 1e9}, "t_end: 1e+11 RK4 steps times n * m = 40 is 4e+12 cell-steps, above "
+                         "MAX_CELL_STEPS = 10**9"),
+        # 1e7 RK4 steps pass; 1e9 stochastic steps times 10 seeds do not
+        ({"t_end": 1e5, "stochastic": {"enabled": True, "h": 1e-4, "seeds": list(range(10))}},
+         "t_end: 1e+09 stochastic steps times n * m = 40 times 10 seeds is 4e+11 cell-steps"),
+        # 1e6 RK4 steps pass; each recorded they take 6.4e8 bytes
+        ({"t_end": 1e4, "sample_every": 1, "stochastic": {"enabled": False}},
+         "sample_every: 1000001 recorded rows of n * m = 40 cells take 6.4e+08 bytes, above "
+         "MAX_RECORD_BYTES = 2**28"),
+    ], ids=["rk4_steps", "stochastic_steps", "recorded_rows"])
+    def test_oversize_runs_are_refused_before_any_step(self, overrides, message, tmp_path,
+                                                        capsys):
+        # parsed and validated only, never run
+        doc = {**BUNDLED["fig1_complete_line"], **overrides}
+        with pytest.raises(sm.ScenarioError, match=f"^{re.escape(message)}"):
+            sm.scenario.check_run(sm.parse_scenario(doc))
+        assert_refused_without_writing(doc, message, tmp_path, capsys, [["validate"]])
+
+    def test_bounds_are_inclusive(self):
+        # n * m = 1 and dt = h = 1: steps are cell-steps, rows are 16 bytes
+        doc = scalar_doc(dt=1.0, sample_every=10**9)
+        sm.scenario.check_run(sm.parse_scenario({**doc, "t_end": 1e9}))
+        with pytest.raises(sm.ScenarioError, match=r"^t_end: 1e\+09 RK4 steps"):
+            sm.scenario.check_run(sm.parse_scenario({**doc, "t_end": 1e9 + 1}))
+        stochastic = {"enabled": True, "h": 1.0, "seeds": list(range(10))}
+        sm.scenario.check_run(sm.parse_scenario({**doc, "t_end": 1e8, "stochastic": stochastic}))
+        with pytest.raises(sm.ScenarioError, match="^t_end: 1e\\+08 stochastic steps times "
+                                                   "n \\* m = 1 times 11 seeds"):
+            sm.scenario.check_run(sm.parse_scenario(
+                {**doc, "t_end": 1e8, "stochastic": {**stochastic, "seeds": list(range(11))}}))
+        rows = sm.scenario.MAX_RECORD_BYTES // 16  # the initial row and every step
+        doc = scalar_doc(dt=1.0, sample_every=1)
+        sm.scenario.check_run(sm.parse_scenario({**doc, "t_end": rows - 1}))
+        with pytest.raises(sm.ScenarioError, match=f"^sample_every: {rows + 1} recorded rows"):
+            sm.scenario.check_run(sm.parse_scenario({**doc, "t_end": rows}))
+
+    def test_law_past_the_analysis_precision_fails_with_its_span(self, tmp_path, capsys):
+        # the law spans 1e40: the parse certifies it, while lambda2's weights
+        # round to (0, 0, 1); no matrix here is reducible
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(skewed_chain(1e-20)))
+        assert main(["validate", "--scenario", str(path)]) == 0
+        assert main(["analyze", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lambda2: left null vector has nonpositive entries")
+        assert "span more orders of magnitude than double precision resolves" in err
+        assert "irreducible" not in err
+
+    def test_assembly_forms_no_ratio_off_the_edges(self, tmp_path):
+        # x_2 / x_0 = 1e320 overflows; no edge joins nodes 0 and 2
+        spec = sm.parse_scenario(skewed_chain(1e-160)).spec
+        mats = sm.assemble(spec, spec.net.stationary.v)
+        assert np.isfinite(mats.L).all()
+        assert mats.L[0, 2] == mats.L[2, 0] == 0.0
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(skewed_chain(1e-160)))
+        assert main(["analyze", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_law_past_double_precision_is_refused_by_its_span(self, tmp_path, capsys):
+        # the layer is strongly connected; its law's smallest entry, 1e-400, is 0
+        assert_refused_without_writing(
+            skewed_chain(1e-200), "layers[0]: stationary vector has nonpositive entries "
+            "(smallest 0.000e+00, largest 1.000e+00): the law spans more orders of magnitude "
+            "than double precision resolves", tmp_path, capsys, [["validate"]])
+
+    def test_target_entries_past_one_are_refused_without_overflow(self, tmp_path, capsys):
+        doc = copy.deepcopy(BUNDLED["fig2_line_line"])
+        doc["layers"][0]["mh"]["target"] = 1e308
+        assert_refused_without_writing(
+            doc, "layers[0]: target distribution entries must be at most one", tmp_path,
+            capsys, [["validate"]])
+
+    @settings(max_examples=400, deadline=None)
+    @given(site=st.sampled_from(MUTATION_SITES), value=st.sampled_from(FUZZ_VALUES))
+    @example(site=("fig2_line_line", ("layers", 0, "mh", "target")), value=1e308)
+    def test_a_mutated_bundled_document_parses_or_names_its_field(self, site, value):
+        # every value of a bundled scenario set to another JSON value, or
+        # deleted: the parse and the run bounds accept the document or raise a
+        # ScenarioError naming a field, and no warning fires on the way
+        stem, path = site
+        doc = copy.deepcopy(BUNDLED[stem])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                sm.scenario.check_run(sm.parse_scenario(doc))
+            except sm.ScenarioError as exc:
+                assert TOP_FIELD.match(str(exc)), str(exc)
 
 
 class TestCli:
@@ -999,7 +1137,7 @@ class TestCli:
         # whose leave-rate table (MultiLayerNetwork.moves) is built once; a
         # rate_scale point builds its own network and table; no point runs
         # the stationary x0 or the settings stage (_parse_instance) again
-        calls = {"moves": 0, "network_stationary": 0, "_parse_instance": 0}
+        calls = {"moves": 0, "_parse_instance": 0}
 
         def counting(name, fn):
             def counted(*args):
@@ -1022,7 +1160,7 @@ class TestCli:
         rows = (out / "pair_layers_sweep.csv").read_text().splitlines()[1:]
         assert len(rows) == int(grid.rsplit(":", 1)[1])
         assert all(row.endswith(",") for row in rows)
-        assert calls == {"moves": table_builds, "network_stationary": 1, "_parse_instance": 1}
+        assert calls == {"moves": table_builds, "_parse_instance": 1}
 
     def test_delta_point_checks_h_against_its_recovery_rate(self, tmp_path):
         # the point's own rates meet stochastic.h, with a full parse's message

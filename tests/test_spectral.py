@@ -23,7 +23,7 @@ def random_z_matrix(rng, n, diag_bump=True):
     """Irreducible Laplacian plus a nonnegative diagonal (>=1 positive
     entry when diag_bump), the construction behind the equivalence test."""
     layer = random_layer(rng, n)
-    lap = np.diag(layer.exit_rates) - (layer.Q - np.diag(np.diag(layer.Q)))
+    lap = -layer.Q  # the Laplacian diag(nu) - Q off the diagonal
     bump = rng.uniform(0.0, 0.5, size=n) * (rng.random(n) < 0.6)
     if diag_bump and not np.any(bump > 0):
         bump[int(rng.integers(0, n))] = rng.uniform(0.1, 0.5)
