@@ -33,7 +33,7 @@ Each scenario gets ``analyze``, ``run --t-end 2`` and four ``sweep`` grids:
 ``--dt 0.02 --t-end 2 --seed 3``: an ``analyze`` and a ``sweep`` over
 ``beta=0.05:0.6:3``.  One more call runs ``fig1_complete_line`` at full
 length (10 seeds of 4,000 steps), past ``cli.HELPER_LANE_STEPS``, so the
-seeds that a helper interpreter steps are compared too.  Every call's exit
+seeds that a forked child steps are compared too.  Every call's exit
 code, stdout and stderr are saved next to its output files.  The script then compares the
 sha256 of every file, lists each file that differs or exists on one side
 only, and exits with 1 on any difference, 0 when all files are identical.

@@ -11,11 +11,11 @@ are edited (overrides, sweep points) by the ``scenario`` module only.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
 import math
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -35,16 +35,10 @@ _COMPACT = json.JSONEncoder(separators=(",", ":"))  # no indent: the C encoder
 JSON_BLOCK = 128  # list items per compact encode, edge rows per write
 GRID_MAX_POINTS = 10**6  # largest --grid count, refused before any allocation
 STACK_BYTES = 216 * 1024  # sweep chunk budget at 8 nm^2 bytes + 1 KiB a point: 16 at nm = 40
-# lane-steps (one seed advanced one step) from which ``run`` hands its last
-# seeds to a helper interpreter: ``python -c "import numpy, sismob.cli"`` took
-# 0.135 s and a lane-step at n = 20 about 29 us (2-CPU machine, Python 3.11,
-# numpy 2.4), so half the lane-steps pay for that start from about 9,300
-HELPER_LANE_STEPS = 10**4
-# the helper reads its job before importing numpy, so the parent's write of
-# the job does not wait for that import
-_HELPER = ("import json, sys; job = json.load(sys.stdin); sys.path.insert(0, job['path']); "
-           "from pathlib import Path; from sismob.cli import _write_seeds, parse_scenario; "
-           "_write_seeds(parse_scenario(job['doc']), Path(job['out']), job['seeds'])")
+# lane-steps (one seed advanced one step) from which ``run`` forks a child for
+# half its seeds: a fork plus reap took 1.9 ms, and 2-seed runs gained from 100-200
+# lane-steps at n = 20 and 200-400 at n = 1 (2 CPUs, Python 3.11, numpy 2.4)
+HELPER_LANE_STEPS = 400
 
 
 def _write_json(path: Path, payload: dict):
@@ -140,8 +134,7 @@ def _manifest(scenario: Scenario, command: str, outputs: list) -> dict:
 
 def _document(args):
     """The scenario document with the given --dt, --t-end and --seed set."""
-    return set_fields(read_document(args.scenario), dt=args.dt, t_end=args.t_end,
-                      seeds=args.seed)
+    return set_fields(read_document(args.scenario), dt=args.dt, t_end=args.t_end, seeds=args.seed)
 
 
 def _cmd_validate(args) -> int:
@@ -158,8 +151,8 @@ def _cmd_analyze(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     analysis_path = out / f"{scenario.name}_analysis.json"
     _write_json(analysis_path, _analysis_payload(scenario))
-    manifest_path = out / f"{scenario.name}_manifest.json"
-    _write_json(manifest_path, _manifest(scenario, "analyze", [analysis_path]))
+    _write_json(out / f"{scenario.name}_manifest.json",
+                _manifest(scenario, "analyze", [analysis_path]))
     print(f"wrote {analysis_path}")
     return 0
 
@@ -188,40 +181,47 @@ def _write_seeds(scenario: Scenario, out: Path, seeds: list):
 
 
 def _helper_seeds(scenario: Scenario, seeds: list) -> int:
-    """How many of the last ``seeds`` a helper interpreter steps: half of
-    them (rounded down) when their lane-steps reach HELPER_LANE_STEPS, this
-    process may use two CPUs and knows its interpreter, else none."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    """How many of the last ``seeds`` a forked child steps: half of them
+    (rounded down) when their lane-steps reach HELPER_LANE_STEPS and this
+    Linux process may use two CPUs, else none."""
+    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
     lane_steps = len(seeds) * step_count(scenario.t_end, scenario.h) if len(seeds) > 1 else 0
-    usable = (cpus or 1) > 1 and bool(sys.executable)
-    return len(seeds) // 2 if usable and lane_steps >= HELPER_LANE_STEPS else 0
+    return len(seeds) // 2 if cpus > 1 and lane_steps >= HELPER_LANE_STEPS else 0
 
 
-def _start_helper(doc: dict, seeds: list, out: Path):
-    """A helper interpreter that writes ``seeds`` of ``doc`` under ``out``,
-    importing the sismob tree this process runs."""
-    import subprocess
-
-    helper = subprocess.Popen([sys.executable, "-c", _HELPER], stdin=subprocess.PIPE,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    job = {"doc": doc, "seeds": seeds, "out": str(out),
-           "path": str(Path(__file__).resolve().parents[1])}
-    # a helper that exits before reading its job says why in its exit code and stderr
-    with contextlib.suppress(BrokenPipeError), helper.stdin:
-        helper.stdin.write(json.dumps(job).encode())
-    return helper
+def _fork_seeds(scenario: Scenario, out: Path, seeds: list):
+    """Fork a child that writes ``seeds`` under ``out`` and ends by ``os._exit``
+    (no caller's ``finally``, atexit hook or stdio flush) with 0, or with 1 once it
+    has written ``"<exception type>: <message>"`` to a pipe: its pid and the pipe."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            _write_seeds(scenario, out, seeds)
+            code = 0
+        except BaseException as exc:
+            os.write(write_fd, f"{type(exc).__name__}: {exc}".encode(errors="replace"))
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
 def _cmd_run(args) -> int:
-    doc = _document(args)
-    scenario = parse_scenario(doc)
+    scenario = parse_scenario(_document(args))
     check_run(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seeds = scenario.seeds if scenario.stochastic_enabled else []
     own = len(seeds) - _helper_seeds(scenario, seeds)
-    helper = _start_helper(doc, seeds[own:], out) if own < len(seeds) else None
-    try:  # the helper starts up while the trajectory is integrated
+    pid, errors = _fork_seeds(scenario, out, seeds[own:]) if own < len(seeds) else (0, None)
+    try:  # the child steps its seeds while the trajectory is integrated
         traj = integrate(scenario.spec, initial_state(scenario), scenario.t_end,
                          dt=scenario.dt, record_every=scenario.sample_every)
         det_path = out / f"{scenario.name}_deterministic.csv"
@@ -230,19 +230,19 @@ def _cmd_run(args) -> int:
             _write_seeds(scenario, out, seeds[:own])
         analysis_path = out / f"{scenario.name}_analysis.json"
         _write_json(analysis_path, _analysis_payload(scenario))
-        if helper is not None:
-            message = helper.stderr.read().decode(errors="replace").strip()
-            if helper.wait():
-                raise RuntimeError(f"seed helper exited with {helper.returncode}: "
-                                   f"{message.splitlines()[-1] if message else 'no message'}")
+        if pid:
+            with errors:  # read to EOF: the child has exited
+                message = errors.read().decode(errors="replace")
+            pid, code = 0, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])  # reaped
+            if code:
+                raise RuntimeError(f"seed helper exited with {code}: {message or 'no message'}")
     finally:
-        if helper is not None:
-            with helper:  # closes its pipes and reaps it
-                helper.kill()  # a no-op once it has exited
+        if pid:  # not reaped: run failed first
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            errors.close()
     outputs = [det_path, *_seed_paths(scenario, out, seeds), analysis_path]
-
-    manifest_path = out / f"{scenario.name}_manifest.json"
-    _write_json(manifest_path, _manifest(scenario, "run", outputs))
+    _write_json(out / f"{scenario.name}_manifest.json", _manifest(scenario, "run", outputs))
     print(f"wrote {len(outputs) + 1} files under {out}")
     return 0
 

@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import tempfile
+import types
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -118,6 +119,18 @@ KNOWN_KEYS = {"name", "n", "m", "layers", "beta", "delta", "delta_rule", "N", "p
               "t_end", "dt", "sample_every", "stochastic", "output_dir", "preset",
               "rate_scale", "rates", "edges", "mh", "graph", "target", "rule", "s_factor",
               "deficit_nodes", "enabled", "h", "seeds"}
+
+
+class StderrReader(io.StringIO):
+    """A stand-in for capsys where hypothesis runs a test's examples under
+    one set of fixtures: redirect sys.stderr here, and ``readouterr().err``
+    reads and clears what was written."""
+
+    def readouterr(self):
+        err = self.getvalue()
+        self.seek(0)
+        self.truncate()
+        return types.SimpleNamespace(err=err)
 
 
 def assert_refused_without_writing(doc, prefix, tmp_path, capsys, commands):
@@ -656,7 +669,10 @@ class TestBoundsAndRefusals:
     def test_a_mutated_bundled_document_parses_or_names_its_field(self, site, value):
         # every value of a bundled scenario set to another JSON value, or
         # deleted: the parse and the run bounds accept the document or raise a
-        # ScenarioError naming a field, and no warning fires on the way
+        # ScenarioError naming a field, and no warning fires on the way; a
+        # document the parse refuses makes validate and analyze exit 2 with
+        # that error, writing nothing, and one only the run bounds refuse
+        # makes validate do so
         stem, path = site
         doc = copy.deepcopy(BUNDLED[stem])
         parent = doc
@@ -666,12 +682,18 @@ class TestBoundsAndRefusals:
             del parent[path[-1]]
         else:
             parent[path[-1]] = copy.deepcopy(value)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
             warnings.simplefilter("error")
+            commands = [["validate"], ["analyze", "--out", str(Path(tmp) / "out")]]
             try:
-                sm.scenario.check_run(sm.parse_scenario(doc))
+                scenario = sm.parse_scenario(doc)
+                commands = commands[:1]
+                sm.scenario.check_run(scenario)
             except sm.ScenarioError as exc:
                 assert TOP_FIELD.match(str(exc)), str(exc)
+                stderr = StderrReader()
+                with contextlib.redirect_stderr(stderr):
+                    assert_refused_without_writing(doc, str(exc), Path(tmp), stderr, commands)
 
 
 class TestCli:
