@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Subcommands: ``run`` (deterministic trajectory, optional stochastic
-replicas, analysis, manifest), ``analyze`` (equilibrium/condition report
-only), ``sweep`` (classification table over a scalar parameter grid),
-and ``validate``.  All outputs land under ``--out`` and are
-byte-reproducible for a fixed scenario and seed list.  Scenario documents
-are edited (overrides, sweep points) by the ``scenario`` module only.
+replicas, analysis, manifest), ``analyze`` (equilibrium/condition report),
+``sweep`` (classification table over a scalar grid) and ``validate``.  All
+outputs land under ``--out``, byte-identical for a fixed scenario and seeds,
+also where ``_split`` forks one child for a big run's last seeds or a big
+sweep's last grid points.  Only the ``scenario`` module edits documents.
 """
 
 from __future__ import annotations
@@ -123,13 +123,9 @@ def _analysis_payload(scenario: Scenario) -> dict:
 
 def _manifest(scenario: Scenario, command: str, outputs: list) -> dict:
     # file names only: manifests must be byte-identical across output dirs
-    return {
-        "tool": "sismob",
-        "version": __version__,
-        "command": command,
-        "scenario": {**scenario.explicit, "layers": scenario.spec.net.layers},
-        "outputs": sorted(Path(p).name for p in outputs),
-    }
+    return {"tool": "sismob", "version": __version__, "command": command,
+            "scenario": {**scenario.explicit, "layers": scenario.spec.net.layers},
+            "outputs": sorted(Path(p).name for p in outputs)}
 
 
 def _document(args):
@@ -140,8 +136,7 @@ def _document(args):
 def _cmd_validate(args) -> int:
     scenario = parse_scenario(_document(args))
     check_run(scenario)
-    print(f"scenario {scenario.name!r} is valid "
-          f"(n={scenario.spec.n}, m={scenario.spec.m})")
+    print(f"scenario {scenario.name!r} is valid (n={scenario.spec.n}, m={scenario.spec.m})")
     return 0
 
 
@@ -180,19 +175,37 @@ def _write_seeds(scenario: Scenario, out: Path, seeds: list):
                                   "scenario": scenario.name, "version": __version__})
 
 
+def _two_cpus() -> bool:
+    """Whether this is Linux (fork is used there alone) and the process may use 2 CPUs."""
+    return sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1
+
+
+def _fork_safe_blas() -> bool:
+    """Whether numpy (1.25 or later) reports an OpenBLAS without OpenMP, whose
+    ``pthread_atfork`` handler stops its threads so a forked child may call BLAS."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return "openblas" in blas["name"] and "USE_OPENMP" not in blas["openblas configuration"]
+    except (TypeError, KeyError):
+        return False
+
+
 def _helper_seeds(scenario: Scenario, seeds: list) -> int:
-    """How many of the last ``seeds`` a forked child steps: half of them
-    (rounded down) when their lane-steps reach HELPER_LANE_STEPS and this
-    Linux process may use two CPUs, else none."""
-    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+    """How many of the last ``seeds`` a forked child steps: half, rounded down,
+    when their lane-steps reach HELPER_LANE_STEPS and ``_two_cpus()``, else none."""
     lane_steps = len(seeds) * step_count(scenario.t_end, scenario.h) if len(seeds) > 1 else 0
-    return len(seeds) // 2 if cpus > 1 and lane_steps >= HELPER_LANE_STEPS else 0
+    return len(seeds) // 2 if lane_steps >= HELPER_LANE_STEPS and _two_cpus() else 0
 
 
-def _fork_seeds(scenario: Scenario, out: Path, seeds: list):
-    """Fork a child that writes ``seeds`` under ``out`` and ends by ``os._exit``
-    (no caller's ``finally``, atexit hook or stdio flush) with 0, or with 1 once it
-    has written ``"<exception type>: <message>"`` to a pipe: its pid and the pipe."""
+def _split(what: str, own, other):
+    """``(own(), b"")``, or with ``other``, ``(own(), other() or b"")`` where a
+    child forked first runs ``other`` and sends its bytes over a pipe; on any
+    ``BaseException`` it sends ``"<exception type>: <message>"`` and exits 1,
+    and it always ends by ``os._exit`` (no caller's ``finally``, atexit hook or
+    stdio flush).  Once ``own`` returns, the pipe is read to EOF, the child is
+    reaped and its failure raised; if ``own`` raises, the child is killed."""
+    if other is None:
+        return own(), b""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -203,14 +216,29 @@ def _fork_seeds(scenario: Scenario, out: Path, seeds: list):
     if pid == 0:
         code = 1
         try:
-            _write_seeds(scenario, out, seeds)
-            code = 0
-        except BaseException as exc:
-            os.write(write_fd, f"{type(exc).__name__}: {exc}".encode(errors="replace"))
+            try:
+                data, failed = other() or b"", 0
+            except BaseException as exc:
+                data, failed = f"{type(exc).__name__}: {exc}".encode(errors="replace"), 1
+            with open(write_fd, "wb") as pipe:  # every byte, past the pipe's buffer too
+                pipe.write(data)
+            code = failed
         finally:
             os._exit(code)
     os.close(write_fd)
-    return pid, open(read_fd, "rb")
+    try:
+        with open(read_fd, "rb") as pipe:
+            result = own()
+            data = pipe.read()  # to EOF: the child has written all it will
+        pid, code = 0, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])  # reaped
+    finally:
+        if pid:  # not reaped: own failed first
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if code:
+        message = data.decode(errors="replace") or "no message"
+        raise RuntimeError(f"{what} helper exited with {code}: {message}")
+    return result, data
 
 
 def _cmd_run(args) -> int:
@@ -220,27 +248,19 @@ def _cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seeds = scenario.seeds if scenario.stochastic_enabled else []
     own = len(seeds) - _helper_seeds(scenario, seeds)
-    pid, errors = _fork_seeds(scenario, out, seeds[own:]) if own < len(seeds) else (0, None)
-    try:  # the child steps its seeds while the trajectory is integrated
+    det_path = out / f"{scenario.name}_deterministic.csv"
+    analysis_path = out / f"{scenario.name}_analysis.json"
+
+    def write_own():  # while the child, if any, steps the last seeds
         traj = integrate(scenario.spec, initial_state(scenario), scenario.t_end,
                          dt=scenario.dt, record_every=scenario.sample_every)
-        det_path = out / f"{scenario.name}_deterministic.csv"
         write_trajectory_csv(traj, det_path, scenario.spec.n, scenario.spec.m)
         if seeds:
             _write_seeds(scenario, out, seeds[:own])
-        analysis_path = out / f"{scenario.name}_analysis.json"
         _write_json(analysis_path, _analysis_payload(scenario))
-        if pid:
-            with errors:  # read to EOF: the child has exited
-                message = errors.read().decode(errors="replace")
-            pid, code = 0, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])  # reaped
-            if code:
-                raise RuntimeError(f"seed helper exited with {code}: {message or 'no message'}")
-    finally:
-        if pid:  # not reaped: run failed first
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            errors.close()
+
+    _split("seed", write_own,
+           (lambda: _write_seeds(scenario, out, seeds[own:])) if own < len(seeds) else None)
     outputs = [det_path, *_seed_paths(scenario, out, seeds), analysis_path]
     _write_json(out / f"{scenario.name}_manifest.json", _manifest(scenario, "run", outputs))
     print(f"wrote {len(outputs) + 1} files under {out}")
@@ -254,11 +274,9 @@ def _parse_grid(text: str):
         start_s, stop_s, count_s = rng.split(":")
         start, stop, count = float(start_s), float(stop_s), int(count_s)
     except ValueError:
-        raise ScenarioError(
-            f"--grid: expected field=start:stop:count, got {text!r}") from None
+        raise ScenarioError(f"--grid: expected field=start:stop:count, got {text!r}") from None
     if not 0 <= count <= GRID_MAX_POINTS:
-        raise ScenarioError(
-            f"--grid: count must lie in [0, {GRID_MAX_POINTS}], got {count}")
+        raise ScenarioError(f"--grid: count must lie in [0, {GRID_MAX_POINTS}], got {count}")
     field = field.strip()
     if field not in ("beta", "delta", "rate_scale"):
         raise ScenarioError(
@@ -280,40 +298,49 @@ def _attempt(fn, *args):
         return exc
 
 
-def _cmd_sweep(args) -> int:
-    doc = _document(args)
-    scenario = parse_scenario(doc)
-    field, values = _parse_grid(args.grid)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    rows, lanes = [], max(1, STACK_BYTES // (8 * scenario.spec.nm ** 2 + 1024))
-    for start in range(0, len(values), lanes):
+def _sweep_rows(doc: dict, scenario: Scenario, field: str, values, start: int, lanes: int):
+    """The CSV text of the rows of ``values``, grid points ``start`` on,
+    analysed ``lanes`` points at a time."""
+    rows = []
+    for first in range(0, len(values), lanes):
         chunk = [_attempt(parse_point, doc, scenario, field, float(value))
-                 for value in values[start:start + lanes]]
+                 for value in values[first:first + lanes]]
         parsed = [point for point in chunk if not isinstance(point, Exception)]
         found = _attempt(lambda: threshold(equilibrium_stack(parsed))) if parsed else []
         if isinstance(found, Exception):  # rerun each lane alone for its own outcome
             found = [_attempt(lambda point: threshold(equilibrium_stack([point]))[0], point)
                      for point in parsed]
         found = iter(found)
-        for idx, outcome in enumerate(chunk, start):
+        for idx, outcome in enumerate(chunk, first):
             outcome = outcome if isinstance(outcome, Exception) else next(found)
-            rows.append([idx, values[idx], "", "", "", f"{type(outcome).__name__}: {outcome}"]
-                        if isinstance(outcome, Exception) else [idx, values[idx], *outcome, ""])
+            if isinstance(outcome, Exception):
+                cells = f',,,,"{type(outcome).__name__}: {outcome}"'
+            else:
+                mu, r0, cls = outcome
+                cells = f",{mu:.17g},{'' if r0 is None else format(r0, '.17g')},{cls},"
+            rows.append(f"{start + idx},{values[idx]:.17g}{cells}\n")
+    return "".join(rows)
 
+
+def _cmd_sweep(args) -> int:
+    doc = _document(args)
+    scenario = parse_scenario(doc)
+    field, values = _parse_grid(args.grid)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    lanes = max(1, STACK_BYTES // (8 * scenario.spec.nm ** 2 + 1024))
+    # past one chunk, a forked child writes the rows of the last floor(P / 2) points
+    split = len(values) > lanes and _two_cpus() and _fork_safe_blas()
+    half = (len(values) + 1) // 2 if split else len(values)
+    rows = lambda start, stop: _sweep_rows(doc, scenario, field, values[start:stop], start, lanes)
+    own, other = _split("sweep", lambda: rows(0, half),
+                        (lambda: rows(half, None).encode()) if split else None)
     sweep_path = out / f"{scenario.name}_sweep.csv"
     with open(sweep_path, "w", encoding="utf-8") as fh:
-        fh.write(f"index,{field},mu,R0,classification,error\n")
-        for idx, value, mu, r0, cls, err in rows:
-            mu_s = "" if mu == "" else format(mu, ".17g")
-            r0_s = "" if r0 in ("", None) else format(r0, ".17g")
-            err_s = f"\"{err}\"" if err else ""
-            fh.write(f"{idx},{format(value, '.17g')},{mu_s},{r0_s},{cls},{err_s}\n")
-
-    manifest_path = out / f"{scenario.name}_manifest.json"
-    _write_json(manifest_path, {**_manifest(scenario, "sweep", [sweep_path]),
-                                "grid": {"field": field, "values": values.tolist()}})
+        fh.write(f"index,{field},mu,R0,classification,error\n{own}{other.decode()}")
+    _write_json(out / f"{scenario.name}_manifest.json",
+                {**_manifest(scenario, "sweep", [sweep_path]),
+                 "grid": {"field": field, "values": values.tolist()}})
     print(f"wrote {sweep_path}")
     return 0
 

@@ -394,8 +394,9 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
     seeds = sto["seeds"]
     if (not isinstance(seeds, list) or not seeds
             or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
-                       for s in seeds)):
-        raise ScenarioError("stochastic.seeds: expected a nonempty list of integers >= 0")
+                       for s in seeds) or len(set(seeds)) < len(seeds)):
+        raise ScenarioError("stochastic.seeds: expected a nonempty list of distinct integers "
+                            ">= 0 (a seed names its output files)")
     if enabled and np.any((N != np.round(N)) | (N > 2**53)):
         raise ScenarioError("N: class populations must be whole numbers up to 2**53 "
                             "when stochastic runs are enabled")

@@ -1,6 +1,6 @@
-"""``run`` forks one child for its last seeds: the files are the serial
-path's, byte for byte, the child ends by ``os._exit`` whatever it raises,
-and no child outlives the call."""
+"""``run`` forks one child for its last seeds and ``sweep`` one for its last
+grid points: the files are the serial path's, byte for byte, the child ends
+by ``os._exit`` whatever it raises, and no child outlives the call."""
 
 import errno
 import json
@@ -65,14 +65,17 @@ def in_child(monkeypatch):
     return patch
 
 
-def run_main(argv, log) -> int:
-    """``main(argv)``, which must return within WAIT_S and only in this
-    process: every process that returns from it appends its pid to ``log``,
-    and one that is not this process then ends."""
+def run_main(argv, log):
+    """``main(argv)``, or the exception it raises, which must come within
+    WAIT_S and only in this process: every process that leaves it appends its
+    pid to ``log``, and one that is not this process then ends."""
     result, test_pid = [], os.getpid()
 
     def target():
-        code = main(argv)
+        try:
+            code = main(argv)
+        except Exception as exc:  # the parent's own failure
+            code = exc
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
         if os.getpid() != test_pid:
@@ -207,3 +210,138 @@ def test_importing_the_cli_leaves_subprocess_out():
                           timeout=WAIT_S, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+SWEEP = ["sweep", "--scenario", str(SCENARIOS / "fig1_complete_line.json")]  # nm = 40: 16 lanes
+sweep_forks = pytest.mark.skipif(sys.platform != "linux" or not cli._fork_safe_blas(),
+                                 reason="sweep forks only on Linux over a fork-safe BLAS")
+
+
+@pytest.fixture
+def in_sweep_child(monkeypatch):
+    """Make ``parse_point`` call ``act()`` in any process but the test's own,
+    and ``own()`` in the test's, then parse the point as before."""
+    def patch(act, own=lambda: None):
+        test_pid, parse_point = os.getpid(), cli.parse_point
+
+        def patched(*args):
+            act() if os.getpid() != test_pid else own()
+            return parse_point(*args)
+
+        monkeypatch.setattr(cli, "parse_point", patched)
+    return patch
+
+
+def sweep_files(tmp_path, name, grid) -> dict:
+    out = tmp_path / name
+    assert run_main([*SWEEP, "--grid", grid, "--out", str(out)], tmp_path / f"{name}.log") == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@sweep_forks
+@pytest.mark.parametrize("grid, errors", [
+    ("delta=0.05:0.6:200", 0),   # the benchmark's grid
+    ("delta=-0.05:150:40", 14),  # a negative rate, then h * delta past 1 from point 27 on
+    ("rate_scale=0.05:1.5:40", 0),
+    # h * delta passes 1 from point 400 on, and the child's 600 error rows take
+    # more than the 64 KiB pipe buffer: the child blocks until the parent reads
+    ("delta=0.05:300:1200", 800),
+])
+def test_forked_and_one_cpu_sweeps_write_the_same_bytes(grid, errors, tmp_path, monkeypatch,
+                                                        forked):
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = sweep_files(tmp_path, "serial", grid)
+    assert not forked
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    split = sweep_files(tmp_path, "split", grid)
+    assert len(forked) == 1
+    assert_reaped(forked)
+    assert sorted(split) == ["fig1_complete_line_manifest.json", "fig1_complete_line_sweep.csv"]
+    assert split == serial
+    rows = split["fig1_complete_line_sweep.csv"].decode().splitlines(keepends=True)[1:]
+    assert sum("Error" in row for row in rows) == errors
+    if grid.endswith(":1200"):
+        assert len("".join(rows[600:]).encode()) > 65536
+
+
+@sweep_forks
+def test_a_failing_sweep_child_fails_the_sweep(tmp_path, capsys, forked, two_cpus,
+                                               in_sweep_child):
+    def broke():
+        raise TypeError("sweep broke")
+
+    in_sweep_child(broke)
+    out = tmp_path / "out"
+    assert run_main([*SWEEP, "--grid", "delta=0.05:0.6:40", "--out", str(out)],
+                    tmp_path / "log") == 1
+    assert capsys.readouterr().err == ("error: sweep helper exited with 1: "
+                                       "TypeError: sweep broke\n")
+    assert len(forked) == 1
+    assert_reaped(forked)
+    assert list(out.iterdir()) == []  # neither the CSV nor the manifest
+
+
+@sweep_forks
+def test_a_killed_sweep_child_fails_the_sweep(tmp_path, capsys, forked, two_cpus,
+                                              in_sweep_child):
+    in_sweep_child(lambda: os.kill(os.getpid(), signal.SIGKILL))
+    out = tmp_path / "out"
+    assert run_main([*SWEEP, "--grid", "delta=0.05:0.6:40", "--out", str(out)],
+                    tmp_path / "log") == 1
+    assert capsys.readouterr().err == "error: sweep helper exited with -9: no message\n"
+    assert len(forked) == 1
+    assert_reaped(forked)
+    assert list(out.iterdir()) == []
+
+
+@sweep_forks
+def test_a_failing_parent_half_kills_the_sweep_child(tmp_path, forked, two_cpus,
+                                                     in_sweep_child):
+    # the child would sleep past every wait here: sweep returns only by killing it
+    def broke():
+        raise TypeError("parent broke")
+
+    in_sweep_child(lambda: time.sleep(2 * WAIT_S), broke)
+    out = tmp_path / "out"
+    raised = run_main([*SWEEP, "--grid", "delta=0.05:0.6:40", "--out", str(out)],
+                      tmp_path / "log")
+    assert isinstance(raised, TypeError) and str(raised) == "parent broke"
+    assert len(forked) == 1
+    assert_reaped(forked)
+    assert list(out.iterdir()) == []
+
+
+def fake_config(name, config):
+    blas = {"name": name, "openblas configuration": config}
+    return lambda mode: {"Build Dependencies": {"blas": blas, "lapack": blas}}
+
+
+def old_show_config():  # numpy < 1.25 takes no mode
+    return None
+
+
+@sweep_forks
+@pytest.mark.parametrize("grid, gate", [
+    ("delta=0.05:0.6:16", {}),  # one chunk of 16 lanes
+    ("delta=0.05:0.6:17", {"sched_getaffinity": lambda pid: {0}}),
+    ("delta=0.05:0.6:17", {"platform": "darwin"}),
+    ("delta=0.05:0.6:17", {"platform": "freebsd"}),
+    ("delta=0.05:0.6:17", {"show_config": fake_config(
+        "scipy-openblas", "OpenBLAS 0.3.31  USE64BITINT USE_OPENMP DYNAMIC_ARCH Haswell")}),
+    ("delta=0.05:0.6:17", {"show_config": fake_config("mkl-sdl", "unknown")}),
+    ("delta=0.05:0.6:17", {"show_config": fake_config("accelerate", None)}),
+    ("delta=0.05:0.6:17", {"show_config": old_show_config}),
+], ids=["one_chunk", "one_cpu", "darwin", "freebsd", "openmp", "mkl", "accelerate",
+        "old_numpy"])
+def test_the_sweep_gate(grid, gate, tmp_path, monkeypatch, forked, two_cpus):
+    expected = sweep_files(tmp_path, "forked", "delta=0.05:0.6:17")
+    assert len(forked) == 1  # 17 points are two chunks: the ungated sweep forks
+    targets = {"sched_getaffinity": os, "platform": sys, "show_config": cli.np}
+    for name, value in gate.items():
+        monkeypatch.setattr(targets[name], name, value)
+    files = sweep_files(tmp_path, "gated", grid)
+    assert len(forked) == 1
+    assert_reaped(forked)
+    if grid == "delta=0.05:0.6:17":
+        assert files == expected

@@ -293,6 +293,19 @@ class TestScenarioParsing:
         assert_refused_without_writing(doc, "output_dir:", tmp_path, capsys,
                                        (["validate"],))
 
+    def test_repeated_seeds_are_refused_in_the_document_and_by_seed(self, tmp_path, capsys):
+        # a seed names its two output files: a repeat would write them twice,
+        # once from each process of a split run
+        doc = read_document(SCENARIOS / "fig1_complete_line.json")
+        out = ["--out", str(tmp_path / "out")]
+        message = "stochastic.seeds: expected a nonempty list of distinct integers >= 0"
+        repeated = {**doc, "stochastic": {**doc["stochastic"], "seeds": [1, 2, 1]}}
+        assert_refused_without_writing(repeated, message, tmp_path, capsys,
+                                       (["validate"], ["run", "--t-end", "2", *out]))
+        assert_refused_without_writing(doc, message, tmp_path, capsys,
+                                       (["validate", "--seed", "5", "5"],
+                                        ["run", "--t-end", "2", "--seed", "5", "5", *out]))
+
     def test_disconnected_layer_names_layer(self):
         doc = scalar_doc(n=3, layers=[{"edges": [[0, 1, 0.2], [1, 0, 0.2]]}])
         with pytest.raises(sm.ScenarioError, match=r"layers\[0\]"):
@@ -831,9 +844,9 @@ class TestCli:
 
     def test_seed_in_a_multi_seed_run_writes_its_single_seed_bytes(self, tmp_path):
         # 20 steps recorded at 0, 3, ..., 18 and 20: (20 + 1) // 8 = 2 seeds
-        # a chunk, so the five seeds run as [4, 9], [4, 11] and [2]
+        # a chunk, so the five seeds run as [4, 9], [7, 11] and [2]
         doc = two_layer_doc(t_end=0.2, sample_every=3,
-                            stochastic={"enabled": True, "h": 0.01, "seeds": [4, 9, 4, 11, 2]})
+                            stochastic={"enabled": True, "h": 0.01, "seeds": [4, 9, 7, 11, 2]})
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
         chunks, lockstep = [], sm.cli.simulate_seeds
@@ -844,11 +857,11 @@ class TestCli:
 
         with mock.patch("sismob.cli.simulate_seeds", spy):
             assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "all")]) == 0
-        assert chunks == [[4, 9], [4, 11], [2]]
+        assert chunks == [[4, 9], [7, 11], [2]]
 
         scenario = sm.parse_scenario(doc)
         init = seed_infections(stationary_counts(scenario.spec), scenario.p0)
-        for seed in (4, 9, 11, 2):
+        for seed in (4, 9, 7, 11, 2):
             alone = tmp_path / f"seed{seed}"
             assert main(["run", "--scenario", str(path), "--seed", str(seed),
                          "--out", str(alone)]) == 0
@@ -1044,6 +1057,8 @@ class TestCli:
             return threshold(stack)
 
         monkeypatch.setattr("sismob.cli.threshold", recording)
+        # one CPU: a forked child's calls would not reach this process's list
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
         if lanes:
             monkeypatch.setattr("sismob.cli.STACK_BYTES", lanes * (8 * 8**2 + 1024))  # nm = 8
         scenario_path = tmp_path / "s.json"
