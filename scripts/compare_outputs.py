@@ -33,12 +33,13 @@ Each scenario gets ``analyze``, ``run --t-end 2`` and four ``sweep`` grids:
 ``--dt 0.02 --t-end 2 --seed 3``: an ``analyze`` and a ``sweep`` over
 ``beta=0.05:0.6:3``.  One more call runs ``fig1_complete_line`` at full
 length (10 seeds of 4,000 steps), past ``cli.HELPER_LANE_STEPS``, so the
-seeds that a forked child steps are compared too.  On Linux with two CPUs
-a sweep of more points than one chunk holds (``cli.STACK_BYTES``) forks a
-child for its last half: n = 80 and 160 hold one point per chunk, so each
-of their sweeps forks; n = 40 holds four, so its 9- and 6-point grids fork
-and its 3-point override sweep does not; n = 10 and every other scenario
-hold a whole grid in one chunk and stay serial.  Every call's exit
+seeds that a forked child steps are compared too, and one more sweeps
+``fig1_complete_line`` over the benchmark's ``delta=0.05:0.6:200`` grid,
+which on Linux with two CPUs forks a child for its last 100 points.  Every
+other sweep stays serial there: its points take less than
+``cli.SWEEP_HELPER_BYTES`` (the 9-point grids of n = 40 take 2.1 of the 4
+``cli.STACK_BYTES`` it holds), or, at n = 80 and 160, its nm passes
+``cli.SWEEP_HELPER_MAX_NM``.  Every call's exit
 code, stdout and stderr are saved next to its output files.  The script then compares the
 sha256 of every file, lists each file that differs or exists on one side
 only, and exits with 1 on any difference, 0 when all files are identical.
@@ -164,6 +165,8 @@ def jobs(scenario_dir: Path) -> list:
                     ["sweep", *scenario, *OVERRIDES, "--grid", "beta=0.05:0.6:3"]))
     fig1 = REPO / "scenarios" / "fig1_complete_line.json"
     out.append(("fig1_complete_line/run_full", ["run", "--scenario", str(fig1)]))
+    out.append(("fig1_complete_line/sweep_full",
+                ["sweep", "--scenario", str(fig1), "--grid", "delta=0.05:0.6:200"]))
     return out
 
 

@@ -39,6 +39,13 @@ STACK_BYTES = 216 * 1024  # sweep chunk budget at 8 nm^2 bytes + 1 KiB a point: 
 # half its seeds: a fork plus reap took 1.9 ms, and 2-seed runs gained from 100-200
 # lane-steps at n = 20 and 200-400 at n = 1 (2 CPUs, Python 3.11, numpy 2.4)
 HELPER_LANE_STEPS = 400
+# ``sweep`` forks a child for the last half of a grid whose points take at least
+# SWEEP_HELPER_BYTES as STACK_BYTES counts them, at nm up to SWEEP_HELPER_MAX_NM:
+# alternating in-process sweeps broke even at 1.0-2.9 STACK_BYTES (nm = 4-96,
+# the most at nm = 40-96), and from nm = 100 on, where OpenBLAS threads its solves in
+# both processes, forked sweeps took 0.12-2.8 s where one CPU took 15-160 ms
+# (2 CPUs, Python 3.11, numpy 2.4)
+SWEEP_HELPER_BYTES, SWEEP_HELPER_MAX_NM = 4 * STACK_BYTES, 96
 
 
 def _write_json(path: Path, payload: dict):
@@ -123,9 +130,13 @@ def _analysis_payload(scenario: Scenario) -> dict:
 
 def _manifest(scenario: Scenario, command: str, outputs: list) -> dict:
     # file names only: manifests must be byte-identical across output dirs
-    return {"tool": "sismob", "version": __version__, "command": command,
-            "scenario": {**scenario.explicit, "layers": scenario.spec.net.layers},
-            "outputs": sorted(Path(p).name for p in outputs)}
+    return {
+        "tool": "sismob",
+        "version": __version__,
+        "command": command,
+        "scenario": {**scenario.explicit, "layers": scenario.spec.net.layers},
+        "outputs": sorted(Path(p).name for p in outputs),
+    }
 
 
 def _document(args):
@@ -136,7 +147,8 @@ def _document(args):
 def _cmd_validate(args) -> int:
     scenario = parse_scenario(_document(args))
     check_run(scenario)
-    print(f"scenario {scenario.name!r} is valid (n={scenario.spec.n}, m={scenario.spec.m})")
+    print(f"scenario {scenario.name!r} is valid "
+          f"(n={scenario.spec.n}, m={scenario.spec.m})")
     return 0
 
 
@@ -274,9 +286,11 @@ def _parse_grid(text: str):
         start_s, stop_s, count_s = rng.split(":")
         start, stop, count = float(start_s), float(stop_s), int(count_s)
     except ValueError:
-        raise ScenarioError(f"--grid: expected field=start:stop:count, got {text!r}") from None
+        raise ScenarioError(
+            f"--grid: expected field=start:stop:count, got {text!r}") from None
     if not 0 <= count <= GRID_MAX_POINTS:
-        raise ScenarioError(f"--grid: count must lie in [0, {GRID_MAX_POINTS}], got {count}")
+        raise ScenarioError(
+            f"--grid: count must lie in [0, {GRID_MAX_POINTS}], got {count}")
     field = field.strip()
     if field not in ("beta", "delta", "rate_scale"):
         raise ScenarioError(
@@ -298,43 +312,42 @@ def _attempt(fn, *args):
         return exc
 
 
-def _sweep_rows(doc: dict, scenario: Scenario, field: str, values, start: int, lanes: int):
-    """The CSV text of the rows of ``values``, grid points ``start`` on,
-    analysed ``lanes`` points at a time."""
-    rows = []
-    for first in range(0, len(values), lanes):
-        chunk = [_attempt(parse_point, doc, scenario, field, float(value))
-                 for value in values[first:first + lanes]]
-        parsed = [point for point in chunk if not isinstance(point, Exception)]
-        found = _attempt(lambda: threshold(equilibrium_stack(parsed))) if parsed else []
-        if isinstance(found, Exception):  # rerun each lane alone for its own outcome
-            found = [_attempt(lambda point: threshold(equilibrium_stack([point]))[0], point)
-                     for point in parsed]
-        found = iter(found)
-        for idx, outcome in enumerate(chunk, first):
-            outcome = outcome if isinstance(outcome, Exception) else next(found)
-            if isinstance(outcome, Exception):
-                cells = f',,,,"{type(outcome).__name__}: {outcome}"'
-            else:
-                mu, r0, cls = outcome
-                cells = f",{mu:.17g},{'' if r0 is None else format(r0, '.17g')},{cls},"
-            rows.append(f"{start + idx},{values[idx]:.17g}{cells}\n")
-    return "".join(rows)
-
-
 def _cmd_sweep(args) -> int:
     doc = _document(args)
     scenario = parse_scenario(doc)
     field, values = _parse_grid(args.grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lanes = max(1, STACK_BYTES // (8 * scenario.spec.nm ** 2 + 1024))
-    # past one chunk, a forked child writes the rows of the last floor(P / 2) points
-    split = len(values) > lanes and _two_cpus() and _fork_safe_blas()
+    nm, point_bytes = scenario.spec.nm, 8 * scenario.spec.nm ** 2 + 1024
+    lanes = max(1, STACK_BYTES // point_bytes)
+
+    def rows(start: int, stop: int) -> str:  # the CSV rows of points start to stop
+        text = []
+        for first in range(start, stop, lanes):
+            chunk = [_attempt(parse_point, doc, scenario, field, float(value))
+                     for value in values[first:min(first + lanes, stop)]]
+            parsed = [point for point in chunk if not isinstance(point, Exception)]
+            found = _attempt(lambda: threshold(equilibrium_stack(parsed))) if parsed else []
+            if isinstance(found, Exception):  # rerun each lane alone for its own outcome
+                found = [_attempt(lambda point: threshold(equilibrium_stack([point]))[0], point)
+                         for point in parsed]
+            found = iter(found)
+            for idx, outcome in enumerate(chunk, first):
+                outcome = outcome if isinstance(outcome, Exception) else next(found)
+                if isinstance(outcome, Exception):
+                    cells = f',,,,"{type(outcome).__name__}: {outcome}"'
+                else:
+                    mu, r0, cls = outcome
+                    cells = f",{mu:.17g},{'' if r0 is None else format(r0, '.17g')},{cls},"
+                text.append(f"{idx},{values[idx]:.17g}{cells}\n")
+        return "".join(text)
+
+    # a forked child writes the rows of the last floor(P / 2) points of a big grid
+    split = (len(values) * point_bytes >= SWEEP_HELPER_BYTES and nm <= SWEEP_HELPER_MAX_NM
+             and _two_cpus() and _fork_safe_blas())
     half = (len(values) + 1) // 2 if split else len(values)
-    rows = lambda start, stop: _sweep_rows(doc, scenario, field, values[start:stop], start, lanes)
     own, other = _split("sweep", lambda: rows(0, half),
-                        (lambda: rows(half, None).encode()) if split else None)
+                        (lambda: rows(half, len(values)).encode()) if split else None)
     sweep_path = out / f"{scenario.name}_sweep.csv"
     with open(sweep_path, "w", encoding="utf-8") as fh:
         fh.write(f"index,{field},mu,R0,classification,error\n{own}{other.decode()}")

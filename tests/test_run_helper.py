@@ -212,7 +212,8 @@ def test_importing_the_cli_leaves_subprocess_out():
     assert proc.stdout == "False\n"
 
 
-SWEEP = ["sweep", "--scenario", str(SCENARIOS / "fig1_complete_line.json")]  # nm = 40: 16 lanes
+# nm = 40: a chunk holds 16 points, and a grid of 64 points or more forks
+SWEEP = ["sweep", "--scenario", str(SCENARIOS / "fig1_complete_line.json")]
 sweep_forks = pytest.mark.skipif(sys.platform != "linux" or not cli._fork_safe_blas(),
                                  reason="sweep forks only on Linux over a fork-safe BLAS")
 
@@ -241,8 +242,8 @@ def sweep_files(tmp_path, name, grid) -> dict:
 @sweep_forks
 @pytest.mark.parametrize("grid, errors", [
     ("delta=0.05:0.6:200", 0),   # the benchmark's grid
-    ("delta=-0.05:150:40", 14),  # a negative rate, then h * delta past 1 from point 27 on
-    ("rate_scale=0.05:1.5:40", 0),
+    ("delta=-0.05:150:80", 28),  # a negative rate, then h * delta past 1 from point 53 on
+    ("rate_scale=0.05:1.5:80", 0),
     # h * delta passes 1 from point 400 on, and the child's 600 error rows take
     # more than the 64 KiB pipe buffer: the child blocks until the parent reads
     ("delta=0.05:300:1200", 800),
@@ -273,7 +274,7 @@ def test_a_failing_sweep_child_fails_the_sweep(tmp_path, capsys, forked, two_cpu
 
     in_sweep_child(broke)
     out = tmp_path / "out"
-    assert run_main([*SWEEP, "--grid", "delta=0.05:0.6:40", "--out", str(out)],
+    assert run_main([*SWEEP, "--grid", "delta=0.05:0.6:64", "--out", str(out)],
                     tmp_path / "log") == 1
     assert capsys.readouterr().err == ("error: sweep helper exited with 1: "
                                        "TypeError: sweep broke\n")
@@ -287,7 +288,7 @@ def test_a_killed_sweep_child_fails_the_sweep(tmp_path, capsys, forked, two_cpus
                                               in_sweep_child):
     in_sweep_child(lambda: os.kill(os.getpid(), signal.SIGKILL))
     out = tmp_path / "out"
-    assert run_main([*SWEEP, "--grid", "delta=0.05:0.6:40", "--out", str(out)],
+    assert run_main([*SWEEP, "--grid", "delta=0.05:0.6:64", "--out", str(out)],
                     tmp_path / "log") == 1
     assert capsys.readouterr().err == "error: sweep helper exited with -9: no message\n"
     assert len(forked) == 1
@@ -304,11 +305,29 @@ def test_a_failing_parent_half_kills_the_sweep_child(tmp_path, forked, two_cpus,
 
     in_sweep_child(lambda: time.sleep(2 * WAIT_S), broke)
     out = tmp_path / "out"
-    raised = run_main([*SWEEP, "--grid", "delta=0.05:0.6:40", "--out", str(out)],
+    raised = run_main([*SWEEP, "--grid", "delta=0.05:0.6:64", "--out", str(out)],
                       tmp_path / "log")
     assert isinstance(raised, TypeError) and str(raised) == "parent broke"
     assert len(forked) == 1
     assert_reaped(forked)
+    assert list(out.iterdir()) == []
+
+
+def test_a_failing_serial_sweep_raises_as_its_parent_half_does(tmp_path, monkeypatch, forked,
+                                                               in_sweep_child):
+    # in this process an error that is no ValueError or RuntimeError keeps its
+    # type and traceback, in a serial sweep as in a forked one's parent half;
+    # only the child's crosses the pipe, as "<type>: <message>" and exit 1
+    def broke():
+        raise TypeError("serial broke")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    in_sweep_child(lambda: None, broke)
+    out = tmp_path / "out"
+    raised = run_main([*SWEEP, "--grid", "delta=0.05:0.6:64", "--out", str(out)],
+                      tmp_path / "log")
+    assert isinstance(raised, TypeError) and str(raised) == "serial broke"
+    assert not forked
     assert list(out.iterdir()) == []
 
 
@@ -323,25 +342,41 @@ def old_show_config():  # numpy < 1.25 takes no mode
 
 @sweep_forks
 @pytest.mark.parametrize("grid, gate", [
-    ("delta=0.05:0.6:16", {}),  # one chunk of 16 lanes
-    ("delta=0.05:0.6:17", {"sched_getaffinity": lambda pid: {0}}),
-    ("delta=0.05:0.6:17", {"platform": "darwin"}),
-    ("delta=0.05:0.6:17", {"platform": "freebsd"}),
-    ("delta=0.05:0.6:17", {"show_config": fake_config(
+    ("delta=0.05:0.6:63", {}),  # 63 points take 3.94 STACK_BYTES, short of 4
+    ("delta=0.05:0.6:64", {"sched_getaffinity": lambda pid: {0}}),
+    ("delta=0.05:0.6:64", {"platform": "darwin"}),
+    ("delta=0.05:0.6:64", {"platform": "freebsd"}),
+    ("delta=0.05:0.6:64", {"show_config": fake_config(
         "scipy-openblas", "OpenBLAS 0.3.31  USE64BITINT USE_OPENMP DYNAMIC_ARCH Haswell")}),
-    ("delta=0.05:0.6:17", {"show_config": fake_config("mkl-sdl", "unknown")}),
-    ("delta=0.05:0.6:17", {"show_config": fake_config("accelerate", None)}),
-    ("delta=0.05:0.6:17", {"show_config": old_show_config}),
-], ids=["one_chunk", "one_cpu", "darwin", "freebsd", "openmp", "mkl", "accelerate",
+    ("delta=0.05:0.6:64", {"show_config": fake_config("mkl-sdl", "unknown")}),
+    ("delta=0.05:0.6:64", {"show_config": fake_config("accelerate", None)}),
+    ("delta=0.05:0.6:64", {"show_config": old_show_config}),
+], ids=["small_grid", "one_cpu", "darwin", "freebsd", "openmp", "mkl", "accelerate",
         "old_numpy"])
 def test_the_sweep_gate(grid, gate, tmp_path, monkeypatch, forked, two_cpus):
-    expected = sweep_files(tmp_path, "forked", "delta=0.05:0.6:17")
-    assert len(forked) == 1  # 17 points are two chunks: the ungated sweep forks
+    expected = sweep_files(tmp_path, "forked", "delta=0.05:0.6:64")
+    assert len(forked) == 1  # 64 points take 4 STACK_BYTES: the ungated sweep forks
     targets = {"sched_getaffinity": os, "platform": sys, "show_config": cli.np}
     for name, value in gate.items():
         monkeypatch.setattr(targets[name], name, value)
     files = sweep_files(tmp_path, "gated", grid)
     assert len(forked) == 1
     assert_reaped(forked)
-    if grid == "delta=0.05:0.6:17":
+    if grid == "delta=0.05:0.6:64":
         assert files == expected
+
+
+@sweep_forks
+@pytest.mark.parametrize("n, forks", [(48, 1), (50, 0)])
+def test_sweeps_past_nm_96_stay_serial(n, forks, tmp_path, forked, two_cpus):
+    # from nm = 100 on, BLAS threads its solves in each process, and forked sweeps
+    # ran 2-80 times slower than serial ones on 2 CPUs
+    doc = {**json.loads((SCENARIOS / "fig1_complete_line.json").read_text()),
+           "n": n, "beta": 0.3}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["sweep", "--scenario", str(path), "--grid", "delta=0.05:0.6:12", "--out", str(out)]
+    assert run_main(argv, tmp_path / "log") == 0  # 12 points: 4.06 and 4.4 STACK_BYTES
+    assert len(forked) == forks
+    assert_reaped(forked)
