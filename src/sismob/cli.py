@@ -3,9 +3,10 @@
 Subcommands: ``run`` (deterministic trajectory, optional stochastic
 replicas, analysis, manifest), ``analyze`` (equilibrium/condition report),
 ``sweep`` (classification table over a scalar grid) and ``validate``.  All
-outputs land under ``--out``, byte-identical for a fixed scenario and seeds,
-also where ``_split`` forks one child for a big run's last seeds or a big
-sweep's last grid points.  Only the ``scenario`` module edits documents.
+outputs land under ``--out``, byte-identical for a fixed scenario and seeds.
+Where ``_split`` forks one child for a big run's last seeds or a big sweep's
+last grid points, outputs, messages and exit codes stay one CPU's: a child or
+fork that fails costs time only.  Only the ``scenario`` module edits documents.
 """
 
 from __future__ import annotations
@@ -173,6 +174,8 @@ def _seed_paths(scenario: Scenario, out: Path, seeds: list) -> list:
 def _write_seeds(scenario: Scenario, out: Path, seeds: list):
     """Step ``seeds`` in chunks whose recorded rows take no more room than
     one seed's every step would, and write each seed's CSV and sidecar."""
+    if not seeds:  # a run without replicas
+        return
     initial_counts = seed_infections(stationary_counts(scenario.spec), scenario.p0)
     steps = step_count(scenario.t_end, scenario.h)
     lanes = max(1, (steps + 1) // len(recorded_rows(steps, scenario.sample_every)))
@@ -187,11 +190,6 @@ def _write_seeds(scenario: Scenario, out: Path, seeds: list):
                                   "scenario": scenario.name, "version": __version__})
 
 
-def _two_cpus() -> bool:
-    """Whether this is Linux (fork is used there alone) and the process may use 2 CPUs."""
-    return sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1
-
-
 def _fork_safe_blas() -> bool:
     """Whether numpy (1.25 or later) reports an OpenBLAS without OpenMP, whose
     ``pthread_atfork`` handler stops its threads so a forked child may call BLAS."""
@@ -202,55 +200,48 @@ def _fork_safe_blas() -> bool:
         return False
 
 
-def _helper_seeds(scenario: Scenario, seeds: list) -> int:
-    """How many of the last ``seeds`` a forked child steps: half, rounded down,
-    when their lane-steps reach HELPER_LANE_STEPS and ``_two_cpus()``, else none."""
-    lane_steps = len(seeds) * step_count(scenario.t_end, scenario.h) if len(seeds) > 1 else 0
-    return len(seeds) // 2 if lane_steps >= HELPER_LANE_STEPS and _two_cpus() else 0
-
-
-def _split(what: str, own, other):
-    """``(own(), b"")``, or with ``other``, ``(own(), other() or b"")`` where a
-    child forked first runs ``other`` and sends its bytes over a pipe; on any
-    ``BaseException`` it sends ``"<exception type>: <message>"`` and exits 1,
-    and it always ends by ``os._exit`` (no caller's ``finally``, atexit hook or
-    stdio flush).  Once ``own`` returns, the pipe is read to EOF, the child is
-    reaped and its failure raised; if ``own`` raises, the child is killed."""
-    if other is None:
-        return own(), b""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        code = 1
+def _split(count: int, fork: bool, work, first=lambda: None) -> str:
+    """Run ``first()``, then return the text of ``work(0, count)``.  With
+    ``fork``, on Linux with 2 usable CPUs, a child forked first runs
+    ``work(half, count)``, half = ceil(count / 2), and sends its text over a
+    pipe, every byte even past the pipe's buffer, while this process runs
+    ``first()`` and ``work(0, half)``.  The child always ends by ``os._exit``
+    (no caller's ``finally``, atexit hook or stdio flush): 0 once its text is
+    sent, non-zero with no message on any ``BaseException``.  A child that
+    does not exit 0 leaves its half to this process, and a fork that fails
+    leaves the whole, so the outcome is one CPU's.  If this process fails
+    first, the child is killed and reaped."""
+    half, pid = (count + 1) // 2, -1  # no child
+    if fork and sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1:
+        read_fd, write_fd = os.pipe()
         try:
-            try:
-                data, failed = other() or b"", 0
-            except BaseException as exc:
-                data, failed = f"{type(exc).__name__}: {exc}".encode(errors="replace"), 1
-            with open(write_fd, "wb") as pipe:  # every byte, past the pipe's buffer too
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid < 0:
+        first()
+        return work(0, count)
+    if pid == 0:
+        try:
+            data = work(half, count).encode()
+            with open(write_fd, "wb") as pipe:
                 pipe.write(data)
-            code = failed
+            os._exit(0)
         finally:
-            os._exit(code)
+            os._exit(1)
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            result = own()
+            first()
+            text = work(0, half)
             data = pipe.read()  # to EOF: the child has written all it will
-        pid, code = 0, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])  # reaped
+        pid, status = 0, os.waitpid(pid, 0)[1]  # reaped
     finally:
-        if pid:  # not reaped: own failed first
+        if pid:  # not reaped: this process failed first
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if code:
-        message = data.decode(errors="replace") or "no message"
-        raise RuntimeError(f"{what} helper exited with {code}: {message}")
-    return result, data
+    return text + (data.decode() if status == 0 else work(half, count))
 
 
 def _cmd_run(args) -> int:
@@ -259,20 +250,19 @@ def _cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seeds = scenario.seeds if scenario.stochastic_enabled else []
-    own = len(seeds) - _helper_seeds(scenario, seeds)
     det_path = out / f"{scenario.name}_deterministic.csv"
     analysis_path = out / f"{scenario.name}_analysis.json"
 
-    def write_own():  # while the child, if any, steps the last seeds
+    def write_first():  # while a forked child, if any, steps the last seeds
         traj = integrate(scenario.spec, initial_state(scenario), scenario.t_end,
                          dt=scenario.dt, record_every=scenario.sample_every)
         write_trajectory_csv(traj, det_path, scenario.spec.n, scenario.spec.m)
-        if seeds:
-            _write_seeds(scenario, out, seeds[:own])
         _write_json(analysis_path, _analysis_payload(scenario))
 
-    _split("seed", write_own,
-           (lambda: _write_seeds(scenario, out, seeds[own:])) if own < len(seeds) else None)
+    fork = len(seeds) > 1 and (len(seeds) * step_count(scenario.t_end, scenario.h)
+                               >= HELPER_LANE_STEPS)
+    _split(len(seeds), fork,
+           lambda start, stop: _write_seeds(scenario, out, seeds[start:stop]) or "", write_first)
     outputs = [det_path, *_seed_paths(scenario, out, seeds), analysis_path]
     _write_json(out / f"{scenario.name}_manifest.json", _manifest(scenario, "run", outputs))
     print(f"wrote {len(outputs) + 1} files under {out}")
@@ -342,15 +332,12 @@ def _cmd_sweep(args) -> int:
                 text.append(f"{idx},{values[idx]:.17g}{cells}\n")
         return "".join(text)
 
-    # a forked child writes the rows of the last floor(P / 2) points of a big grid
-    split = (len(values) * point_bytes >= SWEEP_HELPER_BYTES and nm <= SWEEP_HELPER_MAX_NM
-             and _two_cpus() and _fork_safe_blas())
-    half = (len(values) + 1) // 2 if split else len(values)
-    own, other = _split("sweep", lambda: rows(0, half),
-                        (lambda: rows(half, len(values)).encode()) if split else None)
+    fork = (len(values) * point_bytes >= SWEEP_HELPER_BYTES and nm <= SWEEP_HELPER_MAX_NM
+            and _fork_safe_blas())
+    text = _split(len(values), fork, rows)
     sweep_path = out / f"{scenario.name}_sweep.csv"
     with open(sweep_path, "w", encoding="utf-8") as fh:
-        fh.write(f"index,{field},mu,R0,classification,error\n{own}{other.decode()}")
+        fh.write(f"index,{field},mu,R0,classification,error\n{text}")
     _write_json(out / f"{scenario.name}_manifest.json",
                 {**_manifest(scenario, "sweep", [sweep_path]),
                  "grid": {"field": field, "values": values.tolist()}})

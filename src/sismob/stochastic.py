@@ -101,9 +101,6 @@ class StochasticRun:
     s: np.ndarray          # (rows, n, m)
     i: np.ndarray          # (rows, n, m)
 
-    def fractions(self) -> np.ndarray:
-        return _fractions(self.s, self.i)
-
 
 def _check_step_size(h: float, max_nu: float, beta, delta):
     """Refuse an h whose step probabilities reach 1: h times the largest

@@ -1,6 +1,9 @@
 """``run`` forks one child for its last seeds and ``sweep`` one for its last
-grid points: the files are the serial path's, byte for byte, the child ends
-by ``os._exit`` whatever it raises, and no child outlives the call."""
+grid points, and the second CPU stays unobservable: the exit code, stdout,
+stderr and files are the one-CPU path's, byte for byte, whether the child
+succeeds, raises, is killed, interrupted or exits, and whether the fork
+fails; the child ends by ``os._exit`` whatever it raises, a healthy child's
+half is never redone, and no child outlives the call."""
 
 import errno
 import json
@@ -11,6 +14,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from sismob import cli
@@ -19,7 +23,8 @@ from sismob.cli import main
 from conftest import LOGISTIC, REPO, SCENARIOS
 
 WAIT_S = 120  # every wait on a child or a run in these tests ends by then
-FIG1 = ["run", "--scenario", str(SCENARIOS / "fig1_complete_line.json"), "--t-end", "2"]
+FULL = ["run", "--scenario", str(SCENARIOS / "fig1_complete_line.json")]  # 10 seeds, 4,000 steps
+FIG1 = [*FULL, "--t-end", "2"]
 linux_only = pytest.mark.skipif(sys.platform != "linux", reason="run forks only on Linux")
 
 
@@ -50,19 +55,47 @@ def two_cpus(monkeypatch):
 
 
 @pytest.fixture
-def in_child(monkeypatch):
-    """Make ``_write_seeds`` call ``act()`` in any process but the test's
-    own, and write the seeds as before in the test's."""
-    def patch(act):
-        test_pid, write_seeds = os.getpid(), cli._write_seeds
+def wrap(monkeypatch, tmp_path):
+    """``wrap(name, child, parent)`` makes each call of ``cli.<name>`` log its
+    last argument, then call ``child()`` in any process but the test's own and
+    ``parent()`` in the test's, then make the call as before.  ``wrap.calls()``
+    reads the logged arguments in call order, under "parent" for the test's
+    process and "child" for any other."""
+    test_pid, log = os.getpid(), tmp_path / "calls.jsonl"
+
+    def patch(name, child=lambda: None, parent=lambda: None):
+        original = getattr(cli, name)
 
         def patched(*args):
-            if os.getpid() != test_pid:
-                act()
-            return write_seeds(*args)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps([os.getpid() == test_pid, args[-1]]) + "\n")
+            child() if os.getpid() != test_pid else parent()
+            return original(*args)
 
-        monkeypatch.setattr(cli, "_write_seeds", patched)
+        monkeypatch.setattr(cli, name, patched)
+
+    def calls():
+        found = {"parent": [], "child": []}
+        for line in log.read_text().splitlines():
+            in_test, arg = json.loads(line)
+            found["parent" if in_test else "child"].append(arg)
+        return found
+
+    patch.calls = calls
     return patch
+
+
+def raiser(exc):
+    def act():
+        raise exc
+    return act
+
+
+# every way a child can end but by sending its text: each must leave the outcome one CPU's
+child_faults = pytest.mark.parametrize("fault", [
+    raiser(TypeError("child broke")), lambda: os.kill(os.getpid(), signal.SIGKILL),
+    raiser(KeyboardInterrupt()), raiser(SystemExit(0)),
+], ids=["raises", "killed", "interrupted", "exits"])
 
 
 def run_main(argv, log):
@@ -90,6 +123,19 @@ def run_main(argv, log):
     return result[0]
 
 
+def outcome(argv, out, n_cpus, monkeypatch, capsys):
+    """``main(argv + --out out)`` on ``n_cpus`` CPUs: its exit code (the repr
+    of an exception it raises), stdout and stderr with ``out`` masked, and
+    each file under ``out`` by name (None for a directory)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
+        code = run_main([*argv, "--out", str(out)], out.with_suffix(".log"))
+    std = capsys.readouterr()
+    files = {p.name: p.read_bytes() if p.is_file() else None for p in out.iterdir()}
+    return (code if isinstance(code, int) else repr(code),
+            std.out.replace(str(out), "OUT"), std.err.replace(str(out), "OUT"), files)
+
+
 def assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ChildProcessError):  # no zombie is left to reap
@@ -110,74 +156,75 @@ def test_split_and_serial_runs_write_the_same_bytes(tmp_path, monkeypatch, forke
     assert files["split"] == files["serial"]
 
 
-def test_the_helper_takes_the_last_half_of_big_runs(monkeypatch, two_cpus):
-    monkeypatch.setattr(sys, "platform", "linux")
-    doc = json.loads((SCENARIOS / "fig1_complete_line.json").read_text())
-    scenario = cli.parse_scenario(doc)  # 10 seeds of 4,000 steps
-    assert cli._helper_seeds(scenario, [1, 2, 3]) == 1  # the parent keeps the rounded-up half
-    assert cli._helper_seeds(scenario, [1]) == 0
-    monkeypatch.setattr(cli, "HELPER_LANE_STEPS", 3 * 4000 + 1)
-    assert cli._helper_seeds(scenario, [1, 2, 3]) == 0
-    assert cli._helper_seeds(scenario, [1, 2, 3, 4]) == 2
-    for platform in ("darwin", "win32", "freebsd"):  # fork is used on Linux alone
-        with monkeypatch.context() as patch:
-            patch.setattr(sys, "platform", platform)
-            assert cli._helper_seeds(scenario, [1, 2, 3, 4]) == 0
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert cli._helper_seeds(scenario, [1, 2, 3, 4]) == 0
+@linux_only
+@pytest.mark.parametrize("seeds, lane_steps, gate, forks", [
+    (["1"], 0, {}, 0),
+    (["1", "2", "3"], 3 * 4000, {}, 1),  # 3 seeds of 4,000 steps reach the bound
+    (["1", "2", "3"], 3 * 4000 + 1, {}, 0),
+    (["1", "2", "3"], 3 * 4000, {"platform": "darwin"}, 0),
+    (["1", "2", "3"], 3 * 4000, {"platform": "freebsd"}, 0),
+    (["1", "2", "3"], 3 * 4000, {"sched_getaffinity": lambda pid: {0}}, 0),
+], ids=["one_seed", "at_bound", "past_bound", "darwin", "freebsd", "one_cpu"])
+def test_the_run_gate(seeds, lane_steps, gate, forks, tmp_path, monkeypatch, forked, two_cpus,
+                      wrap):
+    monkeypatch.setattr(cli, "HELPER_LANE_STEPS", lane_steps)
+    targets = {"sched_getaffinity": os, "platform": sys}
+    for name, value in gate.items():
+        monkeypatch.setattr(targets[name], name, value)
+    wrap("_write_seeds")
+    argv = [*FULL, "--seed", *seeds, "--out", str(tmp_path / "out")]
+    assert run_main(argv, tmp_path / "log") == 0
+    assert len(forked) == forks
+    assert_reaped(forked)
+    seeds = [int(seed) for seed in seeds]  # the parent keeps the rounded-up half
+    expected = {"parent": [[1, 2]], "child": [[3]]} if forks else {"parent": [seeds], "child": []}
+    assert wrap.calls() == expected
 
 
 @linux_only
-def test_a_failing_helper_fails_the_run(tmp_path, monkeypatch, capsys, forked, two_cpus,
-                                        in_child):
-    def broke():
-        raise RuntimeError("helper broke")
-
-    in_child(broke)
-    monkeypatch.setattr(cli, "HELPER_LANE_STEPS", 0)
-    assert run_main([*FIG1, "--out", str(tmp_path / "out")], tmp_path / "log") == 1
-    assert capsys.readouterr().err == ("error: seed helper exited with 1: "
-                                       "RuntimeError: helper broke\n")
+def test_a_healthy_seed_child_is_never_redone(tmp_path, forked, two_cpus, wrap):
+    wrap("_write_seeds")
+    assert run_main([*FIG1, "--out", str(tmp_path / "out")], tmp_path / "log") == 0
     assert len(forked) == 1
     assert_reaped(forked)
-    assert not (tmp_path / "out" / "fig1_complete_line_manifest.json").exists()
+    assert wrap.calls() == {"parent": [[1, 2, 3, 4, 5]], "child": [[6, 7, 8, 9, 10]]}
 
 
 @linux_only
-def test_a_killed_child_fails_the_run(tmp_path, monkeypatch, capsys, forked, two_cpus,
-                                      in_child):
-    in_child(lambda: os.kill(os.getpid(), signal.SIGKILL))
-    monkeypatch.setattr(cli, "HELPER_LANE_STEPS", 0)
-    assert run_main([*FIG1, "--out", str(tmp_path / "out")], tmp_path / "log") == 1
-    assert capsys.readouterr().err == "error: seed helper exited with -9: no message\n"
+@child_faults
+def test_a_failing_seed_child_leaves_its_seeds_to_the_run(fault, tmp_path, monkeypatch, capsys,
+                                                         forked, wrap):
+    one_cpu = outcome(FIG1, tmp_path / "one", 1, monkeypatch, capsys)
+    assert one_cpu[:3] == (0, "wrote 23 files under OUT\n", "") and not forked
+    wrap("_write_seeds", child=fault)
+    assert outcome(FIG1, tmp_path / "two", 2, monkeypatch, capsys) == one_cpu
     assert len(forked) == 1
     assert_reaped(forked)
-    assert not (tmp_path / "out" / "fig1_complete_line_manifest.json").exists()
+    assert wrap.calls() == {"parent": [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]],
+                            "child": [[6, 7, 8, 9, 10]]}
 
 
 @linux_only
-@pytest.mark.parametrize("exc, message", [(KeyboardInterrupt, "KeyboardInterrupt: "),
-                                          (SystemExit(0), "SystemExit: 0")])
-def test_an_interrupted_or_exiting_child_still_ends_by_os_exit(
-        exc, message, tmp_path, monkeypatch, capsys, forked, two_cpus, in_child):
-    # neither reaches the caller's frames in the child: run_main checks that
-    # main returns once, in the test's own process
-    def interrupt():
-        raise exc
-
-    in_child(interrupt)
-    monkeypatch.setattr(cli, "HELPER_LANE_STEPS", 0)
-    assert run_main([*FIG1, "--out", str(tmp_path / "out")], tmp_path / "log") == 1
-    assert capsys.readouterr().err == f"error: seed helper exited with 1: {message}\n"
+def test_a_fault_in_every_process_ends_the_run_as_on_one_cpu(tmp_path, monkeypatch, capsys,
+                                                            forked):
+    # the child steps seeds 6-10 and fails on seed 10's CSV; the parent then
+    # redoes them and fails there too, as the one-CPU run does
+    for name in ("one", "two"):
+        (tmp_path / name / "fig1_complete_line_stochastic_seed10.csv").mkdir(parents=True)
+    one_cpu = outcome(FULL, tmp_path / "one", 1, monkeypatch, capsys)
+    assert one_cpu[:3] == (2, "", "error: [Errno 21] Is a directory: "
+                                  "'OUT/fig1_complete_line_stochastic_seed10.csv'\n")
+    assert not forked
+    assert outcome(FULL, tmp_path / "two", 2, monkeypatch, capsys) == one_cpu
     assert len(forked) == 1
     assert_reaped(forked)
 
 
 @linux_only
 def test_a_failing_integrate_kills_the_helper(tmp_path, monkeypatch, capsys, forked,
-                                              two_cpus, in_child):
+                                              two_cpus, wrap):
     # the child would sleep past every wait here: run returns only by killing it
-    in_child(lambda: time.sleep(2 * WAIT_S))
+    wrap("_write_seeds", child=lambda: time.sleep(2 * WAIT_S))
     path = tmp_path / "logistic.json"
     path.write_text(json.dumps({**LOGISTIC, "stochastic": {"enabled": True, "h": 0.5,
                                                            "seeds": [1, 2]}}))
@@ -190,17 +237,19 @@ def test_a_failing_integrate_kills_the_helper(tmp_path, monkeypatch, capsys, for
 
 
 @linux_only
-def test_a_failed_fork_fails_the_run_and_closes_its_pipe(tmp_path, monkeypatch, capsys,
-                                                        two_cpus):
+def test_a_failed_fork_runs_serially_and_closes_its_pipe(tmp_path, monkeypatch, capsys):
+    one_cpu = outcome(FIG1, tmp_path / "one", 1, monkeypatch, capsys)
+    tried = []
+
     def no_fork():
+        tried.append(1)
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(cli, "HELPER_LANE_STEPS", 0)
     fds = sorted(os.listdir("/proc/self/fd"))
-    assert main([*FIG1, "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "error: [Errno 11] Resource temporarily unavailable\n"
+    assert outcome(FIG1, tmp_path / "two", 2, monkeypatch, capsys) == one_cpu
     assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert tried == [1]
 
 
 def test_importing_the_cli_leaves_subprocess_out():
@@ -216,21 +265,6 @@ def test_importing_the_cli_leaves_subprocess_out():
 SWEEP = ["sweep", "--scenario", str(SCENARIOS / "fig1_complete_line.json")]
 sweep_forks = pytest.mark.skipif(sys.platform != "linux" or not cli._fork_safe_blas(),
                                  reason="sweep forks only on Linux over a fork-safe BLAS")
-
-
-@pytest.fixture
-def in_sweep_child(monkeypatch):
-    """Make ``parse_point`` call ``act()`` in any process but the test's own,
-    and ``own()`` in the test's, then parse the point as before."""
-    def patch(act, own=lambda: None):
-        test_pid, parse_point = os.getpid(), cli.parse_point
-
-        def patched(*args):
-            act() if os.getpid() != test_pid else own()
-            return parse_point(*args)
-
-        monkeypatch.setattr(cli, "parse_point", patched)
-    return patch
 
 
 def sweep_files(tmp_path, name, grid) -> dict:
@@ -267,67 +301,57 @@ def test_forked_and_one_cpu_sweeps_write_the_same_bytes(grid, errors, tmp_path, 
 
 
 @sweep_forks
-def test_a_failing_sweep_child_fails_the_sweep(tmp_path, capsys, forked, two_cpus,
-                                               in_sweep_child):
-    def broke():
-        raise TypeError("sweep broke")
-
-    in_sweep_child(broke)
-    out = tmp_path / "out"
-    assert run_main([*SWEEP, "--grid", "delta=0.05:0.6:64", "--out", str(out)],
-                    tmp_path / "log") == 1
-    assert capsys.readouterr().err == ("error: sweep helper exited with 1: "
-                                       "TypeError: sweep broke\n")
+@pytest.mark.parametrize("stop, count", [(0.6, 64), (300, 1200)])  # 1200: past the pipe's buffer
+def test_a_healthy_sweep_child_is_never_redone(stop, count, tmp_path, forked, two_cpus, wrap):
+    wrap("parse_point")
+    sweep_files(tmp_path, "out", f"delta=0.05:{stop}:{count}")
     assert len(forked) == 1
     assert_reaped(forked)
-    assert list(out.iterdir()) == []  # neither the CSV nor the manifest
+    values = np.linspace(0.05, stop, count).tolist()
+    assert wrap.calls() == {"parent": values[:count // 2], "child": values[count // 2:]}
 
 
 @sweep_forks
-def test_a_killed_sweep_child_fails_the_sweep(tmp_path, capsys, forked, two_cpus,
-                                              in_sweep_child):
-    in_sweep_child(lambda: os.kill(os.getpid(), signal.SIGKILL))
-    out = tmp_path / "out"
-    assert run_main([*SWEEP, "--grid", "delta=0.05:0.6:64", "--out", str(out)],
-                    tmp_path / "log") == 1
-    assert capsys.readouterr().err == "error: sweep helper exited with -9: no message\n"
+@child_faults
+def test_a_failing_sweep_child_leaves_its_points_to_the_sweep(fault, tmp_path, monkeypatch,
+                                                             capsys, forked, wrap):
+    argv = [*SWEEP, "--grid", "delta=0.05:0.6:64"]
+    one_cpu = outcome(argv, tmp_path / "one", 1, monkeypatch, capsys)
+    assert one_cpu[0] == 0 and len(one_cpu[3]) == 2 and not forked
+    wrap("parse_point", child=fault)
+    assert outcome(argv, tmp_path / "two", 2, monkeypatch, capsys) == one_cpu
     assert len(forked) == 1
     assert_reaped(forked)
-    assert list(out.iterdir()) == []
+    values = np.linspace(0.05, 0.6, 64).tolist()
+    assert wrap.calls() == {"parent": values, "child": values[32:33]}  # it failed on its first
 
 
 @sweep_forks
-def test_a_failing_parent_half_kills_the_sweep_child(tmp_path, forked, two_cpus,
-                                                     in_sweep_child):
+def test_a_fault_in_every_process_ends_the_sweep_as_on_one_cpu(tmp_path, monkeypatch, capsys,
+                                                              forked, wrap):
+    # no row records an error that is no ValueError or RuntimeError: it reaches
+    # main's caller with its type, and neither the CSV nor the manifest is written
+    broke = raiser(TypeError("broke"))
+    wrap("parse_point", child=broke, parent=broke)
+    argv = [*SWEEP, "--grid", "delta=0.05:0.6:64"]
+    one_cpu = outcome(argv, tmp_path / "one", 1, monkeypatch, capsys)
+    assert one_cpu == ("TypeError('broke')", "", "", {}) and not forked
+    assert outcome(argv, tmp_path / "two", 2, monkeypatch, capsys) == one_cpu
+    assert len(forked) == 1
+    assert_reaped(forked)
+
+
+@sweep_forks
+def test_a_failing_parent_half_kills_the_sweep_child(tmp_path, forked, two_cpus, wrap):
     # the child would sleep past every wait here: sweep returns only by killing it
-    def broke():
-        raise TypeError("parent broke")
-
-    in_sweep_child(lambda: time.sleep(2 * WAIT_S), broke)
+    wrap("parse_point", child=lambda: time.sleep(2 * WAIT_S),
+         parent=raiser(TypeError("parent broke")))
     out = tmp_path / "out"
     raised = run_main([*SWEEP, "--grid", "delta=0.05:0.6:64", "--out", str(out)],
                       tmp_path / "log")
     assert isinstance(raised, TypeError) and str(raised) == "parent broke"
     assert len(forked) == 1
     assert_reaped(forked)
-    assert list(out.iterdir()) == []
-
-
-def test_a_failing_serial_sweep_raises_as_its_parent_half_does(tmp_path, monkeypatch, forked,
-                                                               in_sweep_child):
-    # in this process an error that is no ValueError or RuntimeError keeps its
-    # type and traceback, in a serial sweep as in a forked one's parent half;
-    # only the child's crosses the pipe, as "<type>: <message>" and exit 1
-    def broke():
-        raise TypeError("serial broke")
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    in_sweep_child(lambda: None, broke)
-    out = tmp_path / "out"
-    raised = run_main([*SWEEP, "--grid", "delta=0.05:0.6:64", "--out", str(out)],
-                      tmp_path / "log")
-    assert isinstance(raised, TypeError) and str(raised) == "serial broke"
-    assert not forked
     assert list(out.iterdir()) == []
 
 

@@ -84,7 +84,7 @@ class TestStep:
                                                     N=np.array([100000.0])),
                            beta=scalar_spec.beta, delta=scalar_spec.delta)
         init = seed_infections(stationary_counts(big), 0.01)
-        finals = [run.fractions()[-1, 0, 0]
+        finals = [run.i[-1, 0, 0] / (run.s[-1, 0, 0] + run.i[-1, 0, 0])
                   for run in simulate_seeds(big, init, 100.0, h=0.01, seeds=range(10))]
         assert abs(np.mean(finals) - 2.0 / 3.0) < 0.01
 
