@@ -12,6 +12,7 @@ fork that fails costs time only.  Only the ``scenario`` module edits documents.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import math
@@ -200,28 +201,25 @@ def _fork_safe_blas() -> bool:
         return False
 
 
-def _split(count: int, fork: bool, work, first=lambda: None) -> str:
-    """Run ``first()``, then return the text of ``work(0, count)``.  With
-    ``fork``, on Linux with 2 usable CPUs, a child forked first runs
-    ``work(half, count)``, half = ceil(count / 2), and sends its text over a
-    pipe, every byte even past the pipe's buffer, while this process runs
-    ``first()`` and ``work(0, half)``.  The child always ends by ``os._exit``
-    (no caller's ``finally``, atexit hook or stdio flush): 0 once its text is
-    sent, non-zero with no message on any ``BaseException``.  A child that
-    does not exit 0 leaves its half to this process, and a fork that fails
-    leaves the whole, so the outcome is one CPU's.  If this process fails
-    first, the child is killed and reaped."""
-    half, pid = (count + 1) // 2, -1  # no child
+def _split(count: int, fork: bool, work) -> str:
+    """Return the text of ``work(0, count)``.  With ``fork``, on Linux with 2
+    usable CPUs, a child forked first runs ``work(half, count)``, half =
+    ceil(count / 2), and sends its text over a pipe, every byte even past the
+    pipe's buffer, while this process runs ``work(0, half)``; with no child it
+    runs ``work(0, count)`` through the same lines and reads an empty pipe.
+    The child always ends by ``os._exit`` (no caller's ``finally``, atexit
+    hook or stdio flush): 0 once its text is sent, non-zero with no message on
+    any ``BaseException``.  A child that does not exit 0 leaves its half to
+    this process, and a fork that fails leaves the whole, so the outcome is
+    one CPU's.  If this process fails first, the child is killed and reaped."""
+    half, pid = count, -1  # no child: this process does the whole
     if fork and sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1:
         read_fd, write_fd = os.pipe()
         try:
-            pid = os.fork()
+            pid, half = os.fork(), (count + 1) // 2
         except OSError:
             os.close(read_fd)
             os.close(write_fd)
-    if pid < 0:
-        first()
-        return work(0, count)
     if pid == 0:
         try:
             data = work(half, count).encode()
@@ -230,15 +228,15 @@ def _split(count: int, fork: bool, work, first=lambda: None) -> str:
             os._exit(0)
         finally:
             os._exit(1)
-    os.close(write_fd)
+    if pid > 0:
+        os.close(write_fd)
     try:
-        with open(read_fd, "rb") as pipe:
-            first()
+        with open(read_fd, "rb") if pid > 0 else io.BytesIO() as pipe:
             text = work(0, half)
             data = pipe.read()  # to EOF: the child has written all it will
-        pid, status = 0, os.waitpid(pid, 0)[1]  # reaped
+        pid, status = -1, (os.waitpid(pid, 0)[1] if pid > 0 else 0)  # a child is reaped
     finally:
-        if pid:  # not reaped: this process failed first
+        if pid > 0:  # not reaped: this process failed first
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return text + (data.decode() if status == 0 else work(half, count))
@@ -249,20 +247,22 @@ def _cmd_run(args) -> int:
     check_run(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = scenario.seeds if scenario.stochastic_enabled else []
+    seeds = scenario.seeds
     det_path = out / f"{scenario.name}_deterministic.csv"
     analysis_path = out / f"{scenario.name}_analysis.json"
 
-    def write_first():  # while a forked child, if any, steps the last seeds
-        traj = integrate(scenario.spec, initial_state(scenario), scenario.t_end,
-                         dt=scenario.dt, record_every=scenario.sample_every)
-        write_trajectory_csv(traj, det_path, scenario.spec.n, scenario.spec.m)
-        _write_json(analysis_path, _analysis_payload(scenario))
+    def share(start: int, stop: int) -> str:  # a child's or a redo's starts past seed 0
+        if start == 0:
+            traj = integrate(scenario.spec, initial_state(scenario), scenario.t_end,
+                             dt=scenario.dt, record_every=scenario.sample_every)
+            write_trajectory_csv(traj, det_path, scenario.spec.n, scenario.spec.m)
+            _write_json(analysis_path, _analysis_payload(scenario))
+        _write_seeds(scenario, out, seeds[start:stop])
+        return ""
 
     fork = len(seeds) > 1 and (len(seeds) * step_count(scenario.t_end, scenario.h)
                                >= HELPER_LANE_STEPS)
-    _split(len(seeds), fork,
-           lambda start, stop: _write_seeds(scenario, out, seeds[start:stop]) or "", write_first)
+    _split(len(seeds), fork, share)
     outputs = [det_path, *_seed_paths(scenario, out, seeds), analysis_path]
     _write_json(out / f"{scenario.name}_manifest.json", _manifest(scenario, "run", outputs))
     print(f"wrote {len(outputs) + 1} files under {out}")

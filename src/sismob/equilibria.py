@@ -400,6 +400,9 @@ def margin_recovery_rates(net, beta, s_factor: float, deficit_nodes):
 
     s_lower = -lambda2 / (4.0 * m * n + 1.0)
     s = s_factor * s_lower
+    if not s < 0:  # lambda2 > 0 exactly, but rounds to 0 or below at tiny mobility rates
+        raise ValueError(f"lambda2 = {lambda2:.6g} leaves no deficit s below 0: the "
+                         "mobility rates are too small to resolve against beta")
 
     # Invert the condition at equality for the weighted deficit sum T:
     # lambda2 / ((1 + sqrt(1 + lambda2/T))^2 nm + 1) = -s.

@@ -371,8 +371,6 @@ def metropolis_hastings_rates(n: int, edges, target: np.ndarray,
         raise ValueError(f"rate_scale must be positive, got {rate_scale}")
 
     edges = _edge_array(n, edges)
-    if n == 1:
-        return MobilityLayer(n=1, edges=(), Q=np.zeros((1, 1)))
     adj = np.zeros((n, n), dtype=bool)
     adj[edges[:, 0], edges[:, 1]] = True
     und = np.argwhere((adj | adj.T) & ~np.eye(n, dtype=bool))  # row-major, i.e. sorted

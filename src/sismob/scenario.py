@@ -107,9 +107,8 @@ class Scenario:
     t_end: float
     dt: float
     sample_every: int
-    stochastic_enabled: bool
     h: float
-    seeds: list
+    seeds: list      # the seeds a run steps: none when stochastic runs are off
     explicit: dict   # explicit form of every input but the layers, for the manifest
 
 
@@ -264,7 +263,7 @@ def parse_point(doc: dict, scenario: Scenario, field: str, value):
     point = set_fields(doc, **{field: value})
     net = _parse_network(point) if field == "rate_scale" else scenario.spec.net
     beta, delta, _ = _parse_rates(point, net)
-    if scenario.stochastic_enabled:
+    if scenario.seeds:
         _stochastic_bounds(net, scenario.h, beta, delta)
     return net, beta, delta
 
@@ -423,8 +422,8 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
         explicit["delta_rule"] = dict(delta_rule)
 
     return Scenario(name=name, spec=spec, p0=p0, x0=x0, t_end=t_end, dt=dt,
-                    sample_every=sample_every, stochastic_enabled=enabled, h=h,
-                    seeds=list(seeds), explicit=explicit)
+                    sample_every=sample_every, h=h, seeds=list(seeds) if enabled else [],
+                    explicit=explicit)
 
 
 def check_run(scenario: Scenario):
@@ -444,7 +443,7 @@ def check_run(scenario: Scenario):
                             f"rate of a node, {worst:.6g}, is above {RK4_STABILITY}, the edge "
                             "of RK4's stability region")
     runs = [("RK4", step_count(scenario.t_end, scenario.dt), 1)]
-    if scenario.stochastic_enabled:
+    if scenario.seeds:
         runs.append(("stochastic", step_count(scenario.t_end, scenario.h), len(scenario.seeds)))
     for kind, steps, lanes in runs:
         if (work := steps * nm * lanes) > MAX_CELL_STEPS:

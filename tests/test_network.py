@@ -1,4 +1,5 @@
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -244,6 +245,15 @@ class TestMetropolisHastings:
             und = {(i, j) for i, j in layer.edges} | {(j, i) for i, j in layer.edges}
             mh = sm.metropolis_hastings_rates(n, sorted(und), np.full(n, 1 / n), 0.7)
             assert np.allclose(mh.Q, mh.Q.T, atol=1e-15)
+
+    @pytest.mark.parametrize("name", graphs.PRESET_NAMES)
+    def test_one_node_layer_has_no_edges_and_stays_put(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            layer = sm.metropolis_hastings_rates(1, graphs.preset_edges(name, 1), np.ones(1), 0.7)
+        assert layer.Q.tolist() == [[0.0]]
+        assert layer.edges.shape == (0, 2) and layer.edges.dtype == np.int64
+        assert sm.stationary_distribution(layer).tolist() == [1.0]
 
     def test_disconnected_graph_rejected(self):
         with pytest.raises(sm.NotStronglyConnectedError):

@@ -2,8 +2,10 @@
 grid points, and the second CPU stays unobservable: the exit code, stdout,
 stderr and files are the one-CPU path's, byte for byte, whether the child
 succeeds, raises, is killed, interrupted or exits, and whether the fork
-fails; the child ends by ``os._exit`` whatever it raises, a healthy child's
-half is never redone, and no child outlives the call."""
+fails, and so is the traceback of a fault raised in every process; the child
+ends by ``os._exit`` whatever it raises, a healthy child's half is never
+redone, only the parent integrates a run's trajectory, and no child outlives
+the call."""
 
 import errno
 import json
@@ -13,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 
 import numpy as np
 import pytest
@@ -23,8 +26,8 @@ from sismob.cli import main
 from conftest import LOGISTIC, REPO, SCENARIOS
 
 WAIT_S = 120  # every wait on a child or a run in these tests ends by then
-FULL = ["run", "--scenario", str(SCENARIOS / "fig1_complete_line.json")]  # 10 seeds, 4,000 steps
-FIG1 = [*FULL, "--t-end", "2"]
+FIG1 = ["run", "--scenario", str(SCENARIOS / "fig1_complete_line.json"),
+        "--t-end", "2"]  # 10 seeds of 200 steps: 2,000 lane-steps, so the run forks
 linux_only = pytest.mark.skipif(sys.platform != "linux", reason="run forks only on Linux")
 
 
@@ -159,11 +162,11 @@ def test_split_and_serial_runs_write_the_same_bytes(tmp_path, monkeypatch, forke
 @linux_only
 @pytest.mark.parametrize("seeds, lane_steps, gate, forks", [
     (["1"], 0, {}, 0),
-    (["1", "2", "3"], 3 * 4000, {}, 1),  # 3 seeds of 4,000 steps reach the bound
-    (["1", "2", "3"], 3 * 4000 + 1, {}, 0),
-    (["1", "2", "3"], 3 * 4000, {"platform": "darwin"}, 0),
-    (["1", "2", "3"], 3 * 4000, {"platform": "freebsd"}, 0),
-    (["1", "2", "3"], 3 * 4000, {"sched_getaffinity": lambda pid: {0}}, 0),
+    (["1", "2", "3"], 3 * 200, {}, 1),  # 3 seeds of 200 steps reach the bound
+    (["1", "2", "3"], 3 * 200 + 1, {}, 0),
+    (["1", "2", "3"], 3 * 200, {"platform": "darwin"}, 0),
+    (["1", "2", "3"], 3 * 200, {"platform": "freebsd"}, 0),
+    (["1", "2", "3"], 3 * 200, {"sched_getaffinity": lambda pid: {0}}, 0),
 ], ids=["one_seed", "at_bound", "past_bound", "darwin", "freebsd", "one_cpu"])
 def test_the_run_gate(seeds, lane_steps, gate, forks, tmp_path, monkeypatch, forked, two_cpus,
                       wrap):
@@ -172,7 +175,7 @@ def test_the_run_gate(seeds, lane_steps, gate, forks, tmp_path, monkeypatch, for
     for name, value in gate.items():
         monkeypatch.setattr(targets[name], name, value)
     wrap("_write_seeds")
-    argv = [*FULL, "--seed", *seeds, "--out", str(tmp_path / "out")]
+    argv = [*FIG1, "--seed", *seeds, "--out", str(tmp_path / "out")]
     assert run_main(argv, tmp_path / "log") == 0
     assert len(forked) == forks
     assert_reaped(forked)
@@ -183,11 +186,12 @@ def test_the_run_gate(seeds, lane_steps, gate, forks, tmp_path, monkeypatch, for
 
 @linux_only
 def test_a_healthy_seed_child_is_never_redone(tmp_path, forked, two_cpus, wrap):
+    wrap("write_trajectory_csv")  # logs m = 2: the parent writes the trajectory once, first
     wrap("_write_seeds")
     assert run_main([*FIG1, "--out", str(tmp_path / "out")], tmp_path / "log") == 0
     assert len(forked) == 1
     assert_reaped(forked)
-    assert wrap.calls() == {"parent": [[1, 2, 3, 4, 5]], "child": [[6, 7, 8, 9, 10]]}
+    assert wrap.calls() == {"parent": [2, [1, 2, 3, 4, 5]], "child": [[6, 7, 8, 9, 10]]}
 
 
 @linux_only
@@ -196,11 +200,12 @@ def test_a_failing_seed_child_leaves_its_seeds_to_the_run(fault, tmp_path, monke
                                                          forked, wrap):
     one_cpu = outcome(FIG1, tmp_path / "one", 1, monkeypatch, capsys)
     assert one_cpu[:3] == (0, "wrote 23 files under OUT\n", "") and not forked
+    wrap("write_trajectory_csv")  # logs m = 2: the redo of the child's seeds does not integrate
     wrap("_write_seeds", child=fault)
     assert outcome(FIG1, tmp_path / "two", 2, monkeypatch, capsys) == one_cpu
     assert len(forked) == 1
     assert_reaped(forked)
-    assert wrap.calls() == {"parent": [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]],
+    assert wrap.calls() == {"parent": [2, [1, 2, 3, 4, 5], [6, 7, 8, 9, 10]],
                             "child": [[6, 7, 8, 9, 10]]}
 
 
@@ -211,11 +216,11 @@ def test_a_fault_in_every_process_ends_the_run_as_on_one_cpu(tmp_path, monkeypat
     # redoes them and fails there too, as the one-CPU run does
     for name in ("one", "two"):
         (tmp_path / name / "fig1_complete_line_stochastic_seed10.csv").mkdir(parents=True)
-    one_cpu = outcome(FULL, tmp_path / "one", 1, monkeypatch, capsys)
+    one_cpu = outcome(FIG1, tmp_path / "one", 1, monkeypatch, capsys)
     assert one_cpu[:3] == (2, "", "error: [Errno 21] Is a directory: "
                                   "'OUT/fig1_complete_line_stochastic_seed10.csv'\n")
     assert not forked
-    assert outcome(FULL, tmp_path / "two", 2, monkeypatch, capsys) == one_cpu
+    assert outcome(FIG1, tmp_path / "two", 2, monkeypatch, capsys) == one_cpu
     assert len(forked) == 1
     assert_reaped(forked)
 
@@ -339,6 +344,34 @@ def test_a_fault_in_every_process_ends_the_sweep_as_on_one_cpu(tmp_path, monkeyp
     assert outcome(argv, tmp_path / "two", 2, monkeypatch, capsys) == one_cpu
     assert len(forked) == 1
     assert_reaped(forked)
+
+
+def broke(*args, **kwargs):
+    raise TypeError("broke")
+
+
+@pytest.mark.parametrize("argv, name", [
+    pytest.param([*SWEEP, "--grid", "delta=0.05:0.6:64"], "parse_point", marks=sweep_forks,
+                 id="sweep"),
+    pytest.param(FIG1, "simulate_seeds", marks=linux_only, id="run"),
+])
+def test_a_fault_in_every_process_prints_the_traceback_of_one_cpu(argv, name, tmp_path,
+                                                                  monkeypatch, forked):
+    # a TypeError is a fault of the program: it escapes main with a traceback
+    # whose frames must not depend on how many CPUs did the work
+    monkeypatch.setattr(cli, name, broke)
+    shown = []
+    for n_cpus in (1, 2):
+        out = tmp_path / str(n_cpus)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
+            raised = run_main([*argv, "--out", str(out)], tmp_path / f"{n_cpus}.log")
+        assert isinstance(raised, TypeError)
+        shown.append("".join(traceback.format_exception(raised)).replace(str(out), "OUT"))
+    assert len(forked) == 1  # the two-CPU call's child
+    assert_reaped(forked)
+    assert shown[0] == shown[1]
+    assert ", in _split\n" in shown[0] and shown[0].endswith("TypeError: broke\n")
 
 
 @sweep_forks

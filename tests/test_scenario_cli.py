@@ -245,6 +245,11 @@ class TestScenarioParsing:
     def test_every_object_doc_parses(self):
         assert sm.parse_scenario(every_object_doc()).spec.nm == 9
 
+    def test_one_node_mh_layer_parses(self):
+        scenario = sm.parse_scenario(scalar_doc(layers=[{"mh": {"graph": "ring"}}]))
+        assert scenario.spec.net.layers[0].Q.tolist() == [[0.0]]
+        assert resolved(scenario)["layers"] == [{"edges": []}]
+
     @settings(max_examples=60, deadline=None)
     @given(path=st.sampled_from(sorted(OBJECTS)), data=st.data(),
            new_key=st.text(min_size=1, max_size=12).filter(lambda k: k not in KNOWN_KEYS))
@@ -323,6 +328,7 @@ class TestScenarioParsing:
         assert listed["x0"] == [1000.0]
         assert listed["sample_every"] == 1
         assert listed["stochastic"] == {"enabled": False, "h": 0.01, "seeds": [0]}
+        assert scenario.seeds == []  # a run steps none; the manifest keeps the document's
         assert listed["output_dir"] == "out"
 
     def test_stationary_x0_resolved(self):
@@ -1024,6 +1030,8 @@ class TestCli:
     @example(stochastic=True, field="rate_scale", ends=[60.0, 1e6], count=4)
     @example(stochastic=False, field="rate_scale", ends=[0.0, 1e30], count=4)
     @example(stochastic=True, field="beta", ends=[-1.0, 150.0], count=4)
+    # at rate_scale 2**-126 the rule's lambda2 rounds to 0: a refused point, not a crash
+    @example(stochastic=False, field="rate_scale", ends=[-1.0, 1.175494351e-38], count=2)
     def test_sweep_rows_across_the_bounds_match_pointwise_full_parse(
             self, stochastic, field, ends, count):
         # every field's points, on both sides of every network and rate bound,
