@@ -28,8 +28,8 @@ from .dynamics import integrate, recorded_rows, step_count, write_trajectory_csv
 from .equilibria import classify, equilibrium_stack, threshold
 from .errors import ScenarioError
 from .network import MobilityLayer
-from .scenario import (Scenario, check_run, initial_state, parse_point, parse_scenario,
-                       read_document, set_fields)
+from .scenario import (MAX_LEAVERS, Scenario, check_run, initial_state, parse_point,
+                       parse_scenario, read_document, set_fields)
 from .stochastic import seed_infections, simulate_seeds, stationary_counts, write_stochastic_csv
 
 
@@ -173,13 +173,14 @@ def _seed_paths(scenario: Scenario, out: Path, seeds: list) -> list:
 
 
 def _write_seeds(scenario: Scenario, out: Path, seeds: list):
-    """Step ``seeds`` in chunks whose recorded rows take no more room than
-    one seed's every step would, and write each seed's CSV and sidecar."""
+    """Step ``seeds`` in chunks whose recorded rows fit one seed's every step and whose
+    expected leavers a step (40 bytes of scratch each) fit MAX_LEAVERS; write their files."""
     if not seeds:  # a run without replicas
         return
     initial_counts = seed_infections(stationary_counts(scenario.spec), scenario.p0)
     steps = step_count(scenario.t_end, scenario.h)
-    lanes = max(1, (steps + 1) // len(recorded_rows(steps, scenario.sample_every)))
+    lanes = max(1, min((steps + 1) // len(recorded_rows(steps, scenario.sample_every)),
+                       int(MAX_LEAVERS // max(scenario.leavers, 1.0))))
     for start in range(0, len(seeds), lanes):
         runs = simulate_seeds(scenario.spec, initial_counts, scenario.t_end, h=scenario.h,
                               seeds=seeds[start:start + lanes],

@@ -131,9 +131,9 @@ class Trajectory:
         return SystemState(t=float(self.t[k]), p=self.p[k], x=self.x[k])
 
 
-def assemble(spec: ModelSpec, x: np.ndarray) -> AssembledMatrices:
-    """Build F(x), L(x) and M = I - F(x)."""
-    n, m, nm = spec.n, spec.m, spec.nm
+def assemble(net: MultiLayerNetwork, x: np.ndarray) -> AssembledMatrices:
+    """Build F(x), L(x) and M = I - F(x) on the network ``net``."""
+    n, m, nm = net.n, net.m, net.nm
     x = np.asarray(x, dtype=float)
     if x.shape != (nm,):
         raise ValueError(f"x must have length nm={nm}, got shape {x.shape}")
@@ -145,7 +145,7 @@ def assemble(spec: ModelSpec, x: np.ndarray) -> AssembledMatrices:
 
     F = np.tile(np.eye(n), (m, m)) * shares.ravel()  # block (a, b) = diag(f^b)
 
-    Qt = spec.net.Q.transpose(0, 2, 1)
+    Qt = net.Q.transpose(0, 2, 1)
     W = np.divide(X[:, None, :], X[:, :, None], out=np.zeros((m, n, n)), where=Qt > 0)
     W *= Qt  # W^a_ij = q^a_ji x^a_j / x^a_i on the edges, and no ratio off them
     diag = np.arange(n)

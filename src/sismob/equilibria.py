@@ -42,7 +42,7 @@ import numpy as np
 
 from .dynamics import ModelSpec
 from .errors import ConvergenceError
-from .network import left_null_vector
+from .network import MultiLayerNetwork, left_null_vector
 from .spectral import _scale, spectral_abscissa, spectral_abscissas, spectral_radii
 
 MU_TIE_TOL = 1e-10
@@ -70,17 +70,19 @@ DFE_UNSTABLE = "DFE_unstable_EE_exists"
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumMatrices:
-    """Model matrices evaluated at the stationary populations.  The
-    diagonal B and D are held as the stacked rate vectors b and d."""
+    """Model matrices of an instance at the stationary populations of its network:
+    F*, L*, M, v and v_per_layer read through to the read-only copies ``net`` keeps,
+    and the diagonal B and D are held as the stacked rate vectors b and d."""
 
-    v: np.ndarray
-    v_per_layer: tuple
-    F: np.ndarray
-    L: np.ndarray
-    M: np.ndarray
+    net: MultiLayerNetwork
     b: np.ndarray              # beta repeated over the m classes
     d: np.ndarray              # delta repeated over the m classes
     G: np.ndarray              # B F - D - L, the linearization at the DFE
+    F = property(lambda self: self.net.assembled.F)
+    L = property(lambda self: self.net.assembled.L)
+    M = property(lambda self: self.net.assembled.M)
+    v = property(lambda self: self.net.stationary.v)
+    v_per_layer = property(lambda self: self.net.stationary.v_per_layer)
     BF = property(lambda self: self.b[:, None] * self.F, doc="B F, the bits G starts from")
 
 
@@ -113,9 +115,6 @@ class ConditionReport:
     weighted_deficit_sum: float | None
     condition_value: float | None
 
-    def to_dict(self) -> dict:
-        return _plain(self)
-
 
 @dataclass
 class EquilibriumReport:
@@ -142,19 +141,22 @@ def equilibrium_matrices(spec: ModelSpec) -> EquilibriumMatrices:
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumStack:
-    """The EquilibriumMatrices of lanes built together: lane k's G, b and d are
-    G[k], b[k] and d[k] of one (K, nm, nm) and two (K, nm) arrays."""
+    """The EquilibriumMatrices of lanes built together: lane k's G, b and d are G[k],
+    b[k] and d[k] of one (K, nm, nm) and two (K, nm) arrays, and F and L are the F*
+    and L* of the one network all lanes share, else their (K, nm, nm) stacks."""
 
     lanes: tuple               # of EquilibriumMatrices
     G: np.ndarray
     b: np.ndarray
     d: np.ndarray
+    F: np.ndarray
+    L: np.ndarray
 
 
 def equilibrium_stack(points) -> EquilibriumStack:
     """``equilibrium_matrices`` of each (network, beta, delta) of ``points``, of one n
     and m: G of all lanes in one broadcast, over the F* and L* of a network all
-    share, else over their stacks.  A lane's F*, L*, M and v are its network's."""
+    share, else over their stacks.  A lane holds its network, b, d and G."""
     nets, betas, deltas = zip(*points)
     F, L = (getattr(nets[0].assembled, name) if len(set(nets)) == 1
             else np.stack([getattr(net.assembled, name) for net in nets]) for name in "FL")
@@ -163,15 +165,13 @@ def equilibrium_stack(points) -> EquilibriumStack:
     diagonal = np.arange(G.shape[-1])
     G[:, diagonal, diagonal] -= d
     G -= L
-    lanes = tuple(EquilibriumMatrices(v=net.stationary.v, v_per_layer=net.stationary.v_per_layer,
-                                      F=net.assembled.F, L=net.assembled.L, M=net.assembled.M,
-                                      b=b[k], d=d[k], G=G[k]) for k, net in enumerate(nets))
-    return EquilibriumStack(lanes=lanes, G=G, b=b, d=d)
+    lanes = tuple(EquilibriumMatrices(net, b[k], d[k], G[k]) for k, net in enumerate(nets))
+    return EquilibriumStack(lanes=lanes, G=G, b=b, d=d, F=F, L=L)
 
 
 def threshold(stack: EquilibriumStack) -> list:
     """Threshold quantities (mu, R0, classification) of each lane of ``stack``,
-    solved on its G stack as it was built.
+    solved on its G, F* and L* as they were built.
 
     mu is the spectral abscissa of the DFE linearization, R0 the spectral
     radius of V Z with (L* + D) Z = B U (None when no recovery rate is
@@ -181,12 +181,13 @@ def threshold(stack: EquilibriumStack) -> list:
     mu = [res.mu for res in spectral_abscissas(stack.G)]
     R0, recovering = {}, np.flatnonzero(np.any(stack.d > 0, axis=1))  # else L* singular
     if recovering.size:
-        nm, n = stack.d.shape[1], len(stack.lanes[0].v_per_layer[0])
-        LD = np.stack([stack.lanes[k].L for k in recovering])
+        (K, nm, _), n = stack.G.shape, stack.lanes[0].net.n
+        # each recovering lane's L* and V = F*[:n], copied out of a shared or stacked one
+        LD, V = (np.broadcast_to(A, (K, *A.shape[-2:]))[recovering]
+                 for A in (stack.L, stack.F[..., :n, :]))
         LD[:, np.arange(nm), np.arange(nm)] += stack.d[recovering]
         BU = np.zeros((len(recovering), nm, n))  # U's stacked identities times B
         BU[:, np.arange(nm), np.arange(nm) % n] = stack.b[recovering]
-        V = np.stack([stack.lanes[k].F[:n] for k in recovering])
         Z = np.linalg.solve(LD, BU)
         VZ = V @ Z
         R = LD @ Z
@@ -307,8 +308,7 @@ def stability_conditions(spec: ModelSpec, mats: EquilibriumMatrices | None = Non
     """
     if mats is None:
         mats = equilibrium_matrices(spec)
-    beta = np.asarray(spec.beta)
-    delta = np.asarray(spec.delta)
+    beta, delta = spec.beta, spec.delta
     n, m, nm = spec.n, spec.m, spec.nm
 
     nu = -np.diagonal(spec.net.Q, axis1=1, axis2=2)  # (m, n) exit rates
@@ -392,11 +392,8 @@ def margin_recovery_rates(net, beta, s_factor: float, deficit_nodes):
         raise ValueError("deficit_nodes must be a nonempty proper subset of the nodes")
     if any(i < 0 or i >= n for i in deficit_nodes):
         raise ValueError(f"deficit_nodes out of range for n={n}")
-    if nm < 2:
-        raise ValueError("the lambda2 construction needs nm >= 2")
 
-    mats = net.assembled
-    w, lambda2 = _lambda2(np.tile(beta, m), mats.M, mats.L)
+    w, lambda2 = _lambda2(np.tile(beta, m), net.assembled.M, net.assembled.L)
 
     s_lower = -lambda2 / (4.0 * m * n + 1.0)
     s = s_factor * s_lower

@@ -142,9 +142,8 @@ class MultiLayerNetwork:
     def assembled(self):
         """Read-only F*, L* and M, assembled once per network at the
         stationary populations; every spec on this network shares them."""
-        from .dynamics import ModelSpec, assemble  # dynamics imports this module
-        probe = ModelSpec(net=self, beta=np.ones(self.n), delta=np.zeros(self.n))
-        mats = assemble(probe, self.stationary.v)  # reads only the network of a spec
+        from .dynamics import assemble  # dynamics imports this module
+        mats = assemble(self, self.stationary.v)
         for matrix in (mats.F, mats.L, mats.M):
             matrix.setflags(write=False)
         return mats

@@ -53,7 +53,7 @@ import numpy as np
 from . import graphs
 from .dynamics import RK4_STABILITY, ModelSpec, SystemState, step_count
 from .equilibria import MU_TIE_TOL, margin_recovery_rates
-from .errors import ScenarioError
+from .errors import ConvergenceError, ScenarioError
 from .network import (MobilityLayer, MultiLayerNetwork, layer_from_edge_rates,
                       metropolis_hastings_rates, preset_layer)
 from .stochastic import _check_step_size
@@ -109,6 +109,7 @@ class Scenario:
     sample_every: int
     h: float
     seeds: list      # the seeds a run steps: none when stochastic runs are off
+    leavers: float   # the leavers a stochastic step expects per seed, 0 when runs are off
     explicit: dict   # explicit form of every input but the layers, for the manifest
 
 
@@ -144,13 +145,13 @@ def _require(doc: dict, key: str):
 
 @contextlib.contextmanager
 def _naming(field: str):
-    """Turn a ValueError, TypeError or KeyError raised inside into a
-    ScenarioError naming ``field``; a ScenarioError passes unchanged."""
+    """Turn a ValueError, TypeError, KeyError or ConvergenceError raised inside
+    into a ScenarioError naming ``field``; a ScenarioError passes unchanged."""
     try:
         yield
     except ScenarioError:
         raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, ConvergenceError) as exc:
         raise ScenarioError(f"{field}: {exc}") from exc
 
 
@@ -344,13 +345,14 @@ def _parse_rates(doc: dict, net: MultiLayerNetwork):
 
 def _stochastic_bounds(net: MultiLayerNetwork, h: float, beta, delta):
     """``stochastic._check_step_size`` on the largest leave, infection and recovery
-    rates, named ``stochastic.h``, then ``N`` against the MAX_LEAVERS bound."""
+    rates, named ``stochastic.h``, then ``N`` against MAX_LEAVERS, which bounds the result."""
     max_nu = float(net.moves[1][:, :, -1].max())
     with _naming("stochastic.h"):
         _check_step_size(h, max_nu, beta, delta)
     if (leavers := h * max_nu * net.N.sum()) > MAX_LEAVERS:
         raise ScenarioError(f"N: a stochastic step expects {leavers:.4g} leavers per seed "
                             f"(h * largest exit rate * sum(N)), above {MAX_LEAVERS}")
+    return leavers
 
 
 def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
@@ -403,8 +405,7 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
         step_count(t_end, dt)
         if enabled:
             step_count(t_end, h)
-    if enabled:
-        _stochastic_bounds(net, h, beta, delta)
+    leavers = _stochastic_bounds(net, h, beta, delta) if enabled else 0.0
 
     output_dir = doc["output_dir"]
     if not isinstance(output_dir, str):
@@ -423,7 +424,7 @@ def _parse_instance(doc: dict, net: MultiLayerNetwork) -> Scenario:
 
     return Scenario(name=name, spec=spec, p0=p0, x0=x0, t_end=t_end, dt=dt,
                     sample_every=sample_every, h=h, seeds=list(seeds) if enabled else [],
-                    explicit=explicit)
+                    leavers=leavers, explicit=explicit)
 
 
 def check_run(scenario: Scenario):

@@ -69,6 +69,19 @@ def assert_trajectory_invariants(spec: sm.ModelSpec, traj: sm.Trajectory):
         assert drift <= 1e-9 * totals[0], f"class {a} population drift {drift}"
 
 
+def line_spec(n: int = 2, delta: float = 0.1) -> sm.ModelSpec:
+    """One ``line`` layer of n nodes at rate 0.2, N = 100, beta 0.3."""
+    net = sm.MultiLayerNetwork(layers=(sm.preset_layer("line", n, 0.2),), N=np.array([100.0]))
+    return sm.ModelSpec(net=net, beta=np.full(n, 0.3), delta=np.full(n, delta))
+
+
+def assert_refused(call, kind: type, message: str):
+    """``call()`` raises exactly ``kind``, with exactly ``message``."""
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind and str(info.value) == message
+
+
 @pytest.fixture
 def two_node_spec() -> sm.ModelSpec:
     """Symmetric 2-node single-layer benchmark (mu ~ 0.1109)."""

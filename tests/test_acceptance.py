@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v`` (or ``-s`` to see the
 per-criterion lines inline).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,8 @@ from sismob.equilibria import apply_infection_map
 from sismob.spectral import spectral_abscissa, spectral_radius
 from sismob.stochastic import seed_infections, simulate_seeds, stationary_counts
 
-from conftest import (SCENARIOS, assert_trajectory_invariants, infection_matrix, random_layer,
-                      random_spec, recovery_matrix)
+from conftest import (REPO, SCENARIOS, assert_trajectory_invariants, infection_matrix,
+                      random_layer, random_spec, recovery_matrix)
 
 
 def _passed(line):
@@ -231,3 +233,13 @@ def test_criterion_10_mmatrix_equivalence():
         assert report.stability and report.inverse_positive and report.semi_positive
         assert report.agree
     _passed("10 M-matrix characterization agreement (100 matrices)")
+
+
+def test_readme_library_example_runs(capsys):
+    # README's python block, run as written
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out.startswith("DFE_stable ")
+    assert namespace["report"].mu <= 0 and len(namespace["runs"]) == 3

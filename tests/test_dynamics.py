@@ -7,8 +7,8 @@ import sismob as sm
 from sismob import dynamics
 from sismob.dynamics import SystemState, recorded_rows, step_count, write_trajectory_csv
 
-from conftest import (assert_trajectory_invariants, infection_matrix, random_layer, random_spec,
-                      recovery_matrix)
+from conftest import (assert_refused, assert_trajectory_invariants, infection_matrix, line_spec,
+                      random_layer, random_spec, recovery_matrix)
 
 
 def componentwise_rhs(spec, p, x):
@@ -38,7 +38,7 @@ def rk4_oracle(spec, p, x, dt, steps):
     B, D, n = infection_matrix(spec), recovery_matrix(spec), spec.n
 
     def f(p, x):
-        mats = sm.assemble(spec, x)
+        mats = sm.assemble(spec.net, x)
         dp = (B @ mats.F - D - mats.L) @ p - p * (B @ (mats.F @ p))
         dx = np.concatenate([layer.Q.T @ x[a * n:(a + 1) * n]
                              for a, layer in enumerate(spec.net.layers)])
@@ -130,7 +130,7 @@ def clamped_logistic():
 
 class TestAssemble:
     def test_single_class_shares_are_identity(self, two_node_spec):
-        mats = sm.assemble(two_node_spec, np.array([50.0, 50.0]))
+        mats = sm.assemble(two_node_spec.net, np.array([50.0, 50.0]))
         assert np.allclose(mats.F, np.eye(2))
         assert np.allclose(mats.M, 0.0)
 
@@ -138,18 +138,18 @@ class TestAssemble:
         layer = sm.preset_layer("line", 2, 0.2)
         net = sm.MultiLayerNetwork(layers=(layer, layer), N=np.array([10.0, 10.0]))
         spec = sm.ModelSpec(net=net, beta=np.full(2, 0.3), delta=np.full(2, 0.1))
-        mats = sm.assemble(spec, np.array([4.0, 6.0, 4.0, 6.0]))
+        mats = sm.assemble(spec.net, np.array([4.0, 6.0, 4.0, 6.0]))
         assert mats.F[0, 0] == pytest.approx(0.5)
         assert mats.F[0, 2] == pytest.approx(0.5)
 
     def test_two_node_flow_matrix_by_hand(self, two_node_spec):
         # l_ij = -q_ji x_j / x_i evaluated entrywise at x = v
-        mats = sm.assemble(two_node_spec, np.array([50.0, 50.0]))
+        mats = sm.assemble(two_node_spec.net, np.array([50.0, 50.0]))
         assert np.allclose(mats.L, [[0.2, -0.2], [-0.2, 0.2]], atol=1e-15)
 
     def test_nonpositive_population_rejected(self, two_node_spec):
         with pytest.raises(ValueError):
-            sm.assemble(two_node_spec, np.array([1.0, 0.0]))
+            sm.assemble(two_node_spec.net, np.array([1.0, 0.0]))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**9))
@@ -157,7 +157,7 @@ class TestAssemble:
         rng = np.random.default_rng(seed)
         spec = random_spec(rng)
         x = rng.uniform(0.5, 5.0, size=spec.nm)
-        mats = sm.assemble(spec, x)
+        mats = sm.assemble(spec.net, x)
         assert np.max(np.abs(mats.F.sum(axis=1) - 1.0)) <= 1e-13
         assert np.max(np.abs(mats.L.sum(axis=1))) <= 1e-13
         assert np.max(np.abs(mats.M.sum(axis=1))) <= 1e-13
@@ -170,7 +170,7 @@ class TestAssemble:
         spec = random_spec(rng)
         x = rng.uniform(0.5, 5.0, size=spec.nm)
         p = rng.uniform(0.0, 1.0, size=spec.nm)
-        mats = sm.assemble(spec, x)
+        mats = sm.assemble(spec.net, x)
         X, P = x.reshape(spec.m, spec.n), p.reshape(spec.m, spec.n)
         pbar = (X * P).sum(axis=0) / X.sum(axis=0)
         assert np.max(np.abs(mats.F.sum(axis=1) - 1.0)) <= 1e-13
@@ -205,7 +205,7 @@ class TestRhs:
         x = rng.uniform(0.5, 5.0, size=spec.nm)
         dp, _ = sm.rhs(spec, SystemState(t=0.0, p=p, x=x))
 
-        mats = sm.assemble(spec, x)
+        mats = sm.assemble(spec.net, x)
         B, D = infection_matrix(spec), recovery_matrix(spec)
         dp_matrix = (B @ mats.F - D - mats.L) @ p - p * (B @ (mats.F @ p))
         assert np.max(np.abs(dp - dp_matrix)) <= 1e-14
@@ -479,3 +479,33 @@ class TestTrajectoryCsv:
         assert np.array_equal(data["t"], traj.t)
         assert np.array_equal(data["p00"], traj.p[:, 0])   # header p[0][0]
         assert np.array_equal(data["x01"], traj.x[:, 1])
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda: sm.ModelSpec(net=line_spec().net, beta=np.ones(3), delta=np.zeros(2)),
+     ValueError, "beta must have length n=2, got shape (3,)"),
+    (lambda: sm.ModelSpec(net=line_spec().net, beta=np.ones(2), delta=np.zeros(3)),
+     ValueError, "delta must have length n=2, got shape (3,)"),
+    (lambda: sm.ModelSpec(net=line_spec().net, beta=[0.3, 0.0], delta=np.zeros(2)),
+     ValueError, "infection rates beta must be positive"),
+    (lambda: sm.ModelSpec(net=line_spec().net, beta=np.ones(2), delta=[0.1, -0.1]),
+     ValueError, "recovery rates delta must be nonnegative"),
+    (lambda: SystemState(t=0.0, p=np.zeros(2), x=np.ones(3)),
+     ValueError, "p and x must be equal-length vectors, got (2,), (3,)"),
+    (lambda: SystemState(t=0.0, p=[0.5, 1.5], x=np.ones(2)),
+     ValueError, "infected fractions p must lie in [0, 1]"),
+    (lambda: SystemState(t=0.0, p=np.zeros(2), x=[1.0, 0.0]),
+     ValueError, "class populations x must be positive"),
+    (lambda: sm.assemble(line_spec().net, np.ones(3)),
+     ValueError, "x must have length nm=2, got shape (3,)"),
+    (lambda: sm.integrate(line_spec(), SystemState(t=0.0, p=[0.5, 0.5], x=[50.0, 50.0]), 1.0,
+                          dt=0.0),
+     ValueError, "dt must be positive, got 0.0"),
+    (lambda: sm.integrate_until_settled(line_spec(),
+                                        SystemState(t=0.0, p=[0.5, 0.5], x=[50.0, 50.0]),
+                                        dt=0.01, t_max=0.02),
+     sm.IntegrationError, "state did not settle to 1e-09 within t=0.02"),
+], ids=["beta_length", "delta_length", "beta_positive", "delta_nonnegative", "state_shapes",
+        "p_range", "x_positive", "assemble_x_length", "integrate_dt", "unsettled"])
+def test_dynamics_refusals(call, kind, message):
+    assert_refused(call, kind, message)

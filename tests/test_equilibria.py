@@ -11,7 +11,8 @@ from sismob.cli import main
 from sismob.dynamics import SystemState
 from sismob.equilibria import RESIDUAL_TOL, apply_infection_map
 
-from conftest import SCENARIOS, infection_matrix, random_spec, recovery_matrix
+from conftest import (SCENARIOS, assert_refused, infection_matrix, line_spec, random_spec,
+                      recovery_matrix)
 
 
 class TestClassify:
@@ -395,9 +396,9 @@ class TestMarginRecoveryRates:
         calls = []
         original = sm.dynamics.assemble
 
-        def counting(spec, x):
-            calls.append(spec.net)
-            return original(spec, x)
+        def counting(net, x):
+            calls.append(net)
+            return original(net, x)
 
         monkeypatch.setattr(sm.dynamics, "assemble", counting)
         scenario = sm.load_scenario(SCENARIOS / "fig3_lambda2.json")
@@ -406,10 +407,36 @@ class TestMarginRecoveryRates:
         sm.classify(sm.ModelSpec(net=spec.net, beta=spec.beta, delta=spec.delta + 0.5))
         assert calls == [spec.net]
         mats = sm.equilibrium_matrices(spec)
-        fresh = original(spec, sm.network_stationary(spec.net).v)
+        fresh = original(spec.net, sm.network_stationary(spec.net).v)
         for name in ("F", "L", "M"):
             assert np.array_equal(getattr(mats, name), getattr(fresh, name))
             assert not getattr(mats, name).flags.writeable
+
+    def test_a_lane_reads_its_network_and_a_stack_keeps_what_it_built(self):
+        # a lane declares its network, b, d and G; F*, L*, M and v are the
+        # network's own arrays, and a stack keeps one F* and L* for lanes on
+        # one network, else their stacks
+        declared = [field.name for field in fields(sm.equilibria.EquilibriumMatrices)]
+        assert declared == ["net", "b", "d", "G"]
+        scenario = sm.load_scenario(SCENARIOS / "fig3_lambda2.json")
+        spec = scenario.spec
+        other = sm.MultiLayerNetwork(layers=spec.net.layers, N=spec.net.N * 2)
+        shared = [(spec.net, spec.beta, spec.delta), (spec.net, spec.beta, spec.delta + 0.1)]
+        for points in (shared, shared + [(other, spec.beta, spec.delta)]):
+            stack = sm.equilibria.equilibrium_stack(points)
+            for lane, (net, _, _) in zip(stack.lanes, points):
+                assert lane.net is net
+                for name in ("F", "L", "M"):
+                    assert getattr(lane, name) is getattr(net.assembled, name), name
+                assert lane.v is net.stationary.v
+                assert lane.v_per_layer is net.stationary.v_per_layer
+            if len(points) == 2:
+                assert stack.F is spec.net.assembled.F and stack.L is spec.net.assembled.L
+            else:
+                assert stack.F.shape == stack.L.shape == stack.G.shape
+                for k, lane in enumerate(stack.lanes):
+                    assert np.array_equal(stack.F[k], lane.F)
+                    assert np.array_equal(stack.L[k], lane.L)
 
     def test_lambda2_agrees_with_stability_conditions(self):
         n = 8
@@ -420,3 +447,15 @@ class TestMarginRecoveryRates:
         delta, info = sm.margin_recovery_rates(net, beta, 0.7, [2, 5])
         report = sm.stability_conditions(sm.ModelSpec(net=net, beta=beta, delta=delta))
         assert info["lambda2"] == pytest.approx(report.lambda2, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda: apply_infection_map(sm.equilibrium_matrices(line_spec(delta=0.0)), np.ones(2)),
+     ValueError, "H is defined only when some recovery rate is positive"),
+    (lambda: sm.margin_recovery_rates(line_spec(3).net, np.full(2, 0.3), 0.8, [0]),
+     ValueError, "beta must be n=3 positive infection rates, got shape (2,)"),
+    (lambda: sm.margin_recovery_rates(line_spec(3).net, np.full(3, 0.3), 0.8, [0, 5]),
+     ValueError, "deficit_nodes out of range for n=3"),
+], ids=["map_without_recovery", "margin_beta", "deficit_node_range"])
+def test_equilibria_refusals(call, kind, message):
+    assert_refused(call, kind, message)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import sismob as sm
 from sismob import graphs
 
-from conftest import random_layer
+from conftest import assert_refused, random_layer
 
 
 class TestValidateLayer:
@@ -407,3 +407,39 @@ class TestReachability:
                 seen.update(comp)
                 expected.append(comp)
         assert graphs.strongly_connected_components(A) == expected
+
+
+LINE3 = ((0, 1), (1, 0), (1, 2), (2, 1))
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda: sm.MobilityLayer(n=2, edges=(), Q=np.zeros((3, 3))),
+     ValueError, "Q must be 2x2, got shape (3, 3)"),
+    (lambda: sm.MultiLayerNetwork(layers=(), N=np.array([])),
+     ValueError, "a network needs at least one layer"),
+    (lambda: sm.MultiLayerNetwork(layers=(sm.preset_layer("line", 2, 0.2),
+                                          sm.preset_layer("line", 3, 0.2)), N=[1.0, 1.0]),
+     ValueError, "layer 1 has n=3, expected n=2"),
+    (lambda: sm.MultiLayerNetwork(layers=(sm.preset_layer("line", 2, 0.2),), N=[1.0, 2.0]),
+     ValueError, "N must have one entry per layer, got shape (2,)"),
+    (lambda: sm.MultiLayerNetwork(layers=(sm.preset_layer("line", 2, 0.2),), N=[0.0]),
+     ValueError, "class populations N must be positive"),
+    (lambda: sm.preset_layer("line", 3, 0.2, rates="bogus"),
+     ValueError, "unknown rate convention 'bogus'"),
+    (lambda: sm.metropolis_hastings_rates(3, LINE3, np.full(2, 0.5), 1.0),
+     ValueError, "target must have length 3, got shape (2,)"),
+    (lambda: sm.metropolis_hastings_rates(3, LINE3, np.full(3, 0.2), 1.0),
+     ValueError, "target distribution must sum to one"),
+    (lambda: sm.metropolis_hastings_rates(3, LINE3, np.full(3, 1 / 3), 0.0),
+     ValueError, "rate_scale must be positive, got 0.0"),
+], ids=["q_shape", "no_layers", "layer_sizes", "n_shape", "n_positive", "rate_convention",
+        "target_length", "target_sum", "mh_rate_scale"])
+def test_network_refusals(call, kind, message):
+    assert_refused(call, kind, message)
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda: graphs.preset_edges("line", 0), ValueError, "preset graph needs n >= 1, got n=0"),
+], ids=["no_nodes"])
+def test_graphs_refusals(call, kind, message):
+    assert_refused(call, kind, message)

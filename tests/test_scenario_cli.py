@@ -658,10 +658,30 @@ class TestBoundsAndRefusals:
         assert "span more orders of magnitude than double precision resolves" in err
         assert "irreducible" not in err
 
+    @pytest.mark.parametrize("rate_scale", [1e-16, 1e-20, 1e-300, 2.0**-126])
+    def test_unresolvable_lambda2_rule_is_refused_naming_delta(self, rate_scale, tmp_path,
+                                                               capsys):
+        # mobility this slow leaves the rule's weights past double precision
+        doc = set_fields(two_layer_doc(delta=LAMBDA2_RULE), rate_scale=rate_scale)
+        out = ["--out", str(tmp_path / "out")]
+        assert_refused_without_writing(
+            doc, "delta: lambda2: left null vector has nonpositive entries", tmp_path, capsys,
+            [["validate"], ["analyze", *out]])
+
+    def test_unresolvable_lambda2_rule_is_a_named_sweep_row(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(two_layer_doc(delta=LAMBDA2_RULE)))
+        assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                     "--grid", "rate_scale=1e-20:0.2:2"]) == 0
+        rows = (tmp_path / "out" / "pair_layers_sweep.csv").read_text().splitlines()
+        assert rows[1].startswith('0,9.9999999999999995e-21,,,,"ScenarioError: delta: lambda2: '
+                                  'left null vector has nonpositive entries')
+        assert rows[2].endswith(",DFE_stable,")
+
     def test_assembly_forms_no_ratio_off_the_edges(self, tmp_path):
         # x_2 / x_0 = 1e320 overflows; no edge joins nodes 0 and 2
         spec = sm.parse_scenario(skewed_chain(1e-160)).spec
-        mats = sm.assemble(spec, spec.net.stationary.v)
+        mats = sm.assemble(spec.net, spec.net.stationary.v)
         assert np.isfinite(mats.L).all()
         assert mats.L[0, 2] == mats.L[2, 0] == 0.0
         path = tmp_path / "s.json"
@@ -881,6 +901,39 @@ class TestCli:
             assert csv.count(b"\n") == 1 + 8
             assert ((tmp_path / "all" / f"{name}.json").read_bytes()
                     == (alone / f"{name}.json").read_bytes())
+
+    @pytest.mark.parametrize("max_leavers, chunks", [
+        (10**6, [[4, 9, 7, 11, 2]]),            # the rows bound alone: (20 + 1) // 2 = 10
+        (25, [[4, 9], [7, 11], [2]]),           # 25 // 10 leavers a seed
+        (19, [[4], [9], [7], [11], [2]]),       # 19 // 10
+    ], ids=["rows_bound", "two_a_chunk", "one_a_chunk"])
+    def test_seed_chunks_keep_their_leavers_within_max_leavers(self, max_leavers, chunks,
+                                                               tmp_path, monkeypatch):
+        # h * exit rate 1 * N 1000 = 10 expected leavers per seed and step, and
+        # 20 steps recorded at 0 and 20; each seed writes its own bytes alone
+        doc = {"name": "leavers", "n": 2, "m": 1,
+               "layers": [{"preset": "complete", "rate_scale": 1}], "beta": 0.3,
+               "delta": 0.1, "N": [1000], "t_end": 0.2, "dt": 0.01, "sample_every": 20,
+               "stochastic": {"enabled": True, "h": 0.01, "seeds": [4, 9, 7, 11, 2]}}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(sm.cli, "MAX_LEAVERS", max_leavers)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+        seen, lockstep = [], sm.cli.simulate_seeds
+
+        def spy(*args, **kwargs):
+            seen.append(list(kwargs["seeds"]))
+            return lockstep(*args, **kwargs)
+
+        monkeypatch.setattr(sm.cli, "simulate_seeds", spy)
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "all")]) == 0
+        assert seen == chunks
+        for seed in (4, 9, 7, 11, 2):
+            alone = tmp_path / f"seed{seed}"
+            assert main(["run", "--scenario", str(path), "--seed", str(seed),
+                         "--out", str(alone)]) == 0
+            name = f"leavers_stochastic_seed{seed}.csv"
+            assert (tmp_path / "all" / name).read_bytes() == (alone / name).read_bytes()
 
     def test_overrides_reach_manifest(self, tmp_path):
         scenario_path = tmp_path / "s.json"

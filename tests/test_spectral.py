@@ -53,7 +53,7 @@ class TestSpectralAbscissa:
             spec = sm.ModelSpec(net=net, beta=np.full(layer.n, 0.3),
                                 delta=np.zeros(layer.n))
             v = sm.network_stationary(net).v
-            mats = sm.assemble(spec, v)
+            mats = sm.assemble(spec.net, v)
             res = sm.spectral_abscissa(-mats.L)
             assert res.mu == pytest.approx(0.0, abs=1e-10)
 

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import sismob as sm
+from sismob.cli import main
 from sismob.dynamics import SystemState, recorded_rows
 from sismob.stochastic import (AgentCounts, StochasticRun, _lanes, seed_infections,
                                simulate, simulate_seeds, stationary_counts, step,
                                write_stochastic_csv)
 
-from conftest import random_spec
+from conftest import assert_refused, line_spec, random_spec
 
 
 def oracle_spec() -> sm.ModelSpec:
@@ -341,6 +342,29 @@ class TestInitialConditions:
         assert counts.i[:, 1].sum() == 20
         assert np.array_equal(counts.s + counts.i, pops)
 
+    @pytest.mark.parametrize("p0", [0.0, [0.0] * 4 + [0.01] * 4], ids=["zero", "one_class_zero"])
+    def test_a_class_at_p0_zero_seeds_no_infection(self, p0):
+        # a class with nothing to allocate gets zeros, not 0 / 0.0 (a RuntimeWarning)
+        pops = np.array([[50, 500], [50, 500], [50, 500], [50, 500]])
+        counts = seed_infections(pops, p0)
+        assert counts.i[:, 0].sum() == 0
+        assert counts.i[:, 1].sum() == (0 if p0 == 0.0 else 20)
+        assert np.array_equal(counts.s + counts.i, pops)
+
+    def test_a_run_at_p0_zero_writes_no_infected(self, tmp_path):
+        doc = {"name": "healthy", "n": 2, "m": 1,
+               "layers": [{"preset": "line", "rate_scale": 0.2}], "beta": 0.3, "delta": 0.1,
+               "N": [1000], "p0": 0, "t_end": 1.0, "dt": 0.01, "sample_every": 10,
+               "stochastic": {"enabled": True, "h": 0.01, "seeds": [1, 2]}}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        for seed in (1, 2):
+            lines = (tmp_path / "out" / f"healthy_stochastic_seed{seed}.csv").read_text().split()
+            header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+            infected = [k for k, name in enumerate(header) if name.startswith("i[")]
+            assert len(infected) == 2 and len(rows) == 11
+            assert all(row[k] == "0" for row in rows for k in infected)
 
     def test_nan_fractions_are_refused(self):
         with pytest.raises(ValueError, match="p0 must be numbers, got NaN"):
@@ -399,3 +423,23 @@ class TestCsvExport:
         meta = {"seed": run.seed, "h": run.h}
         (tmp_path / "run.json").write_text(json.dumps(meta))
         assert json.loads((tmp_path / "run.json").read_text())["seed"] == 1
+
+
+def line_counts() -> AgentCounts:
+    return AgentCounts(s=np.array([[40], [40]]), i=np.array([[10], [10]]))
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda: AgentCounts(s=np.zeros((2, 1)), i=np.zeros((2, 2))),
+     ValueError, "s and i must be equal-shape (n, m) matrices, got (2, 1) and (2, 2)"),
+    (lambda: AgentCounts(s=np.array([[1], [-1]]), i=np.zeros((2, 1))),
+     ValueError, "counts must be nonnegative"),
+    (lambda: step(line_spec(), line_counts(), -0.01, np.random.default_rng(0)),
+     sm.StepSizeError, "h must be nonnegative, got -0.01"),
+    (lambda: simulate_seeds(line_spec(), line_counts(), 1.0, h=0.0),
+     sm.StepSizeError, "simulate needs h > 0, got 0.0"),
+    (lambda: seed_infections(np.array([[50], [50]]), 1.5),
+     ValueError, "initial fractions p0 must lie in [0, 1]"),
+], ids=["count_shapes", "count_signs", "step_h", "simulate_h", "p0_range"])
+def test_stochastic_refusals(call, kind, message):
+    assert_refused(call, kind, message)
