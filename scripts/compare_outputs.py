@@ -22,7 +22,10 @@ Each tree runs ``sismob.cli.main`` in its own subprocess, with that tree's
 - ``three_classes`` (n = 9, m = 3): ``complete``, ``line`` and ``ring``
   layers at ``rate_scale`` 0.15, 0.3 and 0.45 and a different N per
   class, so the integrator's node totals and both simulators add up
-  three classes.
+  three classes;
+- ``fig1_n10_x0``: the n = 10 one from an explicit ``x0`` off the
+  stationary law, with class totals N, so the integrator's populations
+  move (every other document starts them at rest, at the law).
 
 Together with the bundled scenarios (one has an empty ``edges`` layer at
 n = 1) they cover every layer form the manifest lists.
@@ -145,10 +148,17 @@ def three_classes() -> dict:
             "sample_every": 10, "stochastic": {"enabled": True, "h": 0.01, "seeds": [1, 2]}}
 
 
+def moving_x0() -> dict:
+    """fig1_shaped(10) from populations that ramp up over the nodes in class
+    0 and down in class 1, each summing to its N = 10000."""
+    ramp = [100 * (2 * k + 1) for k in range(10)]
+    return {**fig1_shaped(10), "name": "fig1_n10_x0", "x0": ramp + ramp[::-1]}
+
+
 def jobs(scenario_dir: Path) -> list:
     paths = sorted((REPO / "scenarios").glob("*.json"))
     docs = ([fig1_shaped(n) for n in SIZES] + [fig1_shaped(80, lambda2_rule=True)]
-            + layer_forms() + [three_classes()])
+            + layer_forms() + [three_classes(), moving_x0()])
     for doc in docs:
         path = scenario_dir / f"{doc['name']}.json"
         path.write_text(json.dumps(doc, indent=2))

@@ -11,15 +11,18 @@ per-class generators:
 
 F(x) holds the population shares f^a_i = x^a_i / sum_b x^b_i (so
 F(x) 1 = 1), and L(x) is block-diagonal with zero row sums and
-off-diagonal entries -q^a_ji x^a_j / x^a_i.  The integrator steps the
-infected counts y^a = x^a p^a next to x^a in one array Z of shape
-(2, m, n), whose x rows Z[0] and y rows Z[1] are contiguous (m, n)
-blocks.  Both rows of a class share its generator, so a derivative is
-one stacked product of Z's (m, 2, n) transpose with Q plus a node-local
-term (node-level pbar = sum_a y^a / sum_a x^a), each written into
-buffers made once per ``integrate`` or ``rhs`` call:
+off-diagonal entries -q^a_ji x^a_j / x^a_i.  The integrator steps only
+the infected counts y^a = x^a p^a, held as (m, 1, n) rows, through one
+derivative written into buffers made once per ``integrate`` or ``rhs``
+call, with G^a = Q^a - diag(delta) built once per call:
 
-    dx^a/dt = x^a Q^a,  dy^a/dt = y^a Q^a + beta pbar (x^a - y^a) - delta y^a
+    dy^a/dt = y^a G^a + (c sum_b y^b) (x^a - y^a),  c = beta / sum_b x^b
+
+x never reads y and moves linearly, so RK4's stage values of x and its
+next x are x times fixed polynomials in dt Q^a, the moving maps, made
+once per call.  A population that starts bitwise at the network's
+certified stationary law is at rest: every stage and every recorded row
+reads it, and c is computed once per call instead of once per step.
 """
 
 from __future__ import annotations
@@ -64,9 +67,12 @@ class ModelSpec:
             raise ValueError(f"beta must have length n={n}, got shape {beta.shape}")
         if delta.shape != (n,):
             raise ValueError(f"delta must have length n={n}, got shape {delta.shape}")
-        if np.any(beta <= 0):
+        for name, rates in (("infection rates beta", beta), ("recovery rates delta", delta)):
+            if not np.isfinite(rates).all():
+                raise ValueError(f"{name} must be finite")
+        if not np.all(beta > 0):
             raise ValueError("infection rates beta must be positive")
-        if np.any(delta < 0):
+        if not np.all(delta >= 0):
             raise ValueError("recovery rates delta must be nonnegative")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "delta", delta)
@@ -97,9 +103,12 @@ class SystemState:
         x = _frozen_array(self.x)
         if p.ndim != 1 or p.shape != x.shape:
             raise ValueError(f"p and x must be equal-length vectors, got {p.shape}, {x.shape}")
-        if np.any(p < 0) or np.any(p > 1):
+        for name, values in (("infected fractions p", p), ("class populations x", x)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
+        if not np.all((p >= 0) & (p <= 1)):
             raise ValueError("infected fractions p must lie in [0, 1]")
-        if np.any(x <= 0):
+        if not np.all(x > 0):
             raise ValueError("class populations x must be positive")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "x", x)
@@ -137,7 +146,7 @@ def assemble(net: MultiLayerNetwork, x: np.ndarray) -> AssembledMatrices:
     x = np.asarray(x, dtype=float)
     if x.shape != (nm,):
         raise ValueError(f"x must have length nm={nm}, got shape {x.shape}")
-    if np.any(x <= 0):
+    if not np.all(x > 0):
         raise ValueError("assemble needs x >> 0 (L(x) is undefined otherwise)")
 
     X = x.reshape(m, n)
@@ -158,46 +167,26 @@ def assemble(net: MultiLayerNetwork, x: np.ndarray) -> AssembledMatrices:
     return AssembledMatrices(F=F, L=L, M=M)
 
 
-def _views(A: np.ndarray):
-    """A (2, m, n) array, its (m, 2, n) transpose, its x rows and its y rows."""
-    return A, A.transpose(1, 0, 2), A[0], A[1]
-
-
-def _work(spec: ModelSpec):
-    """``_dz``'s Q, beta, delta, node totals (and rows), pbar and two (m, n) rows."""
-    totals, rows = np.empty((2, spec.n)), np.empty((2, spec.m, spec.n))
-    return (spec.net.Q, spec.beta, spec.delta, totals, *totals, np.empty(spec.n), *rows)
-
-
-def _dz(work, src, out):
-    """Write the derivative of the state ``src`` into ``out`` (both
-    ``_views``), each ufunc's output positional: ``out=`` is slower."""
-    Q, beta, delta, totals, tx, ty, pbar, u, v = work
-    Z, Zt, X, Y = src
-    np.matmul(Zt, Q, out[1])  # per class, (2, n) rows of leading dimension m n
-    np.add.reduce(Z, 1, None, totals)
-    np.divide(ty, tx, pbar)
-    np.multiply(beta, pbar, pbar)
+def _dy(G, c, X, Y, out, s, u):
+    """Write the dy of the module docstring at the (m, 1, n) rows X and Y
+    into ``out``, through the scratch rows ``s`` (1, n) and ``u`` (m, 1, n);
+    each ufunc's output is positional: ``out=`` is slower."""
+    np.matmul(Y, G, out)  # y^a G^a, per class
+    np.add.reduce(Y, 0, None, s)
+    np.multiply(c, s, s)
     np.subtract(X, Y, u)
-    np.multiply(pbar, u, u)
-    np.multiply(delta, Y, v)
-    np.subtract(u, v, u)
-    np.add(out[3], u, out[3])  # dy += beta pbar (x - y) - delta y
-
-
-def _pack(spec: ModelSpec, p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The (2, m, n) state Z = (x^a, y^a = x^a p^a) of layer-major p and x."""
-    X = np.asarray(x, dtype=float).reshape(spec.m, spec.n)
-    return np.stack((X, X * np.asarray(p, dtype=float).reshape(X.shape)))
+    np.multiply(s, u, u)
+    np.add(out, u, out)
 
 
 def rhs(spec: ModelSpec, state: SystemState):
     """Time derivative (dp, dx) of the coupled model at a state, from
-    dz via dp = (dy - p dx) / x."""
-    Z = _pack(spec, state.p, state.x)
-    dX, dY = dZ = np.empty_like(Z)
-    _dz(_work(spec), _views(Z), _views(dZ))
-    return ((dY - np.reshape(state.p, dX.shape) * dX) / Z[0]).ravel(), dX.ravel()
+    dx = x Q and dy via dp = (dy - p dx) / x."""
+    X, P = (np.reshape(v, (spec.m, 1, spec.n)) for v in (state.x, state.p))
+    Y, dY, dX = X * P, np.empty(X.shape), X @ spec.net.Q
+    _dy(spec.net.Q - np.eye(spec.n) * spec.delta, spec.beta / X.sum(axis=0), X, Y, dY,
+        np.empty((1, spec.n)), np.empty(X.shape))
+    return ((dY - P * dX) / X).ravel(), dX.ravel()
 
 
 def step_count(t_end: float, step: float) -> int:
@@ -228,10 +217,15 @@ def recorded_rows(steps: int, every: int) -> np.ndarray:
 
 def integrate(spec: ModelSpec, initial: SystemState, t_end: float,
               dt: float = DEFAULT_DT, record_every: int = 1) -> Trajectory:
-    """Fixed-step classical RK4 on the (x, y) state of the module
-    docstring, sampled as (p = y / x, x).  While x stays constant (as
-    from stationary populations) this is RK4 on (p, x) up to rounding;
-    otherwise the two differ by O(dt^4).
+    """Fixed-step classical RK4 on the y rows of the module docstring,
+    with x stepped by the moving maps, sampled as (p = y / x, x).  While
+    x stays constant (as from stationary populations) this is RK4 on
+    (p, x) up to rounding; otherwise the two differ by O(dt^4).
+
+    x is at rest when it starts bitwise at the network's stationary law
+    and the network has certified that law already: ``integrate``
+    certifies nothing, so a network whose law is refused still runs
+    from an explicit x, with x moving.
 
     The run takes ``step_count(t_end, dt)`` steps, so it ends exactly
     at t_end, and keeps the steps of ``recorded_rows(steps,
@@ -248,46 +242,65 @@ def integrate(spec: ModelSpec, initial: SystemState, t_end: float,
         raise ValueError(f"dt must be positive, got {dt}")
     steps = step_count(t_end, dt)
     rows = recorded_rows(steps, record_every)
+    m, n, beta = spec.m, spec.n, spec.beta
 
-    Z = _pack(spec, initial.p, initial.x)
-    S, K = np.empty_like(Z), np.empty((4,) + Z.shape)  # stage input, k1..k4
-    work, z, s, twice = _work(spec), _views(Z), _views(S), K[1:3]
-    k1, k2, k3, k4 = (_views(k) for k in K)
-    stages = ((0.5 * dt, K[0], k2), (0.5 * dt, K[1], k3), (dt, K[2], k4))
-    X, Y, P, sixth = z[2], z[3], np.empty(z[2].shape), dt / 6.0
+    law = vars(spec.net).get("stationary")  # the cached law only: asking would certify
+    moving = law is None or not np.array_equal(initial.x, law.v)
+    X = np.array(initial.x, dtype=float).reshape(m, 1, n)
+    R = np.empty((5, m, 1, n))  # x at the four stages and after the step
+    R[:] = X
+    C = beta / R.sum(axis=1)  # c at the same five
+    if moving:  # R = x + x D_j; D_0 = 0 keeps x in R[0], so one reduction gives C
+        A = dt * spec.net.Q
+        A2 = A @ A
+        A3 = A2 @ A
+        D = np.stack((0.0 * A, 0.5 * A, 0.5 * A + 0.25 * A2, A + 0.5 * A2 + 0.25 * A3,
+                      A + 0.5 * A2 + A3 / 6.0 + (A3 @ A) / 24.0))
+    G, B = spec.net.Q - np.eye(n) * spec.delta, np.empty((2, m, 1, n))  # B: y, then x - y
+    (Y, u), S, K, s = B, np.empty(X.shape), np.empty((4,) + X.shape), np.empty((1, n))
+    np.multiply(X, np.reshape(initial.p, X.shape), Y)
+    stages = ((0.5 * dt, K[0], K[1], 1), (0.5 * dt, K[1], K[2], 2), (dt, K[2], K[3], 3))
+    twice, sixth = K[1:3], dt / 6.0
     ps, xs = np.empty((len(rows), X.size)), np.empty((len(rows), X.size))
     ps[0], xs[0] = initial.p, initial.x
     wanted, row = rows.tolist(), 1
 
     for k in range(1, steps + 1):
-        _dz(work, z, k1)
-        for c, k_in, k_out in stages:  # S = Z + c k_in
-            np.multiply(c, k_in, S)
-            np.add(Z, S, S)
-            _dz(work, s, k_out)
+        if moving:
+            np.matmul(X, D, R)
+            np.add(R, X, R)
+            np.add.reduce(R, 1, None, C)
+            np.divide(beta, C, C)
+            np.copyto(X, R[4])
+            if not float(np.minimum.reduce(X, None)) > 0.0:  # also catches NaN
+                raise IntegrationError(
+                    f"x became nonpositive at t={float(initial.t) + k * dt:.6g}; reduce dt")
+        _dy(G, C[0], R[0], Y, K[0], s, u)
+        for h, k_in, k_out, j in stages:  # S = Y + h k_in
+            np.multiply(h, k_in, S)
+            np.add(Y, S, S)
+            _dy(G, C[j], R[j], S, k_out, s, u)
         np.multiply(2.0, twice, twice)
         np.add.reduce(K, 0, None, S)  # ((k1 + 2 k2) + 2 k3) + k4
         np.multiply(sixth, S, S)
-        np.add(Z, S, Z)
+        np.add(Y, S, Y)
 
-        if not float(np.minimum.reduce(X, None)) > 0.0:  # also catches NaN
-            raise IntegrationError(
-                f"x became nonpositive at t={float(initial.t) + k * dt:.6g}; reduce dt")
-        np.divide(Y, X, P)
-        overshoot = max(-float(np.minimum.reduce(P, None)),
-                        float(np.maximum.reduce(P, None)) - 1.0, 0.0)
-        if not overshoot <= CLAMP_TOL:
-            raise IntegrationError(f"p left [0,1] by {overshoot:.3e} at "
-                                   f"t={float(initial.t) + k * dt:.6g}; reduce dt")
-        if overshoot > 0.0:
-            np.clip(Y, 0.0, X, out=Y)
-            np.clip(P, 0.0, 1.0, out=P)
+        np.subtract(X, Y, u)
+        if not float(np.minimum.reduce(B, None)) >= 0.0:  # y or x - y below 0, or NaN
+            P = Y / X
+            overshoot = max(-float(P.min()), float(P.max()) - 1.0, 0.0)
+            if not overshoot <= CLAMP_TOL:
+                raise IntegrationError(f"p left [0,1] by {overshoot:.3e} at "
+                                       f"t={float(initial.t) + k * dt:.6g}; reduce dt")
+            if overshoot > 0.0:
+                np.clip(Y, 0.0, X, out=Y)
 
         if k == wanted[row]:
-            ps[row], xs[row] = P.ravel(), X.ravel()
+            np.divide(Y, X, ps[row].reshape(X.shape))
+            xs[row] = X.ravel()
             row += 1
 
-    t, totals = float(initial.t) + dt * rows, xs.reshape(len(rows), spec.m, -1).sum(axis=2)
+    t, totals = float(initial.t) + dt * rows, xs.reshape(len(rows), m, -1).sum(axis=2)
     drift = np.abs(totals - totals[0])
     for r, a in np.argwhere(~(drift <= 1e-9 * totals[0]))[:1]:  # also catches NaN
         raise IntegrationError(f"class {a} total drifted by {drift[r, a]:.3e} from "

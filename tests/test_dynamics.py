@@ -54,53 +54,75 @@ def rk4_oracle(spec, p, x, dt, steps):
     return p, x
 
 
-def pack_reference(spec, p, x):
-    """The (m, 2, n) state (x^a, y^a = x^a p^a) of layer-major p and x."""
-    X = np.asarray(x, dtype=float).reshape(spec.m, spec.n)
-    return np.stack((X, X * np.asarray(p, dtype=float).reshape(X.shape)), axis=1)
-
-
-def dz_reference(spec, Z):
-    """Derivative of the (m, 2, n) state, every result freshly allocated:
-    the bit-for-bit reference of the buffered, compartment-major path."""
-    dZ = Z @ spec.net.Q
-    totals = Z.sum(axis=0)  # node totals of x and of y
-    X, Y = Z[:, 0], Z[:, 1]
-    dZ[:, 1] += spec.beta * (totals[1] / totals[0]) * (X - Y) - spec.delta * Y
-    return dZ
+def dy_reference(spec, c, X, Y):
+    """dy at the (m, 1, n) rows X and Y, every result freshly allocated:
+    the bit-for-bit reference of the buffered derivative."""
+    return Y @ (spec.net.Q - np.eye(spec.n) * spec.delta) + (c * Y.sum(axis=0)) * (X - Y)
 
 
 def rhs_reference(spec, state):
-    Z = pack_reference(spec, state.p, state.x)
-    dX, dY = dz_reference(spec, Z).transpose(1, 0, 2)
-    return ((dY - np.reshape(state.p, dX.shape) * dX) / Z[:, 0]).ravel(), dX.ravel()
+    X, P = (np.reshape(v, (spec.m, 1, spec.n)) for v in (state.x, state.p))
+    dX = X @ spec.net.Q
+    dY = dy_reference(spec, spec.beta / X.sum(axis=0), X, X * P)
+    return ((dY - P * dX) / X).ravel(), dX.ravel()
 
 
 def integrate_reference(spec, initial, t_end, dt, record_every=1):
-    """RK4 allocating every stage on the (m, 2, n) state, with the same
-    operation order, checks and clamp as ``integrate``; returns (t, p, x)."""
+    """RK4 allocating every stage on the (m, 1, n) y rows, with the same
+    operation order, checks and clamp as ``integrate``: x stays at a
+    certified law it starts at, and otherwise moves by the RK4 maps in
+    increments x D_j; returns (t, p, x)."""
     steps = step_count(t_end, dt)
     rows = recorded_rows(steps, record_every)
-    Z = pack_reference(spec, initial.p, initial.x)
-    X, Y = Z[:, 0], Z[:, 1]
+    m, n = spec.m, spec.n
+    X = np.reshape(initial.x, (m, 1, n)).copy()
+    Y = X * np.reshape(initial.p, X.shape)
+    law = vars(spec.net).get("stationary")
+    at_rest = law is not None and np.array_equal(initial.x, law.v)
+    A = dt * spec.net.Q
+    A2 = A @ A
+    A3 = A2 @ A
+    D = np.stack((0.0 * A, 0.5 * A, 0.5 * A + 0.25 * A2, A + 0.5 * A2 + 0.25 * A3,
+                  A + 0.5 * A2 + A3 / 6.0 + (A3 @ A) / 24.0))
+    R = np.broadcast_to(X, (5,) + X.shape)  # x at the four stages and after the step
+    C = spec.beta / R.sum(axis=1)
     ps, xs, kept = [initial.p], [initial.x], set(rows.tolist())
     for k in range(1, steps + 1):
-        k1 = dz_reference(spec, Z)
-        k2 = dz_reference(spec, Z + 0.5 * dt * k1)
-        k3 = dz_reference(spec, Z + 0.5 * dt * k2)
-        k4 = dz_reference(spec, Z + dt * k3)
-        Z += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        assert X.min() > 0.0
-        P = Y / X
-        overshoot = max(-P.min(), P.max() - 1.0, 0.0)
-        assert overshoot <= dynamics.CLAMP_TOL
-        if overshoot > 0.0:
-            np.clip(Y, 0.0, X, out=Y)
-            np.clip(P, 0.0, 1.0, out=P)
+        if not at_rest:
+            R = X @ D + X
+            C = spec.beta / R.sum(axis=1)
+            X = R[4].copy()
+            assert X.min() > 0.0
+        k1 = dy_reference(spec, C[0], R[0], Y)
+        k2 = dy_reference(spec, C[1], R[1], Y + 0.5 * dt * k1)
+        k3 = dy_reference(spec, C[2], R[2], Y + 0.5 * dt * k2)
+        k4 = dy_reference(spec, C[3], R[3], Y + dt * k3)
+        Y = Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not min(Y.min(), (X - Y).min()) >= 0.0:
+            P = Y / X
+            overshoot = max(-P.min(), P.max() - 1.0, 0.0)
+            assert overshoot <= dynamics.CLAMP_TOL
+            if overshoot > 0.0:
+                Y = np.clip(Y, 0.0, X)
         if k in kept:
-            ps.append(P.ravel())
-            xs.append(X.flatten())  # a copy: at m = 1, X.ravel() is a view of Z
+            ps.append((Y / X).ravel())
+            xs.append(X.flatten())  # a copy: at rest, every row is X
     return float(initial.t) + dt * rows, np.array(ps), np.array(xs)
+
+
+def moving_steps(spec, initial, t_end, dt, monkeypatch):
+    """``integrate``'s trajectory and the number of products with its
+    (5, m, n, n) moving maps: one a step on the moving path, none at rest."""
+    calls, real = [], np.matmul
+
+    def spy(a, b, *args):
+        calls.append(np.shape(b) == (5, spec.m, spec.n, spec.n))
+        return real(a, b, *args)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    traj = sm.integrate(spec, initial, t_end, dt=dt)
+    monkeypatch.setattr(np, "matmul", real)
+    return traj, sum(calls)
 
 
 def clamped_logistic():
@@ -375,40 +397,84 @@ class TestBufferedStep:
         assert traj.x.tobytes() == x.tobytes()
 
     def test_recorded_rows_share_no_memory(self, monkeypatch):
-        # every array _dz reads or writes is a buffer the step loop reuses
-        buffers, real = [], dynamics._dz
+        # every array _dy reads or writes is a buffer the step loop reuses,
+        # and every recorded row is a copy: of x0 too, when x is at rest
+        buffers, real = [], dynamics._dy
 
-        def spy(work, src, out):
-            buffers.extend([*work, *src, *out])
-            real(work, src, out)
+        def spy(*args):
+            buffers.extend(args)
+            real(*args)
 
-        monkeypatch.setattr(dynamics, "_dz", spy)
+        monkeypatch.setattr(dynamics, "_dy", spy)
         spec = random_spec(np.random.default_rng(3), n=4, m=2)
-        initial = SystemState(t=0.0, p=np.full(spec.nm, 0.2), x=np.linspace(1.0, 2.0, spec.nm))
-        traj = sm.integrate(spec, initial, 0.05, dt=0.01)
-        rows = [*traj.p, *traj.x]
-        for k, row in enumerate(rows):
-            assert not any(np.shares_memory(row, other) for other in rows[k + 1:])
-            assert not any(np.shares_memory(row, buffer) for buffer in buffers)
-        assert len({row.tobytes() for row in traj.x}) == len(traj.x)
+        for x0, distinct in ((np.linspace(1.0, 2.0, spec.nm), 6), (spec.net.stationary.v, 1)):
+            initial = SystemState(t=0.0, p=np.full(spec.nm, 0.2), x=x0)
+            traj = sm.integrate(spec, initial, 0.05, dt=0.01)
+            rows = [*traj.p, *traj.x]
+            for k, row in enumerate(rows):
+                assert not any(np.shares_memory(row, other) for other in rows[k + 1:])
+                assert not any(np.shares_memory(row, buffer) for buffer in buffers)
+                assert not np.shares_memory(row, initial.x)
+            assert len({row.tobytes() for row in traj.x}) == distinct
 
     def test_a_leaking_derivative_fails_the_conservation_certificate(self, monkeypatch):
         # class 1 gains 4e-9 of its mass per unit time: 8e-10 at t = 0.2
         # passes, 1.2e-9 at the next recorded row does not
-        real = dynamics._dz
-
-        def leaky(work, src, out):
-            real(work, src, out)
-            out[2][1] += 4e-9 * src[2][1]
-
-        monkeypatch.setattr(dynamics, "_dz", leaky)
         spec = random_spec(np.random.default_rng(4), n=3, m=2)
+        leaky = spec.net.Q + np.array([0.0, 4e-9])[:, None, None] * np.eye(3)
+        monkeypatch.setitem(vars(spec.net), "Q", leaky)  # x moves by the maps of this Q
         initial = SystemState(t=0.0, p=np.full(spec.nm, 0.1), x=np.linspace(1.0, 2.0, spec.nm))
         with pytest.raises(sm.IntegrationError,
                            match=r"^class 1 total drifted by \S+ from 5\.4 at t=0\.3$"):
             sm.integrate(spec, initial, 1.0, dt=0.01, record_every=10)
-        monkeypatch.setattr(dynamics, "_dz", real)
+        monkeypatch.undo()
         assert_trajectory_invariants(spec, sm.integrate(spec, initial, 1.0, dt=0.01))
+
+
+class TestAtRest:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 7, 33])
+    def test_every_x_row_is_the_certified_law_bit_for_bit(self, m, n, monkeypatch):
+        rng = np.random.default_rng(200 * m + n)
+        spec = random_spec(rng, n=n, m=m)
+        initial = SystemState(t=0.0, p=rng.uniform(0.0, 1.0, size=spec.nm),
+                              x=spec.net.stationary.v)
+        traj, moved = moving_steps(spec, initial, 0.5, 0.01, monkeypatch)
+        assert moved == 0 and len(traj.x) == 51
+        assert all(row.tobytes() == initial.x.tobytes() for row in traj.x)
+
+    def test_no_infection_stays_zero_and_the_settle_helper_stays_at_rest(self):
+        spec = random_spec(np.random.default_rng(7), n=5, m=2)
+        v = spec.net.stationary.v
+        traj = sm.integrate(spec, SystemState(t=0.0, p=np.zeros(spec.nm), x=v), 10.0,
+                            record_every=100)
+        assert np.all(traj.p == 0.0)
+        state = sm.integrate_until_settled(spec, SystemState(t=0.0, p=np.full(spec.nm, 0.01), x=v))
+        assert state.t >= 2 * dynamics.SETTLE_CHUNK  # settled after more than one chunk
+        assert state.x.tobytes() == v.tobytes()
+
+    def test_a_nudged_x0_moves_and_matches_plain_rk4(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        spec = random_spec(rng, n=5, m=2)
+        x0 = np.array(spec.net.stationary.v)
+        x0[3] = np.nextafter(x0[3], np.inf)
+        p0 = rng.uniform(0.0, 1.0, size=spec.nm)
+        traj, moved = moving_steps(spec, SystemState(t=0.0, p=p0, x=x0), 1.0, 0.01, monkeypatch)
+        assert moved == 100
+        p_ref, x_ref = rk4_oracle(spec, p0, x0, 0.01, 100)
+        assert np.max(np.abs(traj.p[-1] - p_ref)) <= 1e-12
+        assert np.max(np.abs(traj.x[-1] - x_ref) / x_ref) <= 1e-12
+
+    def test_a_reducible_network_integrates_from_an_explicit_x0(self):
+        # only the edge 0 -> 1: the law is refused, but x0 = [50, 50] moves
+        layer = sm.MobilityLayer(n=2, edges=[(0, 1)], Q=np.array([[-0.2, 0.2], [0.0, 0.0]]))
+        net = sm.MultiLayerNetwork(layers=(layer,), N=np.array([100.0]))
+        spec = sm.ModelSpec(net=net, beta=np.full(2, 0.3), delta=np.full(2, 0.1))
+        traj = sm.integrate(spec, SystemState(t=0.0, p=np.full(2, 0.1), x=[50.0, 50.0]), 1.0)
+        assert len(traj.t) == 101 and traj.x[-1, 0] < 50.0
+        assert_trajectory_invariants(spec, traj)
+        with pytest.raises(sm.NotStronglyConnectedError):
+            net.stationary
 
 
 def rk4_amplification(z):
@@ -490,12 +556,26 @@ class TestTrajectoryCsv:
      ValueError, "infection rates beta must be positive"),
     (lambda: sm.ModelSpec(net=line_spec().net, beta=np.ones(2), delta=[0.1, -0.1]),
      ValueError, "recovery rates delta must be nonnegative"),
+    (lambda: sm.ModelSpec(net=line_spec().net, beta=[0.3, np.nan], delta=np.zeros(2)),
+     ValueError, "infection rates beta must be finite"),
+    (lambda: sm.ModelSpec(net=line_spec().net, beta=[0.3, np.inf], delta=np.zeros(2)),
+     ValueError, "infection rates beta must be finite"),
+    (lambda: sm.ModelSpec(net=line_spec().net, beta=np.ones(2), delta=[np.nan, 0.1]),
+     ValueError, "recovery rates delta must be finite"),
+    (lambda: sm.ModelSpec(net=line_spec().net, beta=np.ones(2), delta=[np.inf, 0.1]),
+     ValueError, "recovery rates delta must be finite"),
     (lambda: SystemState(t=0.0, p=np.zeros(2), x=np.ones(3)),
      ValueError, "p and x must be equal-length vectors, got (2,), (3,)"),
     (lambda: SystemState(t=0.0, p=[0.5, 1.5], x=np.ones(2)),
      ValueError, "infected fractions p must lie in [0, 1]"),
     (lambda: SystemState(t=0.0, p=np.zeros(2), x=[1.0, 0.0]),
      ValueError, "class populations x must be positive"),
+    (lambda: SystemState(t=0.0, p=[0.5, np.nan], x=np.ones(2)),
+     ValueError, "infected fractions p must be finite"),
+    (lambda: SystemState(t=0.0, p=np.zeros(2), x=[1.0, np.nan]),
+     ValueError, "class populations x must be finite"),
+    (lambda: SystemState(t=0.0, p=np.zeros(2), x=[np.inf, 1.0]),
+     ValueError, "class populations x must be finite"),
     (lambda: sm.assemble(line_spec().net, np.ones(3)),
      ValueError, "x must have length nm=2, got shape (3,)"),
     (lambda: sm.integrate(line_spec(), SystemState(t=0.0, p=[0.5, 0.5], x=[50.0, 50.0]), 1.0,
@@ -505,7 +585,8 @@ class TestTrajectoryCsv:
                                         SystemState(t=0.0, p=[0.5, 0.5], x=[50.0, 50.0]),
                                         dt=0.01, t_max=0.02),
      sm.IntegrationError, "state did not settle to 1e-09 within t=0.02"),
-], ids=["beta_length", "delta_length", "beta_positive", "delta_nonnegative", "state_shapes",
-        "p_range", "x_positive", "assemble_x_length", "integrate_dt", "unsettled"])
+], ids=["beta_length", "delta_length", "beta_positive", "delta_nonnegative", "beta_nan",
+        "beta_inf", "delta_nan", "delta_inf", "state_shapes", "p_range", "x_positive", "p_nan",
+        "x_nan", "x_inf", "assemble_x_length", "integrate_dt", "unsettled"])
 def test_dynamics_refusals(call, kind, message):
     assert_refused(call, kind, message)
